@@ -4,6 +4,11 @@ An episode holds one support exemplar per class plus a batch of queries
 drawn (without replacement) from the remaining instances of those classes.
 A query takes the class of its nearest support embedding; exact distance
 ties go to the smaller class id so evaluation is order-independent.
+
+An embedding depends only on its instance, so `evaluate` draws every run's
+episode first and embeds each distinct pool instance the episodes touch
+exactly once; the runs then score queries against those embeddings.
+Instances no episode draws are never embedded.
 """
 
 from dataclasses import dataclass
@@ -19,6 +24,8 @@ from .kernel import Rng
 class Episode:
     support: list  # (EncodedInstance, class_id), one entry per class
     queries: list  # (EncodedInstance, true class_id)
+    support_idx: list  # pool index of each support entry
+    query_idx: list  # pool index of each query
 
 
 @dataclass
@@ -64,25 +71,16 @@ def build_episode(pool, g: int, n_queries: int, rng: Rng) -> Episode:
     gen = rng.gen
     chosen = [classes[i] for i in gen.choice(len(classes), size=g, replace=False)]
 
-    support, support_idx = [], set()
-    for c in chosen:
-        pick = by_class[c][gen.integers(len(by_class[c]))]
-        support.append(pool[pick])
-        support_idx.add(pick)
-    remaining = [i for c in chosen for i in by_class[c] if i not in support_idx]
+    support_idx = [by_class[c][gen.integers(len(by_class[c]))] for c in chosen]
+    remaining = [i for c, s in zip(chosen, support_idx) for i in by_class[c] if i != s]
     if len(remaining) < n_queries:
         raise ValueError(
             f"need {n_queries} queries but only {len(remaining)} instances remain "
             f"outside the support set"
         )
-    picks = gen.choice(len(remaining), size=n_queries, replace=False)
-    queries = [pool[remaining[i]] for i in picks]
-    return Episode(support, queries)
-
-
-def embed_support(params, cfg, support):
-    """Embed support exemplars once for reuse across queries."""
-    return [(omega_forward(params, cfg, inst)[0], c) for inst, c in support]
+    query_idx = [remaining[i] for i in gen.choice(len(remaining), size=n_queries, replace=False)]
+    return Episode([pool[i] for i in support_idx], [pool[i] for i in query_idx],
+                   support_idx, query_idx)
 
 
 def nearest_class(scored) -> int:
@@ -90,30 +88,33 @@ def nearest_class(scored) -> int:
     return min(scored)[1]
 
 
-def classify(params, cfg, kind, support, query, support_embeddings=None) -> int:
-    """Label a query with the class of its nearest support exemplar."""
-    if support_embeddings is None:
-        support_embeddings = embed_support(params, cfg, support)
-    q_emb, _ = omega_forward(params, cfg, query)
-    return nearest_class([(distance(kind, q_emb, emb), c) for emb, c in support_embeddings])
+def classify(kind, support_embeddings, query_embedding) -> int:
+    """Label a query embedding with the class of its nearest support
+    embedding; `support_embeddings` holds (embedding, class_id) pairs."""
+    return nearest_class([(distance(kind, query_embedding, emb), c)
+                          for emb, c in support_embeddings])
 
 
 def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:
     """Repeat independent episodes and aggregate accuracy quartiles.
 
     Each run draws a fresh support set and fresh queries from its own child
-    stream, so run k is reproducible regardless of the other runs.
+    stream, so run k is reproducible regardless of the other runs. Each
+    distinct pool instance the runs draw is embedded once.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     root = Rng(seed)
+    episodes = [build_episode(pool, g, n_queries, root.child(f"run{run}"))
+                for run in range(n_runs)]
+    drawn = sorted({i for ep in episodes for i in ep.support_idx + ep.query_idx})
+    embedded = {i: omega_forward(params, cfg, pool[i][0])[0] for i in drawn}
     per_run = []
-    for run in range(n_runs):
-        ep = build_episode(pool, g, n_queries, root.child(f"run{run}"))
-        cached = embed_support(params, cfg, ep.support)
+    for ep in episodes:
+        support = [(embedded[i], c) for i, (_, c) in zip(ep.support_idx, ep.support)]
         correct = sum(
-            classify(params, cfg, kind, ep.support, q, support_embeddings=cached) == truth
-            for q, truth in ep.queries
+            classify(kind, support, embedded[i]) == truth
+            for i, (_, truth) in zip(ep.query_idx, ep.queries)
         )
         per_run.append(correct / n_queries)
     p25, median, p75 = (float(x) for x in np.percentile(per_run, [25, 50, 75]))

@@ -222,7 +222,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, pa
 
 def load_checkpoint(path):
     """Returns (params, cfg, meta, train_info); raises CheckpointError on
-    version or shape problems."""
+    version or shape problems and on non-numeric or non-finite tensor values."""
     try:
         with open(path) as fh:
             envelope = json.load(fh)
@@ -250,13 +250,18 @@ def load_checkpoint(path):
     for name, shape in shapes.items():
         if name not in stored:
             raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {name}")
-        entry = stored[name]
-        if tuple(entry.get("shape", ())) != shape:
+        try:
+            stored_shape = tuple(stored[name]["shape"])
+            data = np.asarray(stored[name]["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"corrupt checkpoint {path}: tensor {name}: {e!r}") from None
+        if stored_shape != shape:
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} has shape "
-                f"{entry.get('shape')}, expected {list(shape)}"
+                f"{list(stored_shape)}, expected {list(shape)}"
             )
-        data = np.asarray(entry["data"], dtype=np.float64)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"corrupt checkpoint {path}: tensor {name} holds non-finite values")
         if data.size != int(np.prod(shape)):
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} carries {data.size} "

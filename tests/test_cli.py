@@ -295,3 +295,22 @@ def test_truncated_checkpoint_exit_5(tmp_path):
     ckpt.write_bytes(raw[: len(raw) // 3])
     assert run("embed", "--checkpoint", ckpt, "--data", data,
                "--out", tmp_path / "e.csv") == 5
+
+
+@pytest.mark.parametrize("bad_value", ["abc", float("nan")], ids=["string", "nan"])
+@pytest.mark.parametrize("command", ["eval", "embed"])
+def test_bad_tensor_value_exit_5(tmp_path, capsys, command, bad_value):
+    data = gen_dataset(tmp_path, classes=6, per_class=10)
+    ckpt, _, manifest = train_small(tmp_path, data)
+    envelope = json.loads(ckpt.read_text())
+    envelope["tensors"]["b_p"]["data"][0] = bad_value
+    ckpt.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,
+                "--queries", 4, "--runs", 2, "--seed", 5, "--out-json", out]
+    else:
+        argv = ["embed", "--checkpoint", ckpt, "--data", data, "--out", out]
+    assert run(*argv) == 5
+    assert "tensor b_p" in capsys.readouterr().err
+    assert not out.exists()

@@ -249,6 +249,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="w_p"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("entry", [[0.0, 1.0], {"data": [0.0]}, {"shape": 4}],
+                             ids=["list", "no-shape", "scalar-shape"])
+    def test_malformed_tensor_entry(self, tmp_path, entry):
+        import json
+
+        cfg, meta = tiny_cfg(), tiny_meta()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(random_params(cfg, meta), cfg, meta, path)
+        env = json.loads(path.read_text())
+        env["tensors"]["b_p"] = entry
+        path.write_text(json.dumps(env))
+        with pytest.raises(CheckpointError, match="tensor b_p"):
+            load_checkpoint(path)
+
     def test_meta_guard_rejects_wrong_u(self):
         ckpt_meta = DatasetMeta(u=5, r=4, t_max=6, class_ids=frozenset())
         data_meta = DatasetMeta(u=6, r=4, t_max=6, class_ids=frozenset())
