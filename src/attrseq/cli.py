@@ -19,6 +19,7 @@ from .data import (
     encode_labeled,
     encode_triplets,
     generate_synthetic,
+    is_json_int,
     load_jsonl,
     read_records,
     sample_triplets,
@@ -65,8 +66,8 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-# (flag, kwargs) specs per command, shared by the real parser and the
-# shadow parser that detects which flags were explicitly passed.
+# (flag, kwargs) specs per command; every dest is the flag without its
+# leading dashes, with dashes turned into underscores.
 _COMMON = [("--config", dict(help="JSON file mirroring this command's flags"))]
 
 _GEN_ARGS = [
@@ -146,7 +147,7 @@ _EMBED_ARGS = [
 ]
 
 
-def build_parser(suppress_defaults=False) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="attrseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, specs, runner in (
@@ -158,37 +159,46 @@ def build_parser(suppress_defaults=False) -> _Parser:
     ):
         sp = sub.add_parser(name)
         for flag, kwargs in specs + _COMMON:
-            kw = dict(kwargs)
-            if suppress_defaults:
-                kw.pop("default", None)
-                kw.pop("required", None)
-                kw["default"] = argparse.SUPPRESS
-            sp.add_argument(flag, **kw)
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=runner)
     return parser
 
 
-def _apply_config(args, argv) -> int:
-    """Fill args from the --config JSON; explicit flags keep priority."""
+def _config_argv(args, argv) -> list:
+    """argv with the --config file's entries spliced in as flags right after
+    the command name, so argparse type- and choice-checks them like typed
+    flags, and the explicit flags, parsed after them, win."""
     try:
         with open(args.config) as fh:
-            overrides = json.load(fh)
-    except OSError as e:
-        return _fail(f"cannot read config {args.config}: {e}", EXIT_IO)
+            config = json.load(fh)
     except json.JSONDecodeError as e:
-        return _fail(f"config {args.config} is not valid JSON: {e}", EXIT_USAGE)
-    if not isinstance(overrides, dict):
-        return _fail(f"config {args.config} must hold a JSON object", EXIT_USAGE)
-    shadow = build_parser(suppress_defaults=True).parse_args(argv)
-    explicit = set(vars(shadow))
-    known = set(vars(args))
-    for key, value in overrides.items():
+        raise ValueError(f"config {args.config} is not valid JSON: {e}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    tokens = []
+    for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in known:
-            return _fail(f"config key {key!r} is not a flag of this command", EXIT_USAGE)
-        if dest not in explicit:
-            setattr(args, dest, value)
-    return EXIT_OK
+        if dest not in vars(args) or dest in ("command", "func"):
+            raise ValueError(f"config key {key!r} is not a flag of this command")
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool):  # a store_true switch
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+            if value:
+                tokens.append(flag)
+        elif isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError(f"config key {key!r} must be a number or a string, got {value!r}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return argv[:1] + tokens + argv[1:]
+
+
+def _parse(argv):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(_config_argv(args, argv))
+    return args
 
 
 def cmd_gen(args) -> int:
@@ -299,6 +309,9 @@ def _load_manifest(path):
     for key in ("train_classes", "oneshot_classes"):
         if not isinstance(manifest, dict) or key not in manifest:
             raise ShapeMismatchError(f"manifest {path} is missing {key!r}")
+        classes = manifest[key]
+        if not isinstance(classes, list) or not all(is_json_int(c) for c in classes):
+            raise ShapeMismatchError(f"manifest {path}: {key!r} must be a list of integers, got {classes!r}")
     return manifest
 
 
@@ -425,15 +438,14 @@ def cmd_embed(args) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
-    if getattr(args, "config", None):
-        rc = _apply_config(args, argv)
-        if rc != EXIT_OK:
-            return rc
+    except OSError as e:
+        return _fail(f"cannot read config: {e}", EXIT_IO)
+    except ValueError as e:
+        return _fail(str(e), EXIT_USAGE)
     try:
         return args.func(args)
     except DataFormatError as e:

@@ -60,26 +60,40 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
+def is_json_int(x) -> bool:
+    """A JSON integer; booleans, although an int subclass, are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_numbers(values) -> bool:
+    """True when every value is a JSON number that is finite as a float64."""
+    try:
+        return all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in values
+        )
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _read_records(path):
     """Parse JSONL into records, returning (records, line_numbers)."""
     records, line_nos = [], []
     u = None
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes, so undecodable text is reported by line
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # invalid JSON or invalid UTF-8
                 raise DataFormatError(f"line {ln}: invalid JSON: {e}") from None
             if not isinstance(obj, dict):
                 raise DataFormatError(f"line {ln}: expected a JSON object")
             attrs = obj.get("attrs")
-            if not isinstance(attrs, list) or not attrs or not all(
-                isinstance(x, (int, float)) for x in attrs
-            ):
-                raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of numbers")
+            if not isinstance(attrs, list) or not attrs or not _finite_numbers(attrs):
+                raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of finite numbers")
             if u is None:
                 u = len(attrs)
             elif len(attrs) != u:
@@ -87,10 +101,10 @@ def _read_records(path):
             seq = obj.get("seq")
             if not isinstance(seq, list) or not seq:
                 raise DataFormatError(f"line {ln}: empty sequence")
-            if not all(isinstance(x, int) and x >= 0 for x in seq):
+            if not all(is_json_int(x) and x >= 0 for x in seq):
                 raise DataFormatError(f"line {ln}: sequence items must be non-negative integers")
             label = obj.get("label")
-            if label is not None and not isinstance(label, int):
+            if label is not None and not is_json_int(label):
                 raise DataFormatError(f"line {ln}: label must be an integer")
             records.append(
                 AttributedSequence(np.asarray(attrs, dtype=np.float64), list(seq), label)
@@ -116,24 +130,31 @@ def load_jsonl(path, overrides=None):
     if overrides is None:
         sc = sidecar_path(path)
         if sc.exists():
-            with open(sc) as fh:
-                overrides = json.load(fh)
-    overrides = overrides or {}
+            try:
+                with open(sc) as fh:
+                    overrides = json.load(fh)
+            except ValueError as e:  # invalid JSON or text
+                raise DataFormatError(f"sidecar {sc}: {e}") from None
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict) or not all(
+        is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides
+    ):
+        raise DataFormatError(f"sidecar must be a JSON object of integer u, r, t_max, got {overrides!r}")
 
     u = len(records[0].attributes)
     obs_r = max(max(rec.items) for rec in records) + 1
     obs_t_max = max(len(rec.items) for rec in records)
 
-    if "u" in overrides and int(overrides["u"]) != u:
+    if overrides.get("u", u) != u:
         raise DataFormatError(f"sidecar u={overrides['u']} does not match observed u={u}")
-    r = int(overrides.get("r", obs_r))
+    r = overrides.get("r", obs_r)
     if r < obs_r:
         for rec, ln in zip(records, line_nos):
             if max(rec.items) >= r:
                 raise DataFormatError(
                     f"line {ln}: item id {max(rec.items)} out of range for declared r={r}"
                 )
-    t_max = int(overrides.get("t_max", obs_t_max))
+    t_max = overrides.get("t_max", obs_t_max)
     if t_max < obs_t_max:
         raise DataFormatError(
             f"sidecar t_max={t_max} is below the observed maximum length {obs_t_max}"

@@ -6,8 +6,15 @@ sequence up to its true length (padding rows are never processed), the last
 hidden state is concatenated with the final attribute activation, and one
 fused fully connected layer produces the embedding. The forward pass records
 every intermediate value the backward pass needs.
+
+All parameters live in one contiguous float64 buffer (`ModelParams.flat`);
+every named tensor is a view of it, laid out by `param_shapes`. The LSTM
+runs its four gates as one stacked block: one input projection for all
+steps, then one recurrent matrix-vector product per step.
 """
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +23,7 @@ from .data import DatasetMeta, EncodedInstance
 from .kernel import Rng, activation, glorot_bound, orthogonal_init, sigmoid, uniform_init
 
 BRANCH_MODES = ("both", "attributes_only", "sequence_only")
+GATES = "ifoc"  # LSTM input, forget, output gates and cell candidate
 
 
 @dataclass
@@ -41,60 +49,86 @@ def branch_gates(mode: str):
     return {"both": (1.0, 1.0), "attributes_only": (1.0, 0.0), "sequence_only": (0.0, 1.0)}[mode]
 
 
-@dataclass
-class ModelParams:
-    """All trainable tensors. Gradient containers mirror `tensors()` keys."""
+def param_shapes(cfg: ModelConfig, meta: DatasetMeta) -> dict:
+    """Name -> shape of every trainable tensor, in storage order.
 
-    fc_w: list  # m matrices, layer k maps dim_{k-1} -> n_m
-    fc_b: list  # m vectors
-    w_i: np.ndarray  # LSTM kernels, (n_l, r)
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    u_i: np.ndarray  # LSTM recurrent weights, (n_l, n_l)
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_c: np.ndarray
-    b_i: np.ndarray  # LSTM biases, (n_l,)
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
-    w_p: np.ndarray  # fusion weights, (n, n_m + n_l)
-    b_p: np.ndarray  # fusion bias, (n,)
+    The one place the parameter layout is spelled out. The LSTM tensors are
+    grouped by kind (kernels, recurrent weights, biases), gates in i, f, o, c
+    order, so each kind's four gates sit next to each other in storage.
+    """
+    shapes = {}
+    d_in = meta.u
+    for k in range(cfg.m):
+        shapes[f"fc{k}_w"] = (cfg.n_m, d_in)  # layer k maps dim_{k-1} -> n_m
+        shapes[f"fc{k}_b"] = (cfg.n_m,)
+        d_in = cfg.n_m
+    for kind, shape in (("w", (cfg.n_l, meta.r)), ("u", (cfg.n_l, cfg.n_l)), ("b", (cfg.n_l,))):
+        for gate in GATES:
+            shapes[f"{kind}_{gate}"] = shape
+    shapes["w_p"] = (cfg.n, cfg.n_m + cfg.n_l)  # fusion
+    shapes["b_p"] = (cfg.n,)
+    return shapes
 
-    def tensors(self):
-        """Name -> live array, in a fixed order. Mutations write through."""
-        out = {}
-        for k, (w, b) in enumerate(zip(self.fc_w, self.fc_b)):
-            out[f"fc{k}_w"] = w
-            out[f"fc{k}_b"] = b
-        for gate in "ifoc":
-            out[f"w_{gate}"] = getattr(self, f"w_{gate}")
-        for gate in "ifoc":
-            out[f"u_{gate}"] = getattr(self, f"u_{gate}")
-        for gate in "ifoc":
-            out[f"b_{gate}"] = getattr(self, f"b_{gate}")
-        out["w_p"] = self.w_p
-        out["b_p"] = self.b_p
-        return out
+
+class ModelParams(Mapping):
+    """Every trainable tensor as a named view of one flat float64 buffer.
+
+    ``flat`` holds the tensors back to back in `param_shapes` order. The
+    store maps each name to its view, and the names are also attributes
+    (``w_i`` .. ``b_c``, ``w_p``, ``b_p``; the attribute stack also as the
+    lists ``fc_w`` and ``fc_b``), so writing through any of them writes
+    ``flat``. ``lstm_w`` (4*n_l, r), ``lstm_u`` (4*n_l, n_l) and ``lstm_b``
+    (4*n_l,) view the four gates of each LSTM kind stacked in i, f, o, c
+    order. A gradient container is a zeroed store with the same layout:
+    ``ModelParams(params.shapes)``.
+    """
+
+    def __init__(self, shapes: dict):
+        self.shapes = dict(shapes)
+        self.flat = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        self._views, starts, offset = {}, {}, 0
+        for name, shape in self.shapes.items():
+            starts[name] = offset
+            offset += math.prod(shape)
+            self._views[name] = self.flat[starts[name]:offset].reshape(shape)
+        for name, view in self._views.items():
+            setattr(self, name, view)
+        m = sum(name.startswith("fc") for name in self.shapes) // 2
+        self.fc_w = [self._views[f"fc{k}_w"] for k in range(m)]
+        self.fc_b = [self._views[f"fc{k}_b"] for k in range(m)]
+        for kind in "wub":  # a kind's gates are adjacent, so one slice spans them
+            first = self._views[f"{kind}_{GATES[0]}"]
+            start = starts[f"{kind}_{GATES[0]}"]
+            stacked = self.flat[start:start + len(GATES) * first.size]
+            setattr(self, f"lstm_{kind}", stacked.reshape(len(GATES) * len(first), *first.shape[1:]))
+
+    def __getitem__(self, name):
+        return self._views[name]
+
+    def __setitem__(self, name, value):
+        """Write values into the named tensor; the layout never changes."""
+        self._views[name][...] = value
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self):
+        return len(self._views)
+
+    def tensors(self) -> dict:
+        """Name -> live view, in storage order. Mutations write through."""
+        return dict(self._views)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.fc_w],
-            [b.copy() for b in self.fc_b],
-            *(getattr(self, f"{kind}_{gate}").copy() for kind in ("w", "u", "b") for gate in "ifoc"),
-            self.w_p.copy(),
-            self.b_p.copy(),
-        )
+        clone = ModelParams(self.shapes)
+        clone.flat[...] = self.flat
+        return clone
 
 
 @dataclass
 class LstmTrace:
     x: np.ndarray  # (T, r) consumed one-hot rows
-    i: np.ndarray  # gate values, each (T, n_l)
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray  # (T, 4*n_l): i, f, o (sigmoid) then g (tanh) per step
     c: np.ndarray  # cell states, (T, n_l)
     tanh_c: np.ndarray
     h: np.ndarray  # hidden states, (T, n_l)
@@ -112,20 +146,17 @@ class ForwardTrace:
 def init_params(cfg: ModelConfig, meta: DatasetMeta, rng: Rng) -> ModelParams:
     """Fresh parameters: uniform fan-scaled kernels, orthogonal recurrent
     matrices, zero biases. Each tensor draws from its own labeled stream."""
-    fc_w, fc_b = [], []
-    d_in = meta.u
-    for k in range(cfg.m):
-        bound = glorot_bound(d_in, cfg.n_m)
-        fc_w.append(uniform_init(rng.child(f"fc{k}_w"), cfg.n_m, d_in, bound))
-        fc_b.append(np.zeros(cfg.n_m))
-        d_in = cfg.n_m
+    params = ModelParams(param_shapes(cfg, meta))
+    for k, w in enumerate(params.fc_w):
+        n_out, d_in = w.shape
+        w[...] = uniform_init(rng.child(f"fc{k}_w"), n_out, d_in, glorot_bound(d_in, n_out))
     kernel_bound = float(np.sqrt(6.0 / cfg.n_l))
-    kernels = [uniform_init(rng.child(f"w_{g}"), cfg.n_l, meta.r, kernel_bound) for g in "ifoc"]
-    recurrents = [orthogonal_init(rng.child(f"u_{g}"), cfg.n_l) for g in "ifoc"]
-    biases = [np.zeros(cfg.n_l) for _ in "ifoc"]
-    w_p = uniform_init(rng.child("w_p"), cfg.n, cfg.n_m + cfg.n_l, glorot_bound(cfg.n_m + cfg.n_l, cfg.n))
-    b_p = np.zeros(cfg.n)
-    return ModelParams(fc_w, fc_b, *kernels, *recurrents, *biases, w_p, b_p)
+    for g in GATES:
+        params[f"w_{g}"] = uniform_init(rng.child(f"w_{g}"), cfg.n_l, meta.r, kernel_bound)
+        params[f"u_{g}"] = orthogonal_init(rng.child(f"u_{g}"), cfg.n_l)
+    params.w_p[...] = uniform_init(rng.child("w_p"), cfg.n, cfg.n_m + cfg.n_l,
+                                   glorot_bound(cfg.n_m + cfg.n_l, cfg.n))
+    return params
 
 
 def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
@@ -158,32 +189,24 @@ def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
     T = int(true_len)
     x = seq[:T]
     n_l = params.b_i.shape[0]
-    # input-side projections for all timesteps at once
-    zi = x @ params.w_i.T + params.b_i
-    zf = x @ params.w_f.T + params.b_f
-    zo = x @ params.w_o.T + params.b_o
-    zg = x @ params.w_c.T + params.b_c
-
-    i = np.empty((T, n_l))
-    f = np.empty((T, n_l))
-    o = np.empty((T, n_l))
-    g = np.empty((T, n_l))
+    zx = x @ params.lstm_w.T + params.lstm_b  # input-side projections, all steps at once
+    gates = np.empty((T, 4 * n_l))
     c = np.empty((T, n_l))
     tanh_c = np.empty((T, n_l))
     h = np.empty((T, n_l))
     h_prev = np.zeros(n_l)
     c_prev = np.zeros(n_l)
     for t in range(T):
-        i[t] = sigmoid(zi[t] + params.u_i @ h_prev)
-        f[t] = sigmoid(zf[t] + params.u_f @ h_prev)
-        o[t] = sigmoid(zo[t] + params.u_o @ h_prev)
-        g[t] = np.tanh(zg[t] + params.u_c @ h_prev)
-        c[t] = f[t] * c_prev + i[t] * g[t]
+        z = zx[t] + params.lstm_u @ h_prev
+        gates[t, :3 * n_l] = sigmoid(z[:3 * n_l])
+        gates[t, 3 * n_l:] = np.tanh(z[3 * n_l:])
+        i, f, o, g = gates[t].reshape(4, n_l)
+        c[t] = f * c_prev + i * g
         tanh_c[t] = np.tanh(c[t])
-        h[t] = o[t] * tanh_c[t]
+        h[t] = o * tanh_c[t]
         h_prev = h[t]
         c_prev = c[t]
-    return h[-1], LstmTrace(x, i, f, o, g, c, tanh_c, h)
+    return h[-1], LstmTrace(x, gates, c, tanh_c, h)
 
 
 def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):

@@ -72,15 +72,11 @@ def distance_grad(kind: str, mode: str, p_i: np.ndarray, p_j: np.ndarray, d: flo
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def zero_grads(params: ModelParams) -> dict:
-    return {name: np.zeros_like(t) for name, t in params.tensors().items()}
-
-
 def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact"):
     """Loss and gradients of one siamese pair w.r.t. every parameter tensor.
 
     Both sides share weights, so their gradient contributions accumulate into
-    one container keyed like ``params.tensors()``.
+    one gradient container: a zeroed `ModelParams` with the layout of params.
     """
     _check_trace(params, trace_i)
     _check_trace(params, trace_j)
@@ -89,7 +85,7 @@ def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact"
     loss = contrastive_loss(d, ell, margin)
     scale = dloss_ddistance(d, ell, margin)
     direction = distance_grad(kind, mode, p_i, p_j, d)
-    grads = zero_grads(params)
+    grads = ModelParams(params.shapes)
     if scale != 0.0:
         _accumulate_encoder_grads(params, cfg, trace_i, scale * direction, grads)
         _accumulate_encoder_grads(params, cfg, trace_j, -scale * direction, grads)
@@ -144,30 +140,21 @@ def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
     n_l = params.b_i.shape[0]
     h_prev = np.vstack([np.zeros((1, n_l)), lt.h[:-1]])
     c_prev = np.vstack([np.zeros((1, n_l)), lt.c[:-1]])
-    da_i = np.empty((T, n_l))
-    da_f = np.empty((T, n_l))
-    da_o = np.empty((T, n_l))
-    da_g = np.empty((T, n_l))
+    sig = lt.gates[:, :3 * n_l]  # i, f, o
+    i, f, o, g = np.split(lt.gates, 4, axis=1)
+    da = np.empty((T, 4 * n_l))  # d(loss)/d(gate pre-activations), gates stacked
     dh_vec = dh
     dc_vec = np.zeros(n_l)
     for t in range(T - 1, -1, -1):
-        do = dh_vec * lt.tanh_c[t]
-        dc_vec = dc_vec + dh_vec * lt.o[t] * (1.0 - lt.tanh_c[t] ** 2)
-        da_i[t] = dc_vec * lt.g[t] * lt.i[t] * (1.0 - lt.i[t])
-        da_f[t] = dc_vec * c_prev[t] * lt.f[t] * (1.0 - lt.f[t])
-        da_o[t] = do * lt.o[t] * (1.0 - lt.o[t])
-        da_g[t] = dc_vec * lt.i[t] * (1.0 - lt.g[t] ** 2)
-        dh_vec = (
-            params.u_i.T @ da_i[t]
-            + params.u_f.T @ da_f[t]
-            + params.u_o.T @ da_o[t]
-            + params.u_c.T @ da_g[t]
-        )
-        dc_vec = dc_vec * lt.f[t]
-    for gate, da in zip("ifoc", (da_i, da_f, da_o, da_g)):
-        grads[f"w_{gate}"] += da.T @ lt.x
-        grads[f"u_{gate}"] += da.T @ h_prev
-        grads[f"b_{gate}"] += da.sum(axis=0)
+        dc_vec = dc_vec + dh_vec * o[t] * (1.0 - lt.tanh_c[t] ** 2)
+        d_sig = np.concatenate([dc_vec * g[t], dc_vec * c_prev[t], dh_vec * lt.tanh_c[t]])
+        da[t, :3 * n_l] = d_sig * sig[t] * (1.0 - sig[t])
+        da[t, 3 * n_l:] = dc_vec * i[t] * (1.0 - g[t] ** 2)
+        dh_vec = params.lstm_u.T @ da[t]
+        dc_vec = dc_vec * f[t]
+    grads.lstm_w += da.T @ lt.x
+    grads.lstm_u += da.T @ h_prev
+    grads.lstm_b += da.sum(axis=0)
 
 
 def pair_loss(params, cfg, inst_i, inst_j, ell, margin, kind) -> float:
@@ -181,24 +168,21 @@ def finite_diff_grads(params, cfg, inst_i, inst_j, ell, margin, kind, step=1e-5)
     """Central-difference gradients around every scalar parameter.
 
     Independent of the reverse-mode path: each probe reruns the full forward
-    pass with one coordinate displaced by +-step.
+    pass with one coordinate of ``params.flat`` displaced by +-step. Returns
+    a gradient container with the layout of params.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    grads = {}
-    for name, tensor in params.tensors().items():
-        g = np.zeros_like(tensor)
-        flat = tensor.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            lp = pair_loss(params, cfg, inst_i, inst_j, ell, margin, kind)
-            flat[idx] = orig - step
-            lm = pair_loss(params, cfg, inst_i, inst_j, ell, margin, kind)
-            flat[idx] = orig
-            gflat[idx] = (lp - lm) / (2.0 * step)
-        grads[name] = g
+    grads = ModelParams(params.shapes)
+    flat = params.flat
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + step
+        lp = pair_loss(params, cfg, inst_i, inst_j, ell, margin, kind)
+        flat[idx] = orig - step
+        lm = pair_loss(params, cfg, inst_i, inst_j, ell, margin, kind)
+        flat[idx] = orig
+        grads.flat[idx] = (lp - lm) / (2.0 * step)
     return grads
 
 
@@ -277,8 +261,7 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
         kind = DISTANCE_KINDS[k % 2]
         ell = (k // 2) % 2
         params = init_params(cfg, meta, trial_rng.child("params"))
-        for t in params.tensors().values():
-            t[...] = gen.uniform(-0.9, 0.9, size=t.shape)
+        params.flat[...] = gen.uniform(-0.9, 0.9, size=params.flat.size)
         margin = float(gen.uniform(0.5, 1.5))
 
         inst_i = inst_j = None
@@ -293,8 +276,7 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
         _, trace_i = omega_forward(params, cfg, inst_i)
         _, trace_j = omega_forward(params, cfg, inst_j)
         loss, analytic = backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode)
-        finite = all(np.isfinite(t).all() for t in analytic.values())
-        all_finite = all_finite and finite
+        all_finite = all_finite and bool(np.isfinite(analytic.flat).all())
         numeric = finite_diff_grads(params, cfg, inst_i, inst_j, ell, margin, kind, step)
         err = grad_discrepancy(analytic, numeric, resolvable_gradient(loss, step, tolerance))
         if err[0] > worst[0]:

@@ -9,9 +9,6 @@ import hashlib
 
 import numpy as np
 
-Vector = np.ndarray
-Matrix = np.ndarray
-
 
 class Rng:
     """Seeded random source with labeled child streams.
@@ -33,17 +30,6 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"
-
-
-def matvec(m: Matrix, v: Vector) -> Vector:
-    """Matrix-vector product with an explicit shape check."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"matvec shape mismatch: matrix {m.shape} cannot multiply vector {v.shape}"
-        )
-    return m @ v
 
 
 def tanh(z):
@@ -84,14 +70,14 @@ def glorot_bound(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-def uniform_init(rng: Rng, rows: int, cols: int, bound: float) -> Matrix:
+def uniform_init(rng: Rng, rows: int, cols: int, bound: float) -> np.ndarray:
     """i.i.d. uniform entries on [-bound, +bound]."""
     if bound <= 0:
         raise ValueError(f"uniform_init bound must be positive, got {bound}")
     return rng.gen.uniform(-bound, bound, size=(rows, cols))
 
 
-def orthogonal_init(rng: Rng, size: int) -> Matrix:
+def orthogonal_init(rng: Rng, size: int) -> np.ndarray:
     """Random orthogonal matrix via QR of a Gaussian draw.
 
     Signs are fixed so the R factor has a positive diagonal, which makes the

@@ -2,9 +2,10 @@
 
 The loop follows the contrastive objective: for every triplet it runs both
 encoder passes, backpropagates the pair loss, and immediately applies
-theta <- theta - lr * (grad + l2 * theta) to weight tensors (biases skip the
-decay term). Early stopping watches the mean validation loss per epoch, and
-the parameters returned are those of the best validation epoch.
+theta <- theta - lr * (grad + decay * theta) as one update of the flat
+parameter buffer, where decay is l2 on weight matrices and 0 on bias vectors.
+Early stopping watches the mean validation loss per epoch, and the
+parameters returned are those of the best validation epoch.
 """
 
 import json
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetMeta
-from .encoder import ModelConfig, ModelParams, omega_forward
+from .encoder import ModelConfig, ModelParams, omega_forward, param_shapes
 from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, distance, pair_loss
 from .kernel import Rng
 
@@ -79,10 +80,6 @@ class TrainReport:
     zero_distance_dissimilar: int = 0  # skipped undefined-direction updates
 
 
-def _is_bias(name: str) -> bool:
-    return name.startswith("b_") or name.endswith("_b")
-
-
 def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfig):
     """Train on encoded triplets; returns (best params, report).
 
@@ -101,7 +98,10 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
     train_idx = perm[n_val:]
 
     params = params.copy()
-    tensors = params.tensors()
+    decay = ModelParams(params.shapes)
+    for w in decay.values():
+        if w.ndim == 2:  # weight matrices; bias vectors do not decay
+            w[...] = train_cfg.l2
     report = TrainReport(n_train=len(train_idx), n_val=n_val)
     best_val = np.inf
     best_params = params.copy()
@@ -130,12 +130,7 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
             if t.ell == 1 and distance(train_cfg.distance, emb_i, emb_j) == 0.0:
                 report.zero_distance_dissimilar += 1
             if train_cfg.lr != 0.0:
-                for name, tensor in tensors.items():
-                    g = grads[name]
-                    if train_cfg.l2 != 0.0 and not _is_bias(name):
-                        tensor -= train_cfg.lr * (g + train_cfg.l2 * tensor)
-                    else:
-                        tensor -= train_cfg.lr * g
+                params.flat -= train_cfg.lr * (grads.flat + decay.flat * params.flat)
             epoch_losses[pos] = loss
         train_loss = float(epoch_losses.mean())
         if n_val:
@@ -177,24 +172,6 @@ def write_metrics(report: TrainReport, path):
         fh.write("epoch,train_loss,val_loss\n")
         for e, (tl, vl) in enumerate(zip(report.train_losses, report.val_losses), start=1):
             fh.write(f"{e},{tl!r},{vl!r}\n")
-
-
-def _expected_shapes(cfg: ModelConfig, meta: DatasetMeta) -> dict:
-    shapes = {}
-    d_in = meta.u
-    for k in range(cfg.m):
-        shapes[f"fc{k}_w"] = (cfg.n_m, d_in)
-        shapes[f"fc{k}_b"] = (cfg.n_m,)
-        d_in = cfg.n_m
-    for g in "ifoc":
-        shapes[f"w_{g}"] = (cfg.n_l, meta.r)
-    for g in "ifoc":
-        shapes[f"u_{g}"] = (cfg.n_l, cfg.n_l)
-    for g in "ifoc":
-        shapes[f"b_{g}"] = (cfg.n_l,)
-    shapes["w_p"] = (cfg.n, cfg.n_m + cfg.n_l)
-    shapes["b_p"] = (cfg.n,)
-    return shapes
 
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, path, train_info=None):
@@ -245,9 +222,8 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
 
-    shapes = _expected_shapes(cfg, meta)
-    arrays = {}
-    for name, shape in shapes.items():
+    params = ModelParams(param_shapes(cfg, meta))
+    for name, view in params.items():
         if name not in stored:
             raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {name}")
         try:
@@ -255,26 +231,19 @@ def load_checkpoint(path):
             data = np.asarray(stored[name]["data"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"corrupt checkpoint {path}: tensor {name}: {e!r}") from None
-        if stored_shape != shape:
+        if stored_shape != view.shape:
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} has shape "
-                f"{list(stored_shape)}, expected {list(shape)}"
+                f"{list(stored_shape)}, expected {list(view.shape)}"
             )
         if not np.isfinite(data).all():
             raise CheckpointError(f"corrupt checkpoint {path}: tensor {name} holds non-finite values")
-        if data.size != int(np.prod(shape)):
+        if data.size != view.size:
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} carries {data.size} "
-                f"values for shape {list(shape)}"
+                f"values for shape {list(view.shape)}"
             )
-        arrays[name] = data.reshape(shape)
-    params = ModelParams(
-        [arrays[f"fc{k}_w"] for k in range(cfg.m)],
-        [arrays[f"fc{k}_b"] for k in range(cfg.m)],
-        *(arrays[f"{kind}_{gate}"] for kind in ("w", "u", "b") for gate in "ifoc"),
-        arrays["w_p"],
-        arrays["b_p"],
-    )
+        view[...] = data.reshape(view.shape)
     return params, cfg, meta, envelope.get("train", {})
 
 

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from attrseq.cli import main
@@ -102,6 +104,26 @@ class TestTrain:
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         assert run("train", "--data", tmp_path / "nope.jsonl", "--seed", 1) == 2
 
+    @pytest.mark.parametrize("edit", ["nan-attr", "bool-label", "bad-sidecar"])
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, edit):
+        data = gen_dataset(tmp_path)
+        if edit == "bad-sidecar":
+            (tmp_path / "data.meta.json").write_text('{"u": 3, "r":')
+        else:
+            lines = data.read_text().splitlines()
+            rec = json.loads(lines[4])
+            if edit == "nan-attr":
+                rec["attrs"][1] = float("nan")
+            else:
+                rec["label"] = True
+            lines[4] = json.dumps(rec)
+            data.write_text("\n".join(lines) + "\n")
+        assert run("train", "--data", data, "--triplets", 12, "--seed", 3,
+                   "--checkpoint", tmp_path / "c.json") == 2
+        err = capsys.readouterr().err
+        assert ("sidecar" if edit == "bad-sidecar" else "line 5") in err
+        assert not (tmp_path / "c.json").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         data = gen_dataset(tmp_path)
         cfg_file = tmp_path / "train.json"
@@ -124,6 +146,33 @@ class TestTrain:
         cfg_file.write_text('{"tripletz": 9}')
         assert run("train", "--data", data, "--seed", 3, "--config", cfg_file) == 1
         assert "tripletz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"triplets": "ten"}, "invalid int value: 'ten'"),
+        ({"triplets": True}, "must be a number or a string"),
+        ({"triplets": 12.5}, "invalid int value: '12.5'"),
+        ({"distance": "cosine"}, "invalid choice: 'cosine'"),
+        ({"lr": [0.1]}, "must be a number or a string"),
+    ], ids=["string-for-int", "bool-for-int", "float-for-int", "bad-choice", "list"])
+    def test_config_value_is_type_checked(self, tmp_path, capsys, entry, message):
+        data = gen_dataset(tmp_path)
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(entry))
+        assert run("train", "--data", data, "--seed", 3, "--config", cfg_file) == 1
+        assert message in capsys.readouterr().err
+
+    def test_config_switch_must_be_boolean(self, tmp_path, capsys):
+        cfg_file = tmp_path / "gen.json"
+        cfg_file.write_text('{"standardize_attrs": 1}')
+        assert run("gen", "--classes", 4, "--seed", 0, "--out", tmp_path / "x.jsonl",
+                   "--config", cfg_file) == 1
+        assert "true or false" in capsys.readouterr().err
+        cfg_file.write_text('{"standardize-attrs": true, "attr_noise": 0.5}')
+        assert run("gen", "--classes", 4, "--per-class", 20, "--seed", 0,
+                   "--out", tmp_path / "y.jsonl", "--config", cfg_file) == 0
+        assert run("gen", "--classes", 4, "--per-class", 20, "--seed", 0, "--attr-noise", 0.5,
+                   "--standardize-attrs", "--out", tmp_path / "z.jsonl") == 0
+        assert (tmp_path / "y.jsonl").read_bytes() == (tmp_path / "z.jsonl").read_bytes()
 
 
 class TestTrainFailure:
@@ -215,6 +264,16 @@ class TestEval:
         assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", bad,
                    "--queries", 4, "--runs", 2, "--seed", 5) == 5
 
+    @pytest.mark.parametrize("classes", [3, "0,1", [0, "1"], [0, True], None],
+                             ids=["int", "string", "string-item", "bool-item", "null"])
+    def test_wrong_typed_manifest_exit_5(self, tmp_path, capsys, classes):
+        data, ckpt, manifest = self.setup_artifacts(tmp_path)
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps({"train_classes": classes, "oneshot_classes": [4, 5]}))
+        assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", bad,
+                   "--queries", 4, "--runs", 2, "--seed", 5) == 5
+        assert "'train_classes' must be a list of integers" in capsys.readouterr().err
+
     def test_checkpoint_dataset_mismatch_exit_5(self, tmp_path):
         data, ckpt, manifest = self.setup_artifacts(tmp_path)
         wide = tmp_path / "wide.jsonl"
@@ -270,6 +329,18 @@ class TestEmbed:
         wrong.write_text('{"attrs":[0.1,0.2,0.3,0.4],"seq":[0],"label":0}\n')
         assert run("embed", "--checkpoint", ckpt, "--data", wrong,
                    "--out", tmp_path / "emb.csv") == 5
+
+    def test_demo_run_embeddings_reproduce(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "demo_run"
+        out = tmp_path / "emb.csv"
+        assert run("embed", "--checkpoint", demo / "model.json", "--data", demo / "data.jsonl",
+                   "--out", out) == 0
+        got, want = out.read_text().splitlines(), (demo / "embeddings.csv").read_text().splitlines()
+        assert got[0] == want[0] and len(got) == len(want) == 601
+        assert [row.split(",")[0] for row in got] == [row.split(",")[0] for row in want]
+        got_emb = np.array([[float(x) for x in row.split(",")[1:]] for row in got[1:]])
+        want_emb = np.array([[float(x) for x in row.split(",")[1:]] for row in want[1:]])
+        assert np.allclose(got_emb, want_emb, rtol=0, atol=1e-12)
 
     def test_deterministic_bytes(self, tmp_path):
         data = gen_dataset(tmp_path)

@@ -87,6 +87,40 @@ def test_load_jsonl_sidecar_overrides_upward(tmp_path):
         load_jsonl(p, overrides={"u": 4})
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"attrs":[0.1,NaN],"seq":[0],"label":0}', "finite numbers"),
+    ('{"attrs":[0.1,Infinity],"seq":[0],"label":0}', "finite numbers"),
+    ('{"attrs":[0.1,1e999],"seq":[0],"label":0}', "finite numbers"),
+    ('{"attrs":[0.1,1%s],"seq":[0],"label":0}' % ("0" * 400), "finite numbers"),
+    ('{"attrs":[0.1,true],"seq":[0],"label":0}', "finite numbers"),
+    ('{"attrs":[0.1,0.2],"seq":[0,true],"label":0}', "non-negative integers"),
+    ('{"attrs":[0.1,0.2],"seq":[0],"label":true}', "label must be an integer"),
+], ids=["nan", "infinity", "overflowing-float", "overflowing-int", "bool-attr",
+        "bool-item", "bool-label"])
+def test_load_jsonl_rejects_non_finite_and_boolean_values(tmp_path, line, message):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, ['{"attrs":[0.1,0.2],"seq":[1],"label":1}', line])
+    with pytest.raises(DataFormatError, match=f"line 2: .*{message}"):
+        load_jsonl(p)
+
+
+def test_load_jsonl_undecodable_bytes_name_line(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(b'{"attrs":[0.1],"seq":[1],"label":0}\n\xff\xfe\n')
+    with pytest.raises(DataFormatError, match="line 2: invalid JSON"):
+        load_jsonl(p)
+
+
+@pytest.mark.parametrize("sidecar", ['{"u":1,"r":9', "[9]", '{"r":"9"}', '{"t_max":true}'],
+                         ids=["invalid-json", "not-object", "string-r", "bool-t_max"])
+def test_load_jsonl_rejects_malformed_sidecar(tmp_path, sidecar):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, ['{"attrs":[0.1],"seq":[1,0],"label":0}'])
+    (tmp_path / "d.meta.json").write_text(sidecar)
+    with pytest.raises(DataFormatError, match="sidecar"):
+        load_jsonl(p)
+
+
 def test_write_then_load_round_trip(tmp_path):
     records = generate_synthetic(classes=3, per_class=5, u=4, r=6, t_max=8, seed=1)
     p = tmp_path / "d.jsonl"

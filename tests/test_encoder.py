@@ -12,6 +12,7 @@ from attrseq.encoder import (
     init_params,
     lstm_forward,
     omega_forward,
+    param_shapes,
 )
 from attrseq.kernel import Rng
 
@@ -123,7 +124,7 @@ class TestLstmForward:
         inst = random_instance(meta, seed=2)
         h, trace = lstm_forward(params, inst.seq, inst.true_len)
         assert not h.any()
-        assert np.all(trace.o == 0.5)  # sigma(0)
+        assert np.all(trace.gates[:, :3 * cfg.n_l] == 0.5)  # i, f, o = sigma(0)
 
     def test_single_step_scalar_hand_computation(self):
         # independent recomputation of one LSTM step with scalar parameters
@@ -276,10 +277,69 @@ def test_model_config_validation():
         ModelConfig(activation="gelu")
 
 
+class TestParamStore:
+    def test_layout_order(self):
+        shapes = param_shapes(tiny_cfg(m=2, n_m=5, n_l=6, n=7), tiny_meta(u=3, r=4))
+        assert list(shapes) == [
+            "fc0_w", "fc0_b", "fc1_w", "fc1_b",
+            "w_i", "w_f", "w_o", "w_c", "u_i", "u_f", "u_o", "u_c",
+            "b_i", "b_f", "b_o", "b_c", "w_p", "b_p",
+        ]
+        assert shapes["fc0_w"] == (5, 3) and shapes["fc1_w"] == (5, 5)
+        assert shapes["w_o"] == (6, 4) and shapes["u_c"] == (6, 6) and shapes["b_f"] == (6,)
+        assert shapes["w_p"] == (7, 11) and shapes["b_p"] == (7,)
+
+    def test_every_view_is_a_slice_of_flat(self):
+        cfg, meta = tiny_cfg(m=3), tiny_meta()
+        params = random_params(cfg, meta)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        offset = 0
+        for name, t in params.tensors().items():
+            assert t.shape == params.shapes[name]
+            assert np.shares_memory(t, params.flat), name
+            assert np.array_equal(t.reshape(-1), params.flat[offset:offset + t.size]), name
+            offset += t.size
+        assert offset == params.flat.size
+        for k in range(cfg.m):
+            assert params.fc_w[k] is params[f"fc{k}_w"] and params.fc_b[k] is params[f"fc{k}_b"]
+        for name in ("w_i", "u_f", "b_c", "w_p", "b_p"):
+            assert getattr(params, name) is params[name]
+
+    def test_writes_through_every_name(self):
+        params = random_params(tiny_cfg(), tiny_meta())
+        params.u_f[0, 1] = 7.0
+        params["b_p"] = 1.5
+        params.flat[params.flat.size - 1] = 2.5
+        assert params.tensors()["u_f"][0, 1] == 7.0
+        assert params.b_p[:-1].tolist() == [1.5] * (params.b_p.size - 1)
+        assert params.b_p[-1] == 2.5
+
+    def test_stacked_gate_blocks_are_views(self):
+        cfg, meta = tiny_cfg(n_l=3), tiny_meta(r=4)
+        params = random_params(cfg, meta)
+        for kind in "wub":
+            stacked = getattr(params, f"lstm_{kind}")
+            gates = [params[f"{kind}_{g}"] for g in "ifoc"]
+            assert stacked.shape == (12, *gates[0].shape[1:])
+            assert np.shares_memory(stacked, params.flat)
+            assert np.array_equal(stacked, np.concatenate(gates))
+        params.lstm_u[3:6] = -1.0  # the forget gate's rows
+        assert np.all(params.u_f == -1.0) and not np.any(params.u_i == -1.0)
+
+    def test_fresh_store_is_zero(self):
+        shapes = param_shapes(tiny_cfg(), tiny_meta())
+        store = ModelParams(shapes)
+        assert store.flat.size == sum(math.prod(s) for s in shapes.values())
+        assert not store.flat.any()
+
+
 def test_params_copy_is_deep():
     cfg, meta = tiny_cfg(), tiny_meta()
     params = random_params(cfg, meta)
     clone = params.copy()
+    assert clone.shapes == params.shapes
+    assert np.array_equal(clone.flat, params.flat)
+    assert not np.shares_memory(clone.flat, params.flat)
     clone.w_p[0, 0] += 1.0
     clone.fc_w[0][0, 0] += 1.0
     assert params.w_p[0, 0] != clone.w_p[0, 0]

@@ -5,8 +5,9 @@ import pytest
 
 from attrseq.data import AttributedSequence, DatasetMeta, encode
 from attrseq import gradients
-from attrseq.encoder import ModelConfig, init_params, omega_forward
+from attrseq.encoder import BRANCH_MODES, ModelConfig, branch_gates, init_params, omega_forward
 from attrseq.gradients import (
+    DISTANCE_KINDS,
     backward_pair,
     contrastive_loss,
     distance,
@@ -16,7 +17,6 @@ from attrseq.gradients import (
     grad_discrepancy,
     gradcheck_suite,
     pair_loss,
-    zero_grads,
 )
 from attrseq.kernel import Rng
 
@@ -325,13 +325,18 @@ def test_gradcheck_suite_surrogate_mode_exempt():
 
 
 def test_zero_grads_mirror_params():
+    # a clipped dissimilar pair leaves its gradient container at zero
     cfg, meta = tiny_cfg(), tiny_meta()
-    params = random_params(cfg, meta)
-    grads = zero_grads(params)
+    params, _, _, trace_i, trace_j = _pair(cfg, meta, 12)
+    d = distance("euclidean", trace_i.embedding, trace_j.embedding)
+    _, grads = backward_pair(params, cfg, trace_i, trace_j, 1, d / 2, "euclidean")
     ref = params.tensors()
+    assert grads.shapes == params.shapes
     assert grads.keys() == ref.keys()
+    assert not np.shares_memory(grads.flat, params.flat)
     for name in grads:
         assert grads[name].shape == ref[name].shape
+        assert np.shares_memory(grads[name], grads.flat)
         assert not grads[name].any()
 
 
@@ -341,3 +346,87 @@ def test_pair_loss_matches_backward_loss():
     forward_only = pair_loss(params, cfg, inst_i, inst_j, 1, 2.0, "manhattan")
     reverse, _ = backward_pair(params, cfg, trace_i, trace_j, 1, 2.0, "manhattan")
     assert forward_only == pytest.approx(reverse, rel=1e-15)
+
+
+def _reference_forward(params, cfg, inst):
+    """Per-gate encoder pass: one matrix-vector product per gate and step."""
+    act = np.tanh if cfg.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    alphas = [inst.attributes]
+    for w, b in zip(params.fc_w, params.fc_b):
+        alphas.append(act(w @ alphas[-1] + b))
+    h = c = np.zeros(params.b_i.shape[0])
+    steps = []
+    for x in inst.seq[:inst.true_len]:
+        i = sig(params.w_i @ x + params.u_i @ h + params.b_i)
+        f = sig(params.w_f @ x + params.u_f @ h + params.b_f)
+        o = sig(params.w_o @ x + params.u_o @ h + params.b_o)
+        g = np.tanh(params.w_c @ x + params.u_c @ h + params.b_c)
+        steps.append((x, h, c, i, f, o, g))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    ga, gs = branch_gates(cfg.branch_mode)
+    concat = np.concatenate([ga * alphas[-1], gs * h])
+    return act(params.w_p @ concat + params.b_p), alphas, steps, concat
+
+
+def _reference_backward(params, cfg, forward, dp, grads):
+    """Per-gate reverse pass of one side, accumulating into a name -> array dict."""
+    emb, alphas, steps, concat = forward
+    dact = (lambda a: 1.0 - a * a) if cfg.activation == "tanh" else (lambda a: (a > 0) * 1.0)
+    ga, gs = branch_gates(cfg.branch_mode)
+    delta = dp * dact(emb)
+    grads["w_p"] += np.outer(delta, concat)
+    grads["b_p"] += delta
+    dq = params.w_p.T @ delta
+    n_m = alphas[-1].size
+    d_alpha, dh = ga * dq[:n_m], gs * dq[n_m:]
+    for k in reversed(range(len(params.fc_w))):
+        d = d_alpha * dact(alphas[k + 1])
+        grads[f"fc{k}_w"] += np.outer(d, alphas[k])
+        grads[f"fc{k}_b"] += d
+        d_alpha = params.fc_w[k].T @ d
+    dc = np.zeros_like(dh)
+    for x, h_prev, c_prev, i, f, o, g in reversed(steps):
+        tanh_c = np.tanh(f * c_prev + i * g)
+        dc = dc + dh * o * (1.0 - tanh_c ** 2)
+        da = {"i": dc * g * i * (1.0 - i), "f": dc * c_prev * f * (1.0 - f),
+              "o": dh * tanh_c * o * (1.0 - o), "c": dc * i * (1.0 - g * g)}
+        dh = np.zeros_like(dh)
+        for gate, d in da.items():
+            grads[f"w_{gate}"] += np.outer(d, x)
+            grads[f"u_{gate}"] += np.outer(d, h_prev)
+            grads[f"b_{gate}"] += d
+            dh += params[f"u_{gate}"].T @ d
+        dc = dc * f
+
+
+@pytest.mark.parametrize("mode", BRANCH_MODES)
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_fused_gates_match_per_gate_reference(activation, mode):
+    meta = tiny_meta(u=3, r=5, t_max=6)
+    cfg = tiny_cfg(m=2, n_m=4, n_l=5, n=4, activation=activation, branch_mode=mode)
+    for seed in range(4):
+        params = random_params(cfg, meta, seed=60 + seed)
+        inst_i = random_instance(meta, seed=160 + seed, length=6)
+        inst_j = random_instance(meta, seed=260 + seed, length=3)
+        kind, ell = DISTANCE_KINDS[seed % 2], seed // 2
+        ref_i = _reference_forward(params, cfg, inst_i)
+        ref_j = _reference_forward(params, cfg, inst_j)
+        _, trace_i = omega_forward(params, cfg, inst_i)
+        _, trace_j = omega_forward(params, cfg, inst_j)
+        assert np.allclose(trace_i.embedding, ref_i[0], rtol=0, atol=1e-12)
+        assert np.allclose(trace_j.embedding, ref_j[0], rtol=0, atol=1e-12)
+
+        d = distance(kind, ref_i[0], ref_j[0])
+        margin = d + 0.5  # keep the hinge active
+        scale = dloss_ddistance(d, ell, margin)
+        direction = distance_grad(kind, "exact", ref_i[0], ref_j[0], d)
+        want = {name: np.zeros(shape) for name, shape in params.shapes.items()}
+        _reference_backward(params, cfg, ref_i, scale * direction, want)
+        _reference_backward(params, cfg, ref_j, -scale * direction, want)
+        _, grads = backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind)
+        assert grads.keys() == want.keys()
+        assert any(want[name].any() for name in ("w_f", "u_o")) == (mode != "attributes_only")
+        for name in want:
+            assert np.allclose(grads[name], want[name], rtol=0, atol=1e-12), name

@@ -6,46 +6,12 @@ from attrseq.kernel import (
     activation,
     activation_grad_from_output,
     glorot_bound,
-    matvec,
     orthogonal_init,
     relu,
     sigmoid,
     tanh,
     uniform_init,
 )
-
-
-def test_matvec_identity():
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(matvec(np.eye(3), v), v)
-
-
-def test_matvec_zeros():
-    out = matvec(np.zeros((2, 3)), np.ones(3))
-    assert np.array_equal(out, np.zeros(2))
-
-
-def test_matvec_hand_case():
-    # independent scalar loop as the oracle
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    v = np.array([1.0, 1.0])
-    expected = np.array([sum(m[i, j] * v[j] for j in range(2)) for i in range(2)])
-    assert np.array_equal(matvec(m, v), expected)
-    assert np.array_equal(expected, [3.0, 7.0])
-
-
-def test_matvec_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):
-        matvec(np.zeros((2, 3)), np.zeros(2))
-
-
-def test_matvec_distributes_over_addition():
-    gen = np.random.default_rng(7)
-    for _ in range(100):
-        m = gen.uniform(-1, 1, (5, 4))
-        a = gen.uniform(-1, 1, 4)
-        b = gen.uniform(-1, 1, 4)
-        assert np.max(np.abs(matvec(m, a + b) - (matvec(m, a) + matvec(m, b)))) < 1e-12
 
 
 def test_activation_point_values():

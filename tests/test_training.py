@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,8 @@ from attrseq.training import (
 )
 
 from test_encoder import random_instance, random_params, tiny_cfg, tiny_meta
+
+DEMO_RUN = Path(__file__).resolve().parents[1] / "demo_run"
 
 
 def small_dataset(seed=0, classes=4, per_class=12):
@@ -262,6 +267,19 @@ class TestCheckpoint:
         path.write_text(json.dumps(env))
         with pytest.raises(CheckpointError, match="tensor b_p"):
             load_checkpoint(path)
+
+    def test_demo_checkpoint_resaves_byte_identical(self, tmp_path):
+        params, cfg, meta, info = load_checkpoint(DEMO_RUN / "model.json")
+        save_checkpoint(params, cfg, meta, tmp_path / "model.json", train_info=info)
+        assert (tmp_path / "model.json").read_bytes() == (DEMO_RUN / "model.json").read_bytes()
+
+    def test_fresh_default_checkpoint_bytes_are_pinned(self, tmp_path):
+        # init_params' draws and the checkpoint format, frozen as one digest
+        meta = DatasetMeta(u=10, r=12, t_max=15, class_ids=frozenset(range(10)))
+        path = tmp_path / "init.json"
+        save_checkpoint(init_params(ModelConfig(), meta, Rng(0)), ModelConfig(), meta, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "828b68c5f3d35bf84782cf122a52e8abd3132572f335a775c9d6151ae3204e56"
 
     def test_meta_guard_rejects_wrong_u(self):
         ckpt_meta = DatasetMeta(u=5, r=4, t_max=6, class_ids=frozenset())
