@@ -20,7 +20,7 @@ from .data import (
     write_jsonl,
     write_meta,
 )
-from .encoder import ModelConfig, ModelParams, ForwardTrace, init_params, omega_forward
+from .encoder import ModelConfig, ModelParams, ForwardTrace, embed_instances, init_params, omega_forward
 from .gradients import (
     DISTANCE_KINDS,
     GRAD_MODES,

@@ -29,7 +29,8 @@ from .data import (
     write_jsonl,
     write_meta,
 )
-from .encoder import BRANCH_MODES, ModelConfig, init_params, omega_forward
+from .encoder import BRANCH_MODES, ModelConfig, embed_instances, init_params
+from .encoder import omega_forward  # noqa: F401  (bench/tracer.py wraps it here)
 from .episodes import evaluate
 from .gradients import DISTANCE_KINDS, GRAD_MODES, gradcheck_suite
 from .kernel import Rng
@@ -202,6 +203,10 @@ def _parse(argv):
 
 
 def cmd_gen(args) -> int:
+    meta = DatasetMeta(  # checks the dimensions, the one-hot size included, first
+        u=args.u, r=args.r, t_max=args.t_max,
+        class_ids=frozenset(range(args.classes)),
+    )
     records = generate_synthetic(
         classes=args.classes, per_class=args.per_class, u=args.u, r=args.r,
         t_max=args.t_max, attr_noise=args.attr_noise, seq_noise=args.seq_noise,
@@ -210,10 +215,6 @@ def cmd_gen(args) -> int:
     if args.standardize_attrs:
         records, _, _ = standardize_attributes(records)
     write_jsonl(records, args.out)
-    meta = DatasetMeta(
-        u=args.u, r=args.r, t_max=args.t_max,
-        class_ids=frozenset(range(args.classes)),
-    )
     write_meta(meta, sidecar_path(args.out))
     print(
         f"wrote {len(records)} records over {args.classes} classes to {args.out} "
@@ -415,7 +416,7 @@ def cmd_embed(args) -> int:
     params, cfg, ckpt_meta, _ = load_checkpoint(args.checkpoint)
     records = read_records(args.data)
     header = "label," + ",".join(f"e{k}" for k in range(cfg.n))
-    lines = [header]
+    instances = []
     for rec in records:
         if len(rec.attributes) != ckpt_meta.u:
             raise ShapeMismatchError(
@@ -423,10 +424,11 @@ def cmd_embed(args) -> int:
                 f"expects u={ckpt_meta.u}"
             )
         try:
-            inst = encode(rec, ckpt_meta)
+            instances.append(encode(rec, ckpt_meta))
         except ValueError as e:
             raise ShapeMismatchError(f"record does not fit checkpoint encoding: {e}") from None
-        emb, _ = omega_forward(params, cfg, inst)
+    lines = [header]
+    for rec, emb in zip(records, embed_instances(params, cfg, instances)):
         label = "" if rec.label is None else str(rec.label)
         lines.append(label + "," + ",".join(repr(float(x)) for x in emb))
     with open(args.out, "w") as fh:

@@ -17,6 +17,13 @@ import numpy as np
 from .kernel import Rng
 
 
+# The largest one-hot sequence an encoded instance may hold: t_max * r cells,
+# 32 MiB of float64. Far beyond any alphabet this model trains on, and small
+# enough that an absurd item id or declared dimension is reported as a format
+# error instead of an attempt to allocate terabytes.
+MAX_ONE_HOT_CELLS = 2**22
+
+
 class DataFormatError(ValueError):
     """Malformed dataset content; the message names the offending line."""
 
@@ -38,6 +45,11 @@ class DatasetMeta:
     def __post_init__(self):
         if self.u <= 0 or self.r <= 0 or self.t_max <= 0:
             raise ValueError(f"meta dimensions must be positive: u={self.u} r={self.r} t_max={self.t_max}")
+        if self.t_max * self.r > MAX_ONE_HOT_CELLS:
+            raise ValueError(
+                f"one-hot size t_max*r = {self.t_max}*{self.r} exceeds the limit of "
+                f"{MAX_ONE_HOT_CELLS} cells"
+            )
 
 
 @dataclass
@@ -127,14 +139,16 @@ def load_jsonl(path, overrides=None):
     records, line_nos = _read_records(path)
     if not records:
         raise DataFormatError("no records")
+    source = "overrides"
     if overrides is None:
         sc = sidecar_path(path)
         if sc.exists():
+            source = f"sidecar {sc}"
             try:
                 with open(sc) as fh:
                     overrides = json.load(fh)
             except ValueError as e:  # invalid JSON or text
-                raise DataFormatError(f"sidecar {sc}: {e}") from None
+                raise DataFormatError(f"{source}: {e}") from None
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict) or not all(
         is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides
@@ -144,6 +158,12 @@ def load_jsonl(path, overrides=None):
     u = len(records[0].attributes)
     obs_r = max(max(rec.items) for rec in records) + 1
     obs_t_max = max(len(rec.items) for rec in records)
+    if obs_t_max * obs_r > MAX_ONE_HOT_CELLS:
+        ln = line_nos[max(range(len(records)), key=lambda k: max(records[k].items))]
+        raise DataFormatError(
+            f"line {ln}: item id {obs_r - 1} makes the one-hot size t_max*r = "
+            f"{obs_t_max}*{obs_r}, above the limit of {MAX_ONE_HOT_CELLS} cells"
+        )
 
     if overrides.get("u", u) != u:
         raise DataFormatError(f"sidecar u={overrides['u']} does not match observed u={u}")
@@ -158,6 +178,11 @@ def load_jsonl(path, overrides=None):
     if t_max < obs_t_max:
         raise DataFormatError(
             f"sidecar t_max={t_max} is below the observed maximum length {obs_t_max}"
+        )
+    if t_max * r > MAX_ONE_HOT_CELLS:
+        raise DataFormatError(
+            f"{source}: one-hot size t_max*r = {t_max}*{r} exceeds the limit of "
+            f"{MAX_ONE_HOT_CELLS} cells"
         )
 
     class_ids = frozenset(rec.label for rec in records if rec.label is not None)

@@ -7,16 +7,19 @@ ties go to the smaller class id so evaluation is order-independent.
 
 An embedding depends only on its instance, so `evaluate` draws every run's
 episode first and embeds each distinct pool instance the episodes touch
-exactly once; the runs then score queries against those embeddings.
-Instances no episode draws are never embedded.
+exactly once, in chunks through the batched encoder kernel. Instances no
+episode draws are never embedded. Each run is then scored in one vectorized
+pass over its query x support distance block, with values bitwise equal to
+`gradients.distance` pair by pair.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import omega_forward
-from .gradients import distance
+from .encoder import embed_instances
+from .encoder import omega_forward  # noqa: F401  (bench/tracer.py wraps it here)
+from .gradients import DISTANCE_KINDS
 from .kernel import Rng
 
 
@@ -83,16 +86,27 @@ def build_episode(pool, g: int, n_queries: int, rng: Rng) -> Episode:
                    support_idx, query_idx)
 
 
-def nearest_class(scored) -> int:
-    """argmin over (distance, class_id); ties resolve to the smaller id."""
-    return min(scored)[1]
+def classify(kind, support_embeddings, support_classes, query_embeddings) -> np.ndarray:
+    """Label each query embedding (rows of a (Q, n) array) with the class of
+    its nearest support embedding ((G, n), one row per entry of
+    `support_classes`); exact distance ties go to the smaller class id.
 
-
-def classify(kind, support_embeddings, query_embedding) -> int:
-    """Label a query embedding with the class of its nearest support
-    embedding; `support_embeddings` holds (embedding, class_id) pairs."""
-    return nearest_class([(distance(kind, query_embedding, emb), c)
-                          for emb, c in support_embeddings])
+    Distances are bitwise those of `gradients.distance(kind, query, support)`:
+    the euclidean inner products go through one BLAS dot per pair, as
+    `np.dot` does for two vectors, and the manhattan sums reduce the same
+    contiguous rows.
+    """
+    order = np.argsort(support_classes, kind="stable")  # argmin keeps the first of a tie
+    classes = np.asarray(support_classes)[order]
+    queries, supports = np.asarray(query_embeddings), np.asarray(support_embeddings)[order]
+    diff = queries[:, None, :] - supports[None, :, :]
+    if kind == "euclidean":
+        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]))[..., 0, 0]
+    elif kind == "manhattan":
+        dist = np.abs(diff).sum(axis=-1)
+    else:
+        raise ValueError(f"unknown distance kind {kind!r}, expected one of {DISTANCE_KINDS}")
+    return classes[np.argmin(dist, axis=1)]
 
 
 def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:
@@ -100,7 +114,8 @@ def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:
 
     Each run draws a fresh support set and fresh queries from its own child
     stream, so run k is reproducible regardless of the other runs. Each
-    distinct pool instance the runs draw is embedded once.
+    distinct pool instance the runs draw is embedded once, and each run is
+    scored with one `classify` call.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -108,14 +123,14 @@ def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:
     episodes = [build_episode(pool, g, n_queries, root.child(f"run{run}"))
                 for run in range(n_runs)]
     drawn = sorted({i for ep in episodes for i in ep.support_idx + ep.query_idx})
-    embedded = {i: omega_forward(params, cfg, pool[i][0])[0] for i in drawn}
+    rows = embed_instances(params, cfg, [pool[i][0] for i in drawn])
+    row_of = {i: k for k, i in enumerate(drawn)}
     per_run = []
     for ep in episodes:
-        support = [(embedded[i], c) for i, (_, c) in zip(ep.support_idx, ep.support)]
-        correct = sum(
-            classify(kind, support, embedded[i]) == truth
-            for i, (_, truth) in zip(ep.query_idx, ep.queries)
-        )
+        predicted = classify(kind, rows[[row_of[i] for i in ep.support_idx]],
+                             [c for _, c in ep.support],
+                             rows[[row_of[i] for i in ep.query_idx]])
+        correct = int(np.count_nonzero(predicted == [truth for _, truth in ep.queries]))
         per_run.append(correct / n_queries)
     p25, median, p75 = (float(x) for x in np.percentile(per_run, [25, 50, 75]))
     return EvalReport(

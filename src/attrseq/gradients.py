@@ -13,6 +13,7 @@ import numpy as np
 from .data import DatasetMeta, encode
 from .kernel import Rng, activation_grad_from_output
 from .encoder import (
+    BRANCH_MODES,
     ModelConfig,
     ModelParams,
     branch_gates,
@@ -223,13 +224,15 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
     """Randomized small-model agreement suite between reverse mode and the
     finite-difference oracle.
 
-    Each trial draws a tiny random configuration (both distance kinds and
-    both similarity labels cycle), randomizes every tensor, and compares the
-    two gradient routes. Pairs are redrawn when the loss sits too close to a
-    hinge kink or an absolute-value kink, where a derivative comparison is
-    meaningless. Relative errors are floored at the gradient magnitude the
-    central differences can resolve (`resolvable_gradient`), so round-off in
-    a near-zero gradient is not read as a mismatch. paper-literal mode is
+    Each trial draws a tiny random configuration, randomizes every tensor,
+    and compares the two gradient routes. The trials cycle through both
+    distance kinds, both similarity labels, both activations and every
+    branch mode, so every gradient route that ships is checked. Pairs are
+    redrawn when the loss sits too close to a hinge kink or an
+    absolute-value kink, where a derivative comparison is meaningless.
+    Relative errors are floored at the gradient magnitude the central
+    differences can resolve (`resolvable_gradient`), so round-off in a
+    near-zero gradient is not read as a mismatch. paper-literal mode is
     exempt: its discrepancy is reported for information and `passed` only
     reflects finiteness.
 
@@ -250,7 +253,8 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
             n_m=int(gen.integers(2, 7)),
             n_l=int(gen.integers(2, 7)),
             n=int(gen.integers(2, 7)),
-            activation="tanh",
+            activation=("tanh", "relu")[(k // 4) % 2],
+            branch_mode=BRANCH_MODES[(k // 8) % 3],
         )
         meta = DatasetMeta(
             u=int(gen.integers(2, 6)),
@@ -281,7 +285,8 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
         err = grad_discrepancy(analytic, numeric, resolvable_gradient(loss, step, tolerance))
         if err[0] > worst[0]:
             worst = err
-        results.append({"trial": k, "kind": kind, "ell": ell, "max_rel_err": err[0]})
+        results.append({"trial": k, "kind": kind, "ell": ell, "activation": cfg.activation,
+                        "branch_mode": cfg.branch_mode, "max_rel_err": err[0]})
     exempt = mode == "paper-literal"
     passed = all_finite if exempt else worst[0] < tolerance
     return {

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetMeta
-from .encoder import ModelConfig, ModelParams, omega_forward, param_shapes
-from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, distance, pair_loss
+from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
+from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
+from .gradients import pair_loss  # noqa: F401  (bench/tracer.py wraps it here)
 from .kernel import Rng
 
 CHECKPOINT_VERSION = 1
@@ -134,13 +135,8 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
             epoch_losses[pos] = loss
         train_loss = float(epoch_losses.mean())
         if n_val:
-            val_loss = float(
-                np.mean([
-                    pair_loss(params, cfg, triplets[i].a, triplets[i].b,
-                              triplets[i].ell, train_cfg.margin, train_cfg.distance)
-                    for i in val_idx
-                ])
-            )
+            val_loss = validation_loss(params, cfg, [triplets[i] for i in val_idx],
+                                       train_cfg.margin, train_cfg.distance)
         else:
             val_loss = train_loss
         report.train_losses.append(train_loss)
@@ -165,6 +161,15 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
 
     report.wall_time = time.perf_counter() - started
     return best_params, report
+
+
+def validation_loss(params, cfg, pairs, margin, kind) -> float:
+    """Mean pair loss over held-out triplets, both sides of every pair
+    embedded by the batched encoder."""
+    emb = embed_instances(params, cfg, [t.a for t in pairs] + [t.b for t in pairs])
+    n = len(pairs)
+    return float(np.mean([contrastive_loss(distance(kind, emb[k], emb[n + k]), t.ell, margin)
+                          for k, t in enumerate(pairs)]))
 
 
 def write_metrics(report: TrainReport, path):

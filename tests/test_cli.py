@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,12 @@ class TestGen:
 
     def test_seed_required(self, tmp_path, capsys):
         assert run("gen", "--classes", 4, "--out", tmp_path / "x.jsonl") == 1
+
+    def test_one_hot_beyond_limit_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--r", 10**12, "--seed", 1, "--out", out) == 1
+        assert "one-hot size" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         assert run("gen", "--classes", 4, "--seed", 0,
@@ -122,6 +129,24 @@ class TestTrain:
                    "--checkpoint", tmp_path / "c.json") == 2
         err = capsys.readouterr().err
         assert ("sidecar" if edit == "bad-sidecar" else "line 5") in err
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("route", ["item-id", "sidecar"])
+    def test_one_hot_beyond_limit_exits_2(self, tmp_path, capsys, route):
+        data = gen_dataset(tmp_path)
+        if route == "sidecar":
+            (tmp_path / "data.meta.json").write_text('{"r": 1000000000000}')
+        else:
+            lines = data.read_text().splitlines()
+            rec = json.loads(lines[4])
+            rec["seq"] = [1000000000000]
+            lines[4] = json.dumps(rec)
+            data.write_text("\n".join(lines) + "\n")
+        assert run("train", "--data", data, "--triplets", 12, "--seed", 3,
+                   "--checkpoint", tmp_path / "c.json") == 2
+        err = capsys.readouterr().err
+        assert ("data.meta.json" if route == "sidecar" else "line 5") in err
+        assert "limit" in err and "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -330,6 +355,17 @@ class TestEmbed:
         assert run("embed", "--checkpoint", ckpt, "--data", wrong,
                    "--out", tmp_path / "emb.csv") == 5
 
+    def test_checkpoint_meta_beyond_one_hot_limit_exit_5(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        ckpt, _, _ = train_small(tmp_path, data)
+        envelope = json.loads(ckpt.read_text())
+        envelope["meta"]["r"] = 10**12
+        ckpt.write_text(json.dumps(envelope))
+        out = tmp_path / "emb.csv"
+        assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out) == 5
+        assert "one-hot size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demo_run_embeddings_reproduce(self, tmp_path):
         demo = Path(__file__).resolve().parents[1] / "demo_run"
         out = tmp_path / "emb.csv"
@@ -349,6 +385,31 @@ class TestEmbed:
         assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out1) == 0
         assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def demo_command(name):
+    """argv of the `attrseq <name>` step of demos/04_cli_pipeline.sh."""
+    script = (Path(__file__).resolve().parents[1] / "demos" / "04_cli_pipeline.sh").read_text()
+    for line in script.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        if argv[:2] == ["attrseq", name]:
+            return argv[1:]
+    raise AssertionError(f"no attrseq {name} step in the demo")
+
+
+def test_demo_run_train_step_reproduces(tmp_path, monkeypatch):
+    # the committed demo_run/ artifacts are what the demo's train step writes
+    demo = Path(__file__).resolve().parents[1] / "demo_run"
+    for name in ("data.jsonl", "data.meta.json"):
+        (tmp_path / name).write_bytes((demo / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(demo_command("train")) == 0
+    got, want = load_checkpoint(tmp_path / "model.json"), load_checkpoint(demo / "model.json")
+    assert got[0].shapes == want[0].shapes and got[1:] == want[1:]
+    assert np.allclose(got[0].flat, want[0].flat, rtol=0, atol=1e-12)
+    rows = [np.loadtxt(d / "metrics.csv", delimiter=",", skiprows=1) for d in (tmp_path, demo)]
+    assert rows[0].shape == rows[1].shape and np.allclose(*rows, rtol=0, atol=1e-12)
+    assert (tmp_path / "manifest.json").read_bytes() == (demo / "manifest.json").read_bytes()
 
 
 def test_unknown_command_usage_error(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attrseq.data import (
+    MAX_ONE_HOT_CELLS,
     AttributedSequence,
     DataFormatError,
     DatasetMeta,
@@ -119,6 +120,39 @@ def test_load_jsonl_rejects_malformed_sidecar(tmp_path, sidecar):
     (tmp_path / "d.meta.json").write_text(sidecar)
     with pytest.raises(DataFormatError, match="sidecar"):
         load_jsonl(p)
+
+
+def test_load_jsonl_bounds_the_one_hot_size(tmp_path):
+    # two steps, so the largest admissible id is MAX_ONE_HOT_CELLS // 2 - 1
+    p = tmp_path / "d.jsonl"
+    top = MAX_ONE_HOT_CELLS // 2 - 1
+    _write_lines(p, ['{"attrs":[0.1],"seq":[1,0],"label":0}',
+                     '{"attrs":[0.2],"seq":[%d],"label":1}' % top])
+    _, meta = load_jsonl(p)
+    assert meta.t_max * meta.r == MAX_ONE_HOT_CELLS
+    for item in (top + 1, 10**12):
+        _write_lines(p, ['{"attrs":[0.1],"seq":[1,0],"label":0}',
+                         '{"attrs":[0.2],"seq":[%d],"label":1}' % item,
+                         '{"attrs":[0.3],"seq":[2],"label":1}'])
+        with pytest.raises(DataFormatError, match=f"line 2: item id {item} .*limit"):
+            load_jsonl(p)
+
+
+@pytest.mark.parametrize("sidecar", ['{"r":1000000000000}', '{"t_max":1000000000000}',
+                                     '{"r":%d}' % (MAX_ONE_HOT_CELLS // 2 + 1)],
+                         ids=["huge-r", "huge-t_max", "just-above"])
+def test_load_jsonl_rejects_sidecar_beyond_one_hot_limit(tmp_path, sidecar):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, ['{"attrs":[0.1],"seq":[1,0],"label":0}'])
+    (tmp_path / "d.meta.json").write_text(sidecar)
+    with pytest.raises(DataFormatError, match="sidecar .*d.meta.json: one-hot size .*limit"):
+        load_jsonl(p)
+
+
+def test_meta_rejects_one_hot_beyond_limit():
+    DatasetMeta(u=1, r=MAX_ONE_HOT_CELLS, t_max=1, class_ids=frozenset())
+    with pytest.raises(ValueError, match="one-hot size"):
+        DatasetMeta(u=1, r=MAX_ONE_HOT_CELLS // 2 + 1, t_max=2, class_ids=frozenset())
 
 
 def test_write_then_load_round_trip(tmp_path):

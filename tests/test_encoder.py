@@ -5,11 +5,15 @@ import pytest
 
 from attrseq.data import AttributedSequence, DatasetMeta, encode
 from attrseq.encoder import (
+    BRANCH_MODES,
+    EMBED_CHUNK,
     ModelConfig,
     ModelParams,
     branch_gates,
+    embed_instances,
     fc_forward,
     init_params,
+    lstm_batch,
     lstm_forward,
     omega_forward,
     param_shapes,
@@ -260,6 +264,70 @@ class TestOmegaForward:
         assert np.linalg.norm(e1) <= math.sqrt(9)
         for a in t1.alphas[1:]:
             assert np.all(np.abs(a) < 1.0)
+
+
+class TestBatchedForward:
+    """The batched kernel against the single-instance path."""
+
+    @staticmethod
+    def setup_model(activation="tanh", branch_mode="both", t_max=7):
+        meta = tiny_meta(u=5, r=6, t_max=t_max)
+        cfg = tiny_cfg(m=2, n_m=16, n_l=16, n=12, activation=activation, branch_mode=branch_mode)
+        return cfg, meta, random_params(cfg, meta, seed=3)
+
+    @pytest.mark.parametrize("branch_mode", BRANCH_MODES)
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_matches_single_instance_path(self, activation, branch_mode):
+        cfg, meta, params = self.setup_model(activation, branch_mode)
+        n_inst = 2 * EMBED_CHUNK + 5  # not a multiple of the chunk size
+        insts = [random_instance(meta, seed=k, length=1 + k % meta.t_max) for k in range(n_inst)]
+        batched = embed_instances(params, cfg, insts)
+        single = np.array([omega_forward(params, cfg, inst)[0] for inst in insts])
+        assert batched.shape == (n_inst, cfg.n)
+        np.testing.assert_allclose(batched, single, rtol=0, atol=1e-12)
+
+    def test_duplicates_embed_identically(self):
+        cfg, meta, params = self.setup_model()
+        base = [random_instance(meta, seed=100 + k) for k in range(6)]
+        others = [random_instance(meta, seed=k) for k in range(2 * EMBED_CHUNK)]
+        n = len(base)
+        # the same instances at other positions, in other chunks, next to
+        # other lengths, and as an equal copy in the last of 2 * EMBED_CHUNK + 1
+        insts = (base + others[:EMBED_CHUNK] + base[::-1]
+                 + others[EMBED_CHUNK:2 * EMBED_CHUNK - 2 * n] + [random_instance(meta, seed=100)])
+        assert len(insts) == 2 * EMBED_CHUNK + 1
+        rows = embed_instances(params, cfg, insts)
+        for k in range(n):
+            assert np.array_equal(rows[n + EMBED_CHUNK + n - 1 - k], rows[k])
+        assert np.array_equal(rows[-1], rows[0])
+
+    def test_empty_batch(self):
+        cfg, meta, params = self.setup_model()
+        assert embed_instances(params, cfg, []).shape == (0, cfg.n)
+
+    def test_single_instance_batch_is_bitwise_omega_forward(self):
+        cfg, meta, params = self.setup_model()
+        inst = random_instance(meta, seed=4)
+        assert np.array_equal(embed_instances(params, cfg, [inst])[0],
+                              omega_forward(params, cfg, inst)[0])
+
+    def test_lstm_batch_states_per_length(self):
+        cfg, meta, params = self.setup_model()
+        insts = [random_instance(meta, seed=k, length=1 + k % meta.t_max) for k in range(9)]
+        lengths = np.array([inst.true_len for inst in insts])
+        x = np.stack([inst.seq for inst in insts], axis=1)  # (t_max, N, r), zero padded
+        h_last, trace = lstm_batch(params, x, lengths)
+        assert trace.h.shape == (meta.t_max, len(insts), cfg.n_l)
+        for k, inst in enumerate(insts):
+            h, single = lstm_forward(params, inst.seq, inst.true_len)
+            np.testing.assert_allclose(h_last[k], h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.gates[:inst.true_len, k], single.gates,
+                                       rtol=0, atol=1e-12)
+
+    def test_rejects_wrong_row_width(self):
+        cfg, meta, params = self.setup_model()
+        with pytest.raises(ValueError, match="row width"):
+            lstm_batch(params, np.zeros((3, 2, meta.r + 1)), np.array([3, 1]))
 
 
 def test_branch_gates_table():

@@ -3,8 +3,8 @@ import pytest
 
 from attrseq import episodes
 from attrseq.data import DatasetMeta, encode_labeled, generate_synthetic
-from attrseq.encoder import init_params, omega_forward
-from attrseq.episodes import build_episode, classify, evaluate, nearest_class
+from attrseq.encoder import embed_instances, init_params, omega_forward
+from attrseq.episodes import build_episode, classify, evaluate
 from attrseq.gradients import distance
 from attrseq.kernel import Rng
 
@@ -23,9 +23,22 @@ def embed_pairs(params, cfg, pairs):
     return [(omega_forward(params, cfg, inst)[0], c) for inst, c in pairs]
 
 
+def nearest_class(kind, support, q_emb):
+    """The per-query reference: the smallest (distance, class_id) over the
+    (embedding, class_id) support pairs, so ties go to the smaller id."""
+    return min((distance(kind, q_emb, emb), c) for emb, c in support)[1]
+
+
+def classify_pairs(kind, support, q_embs):
+    """classify over (embedding, class_id) support pairs."""
+    return classify(kind, np.array([emb for emb, _ in support]), [c for _, c in support],
+                    np.array(q_embs)).tolist()
+
+
 def reference_per_run(params, cfg, kind, pool, g, n_queries, n_runs, seed):
-    """evaluate's accuracies the slow way: a fresh forward for every support
-    exemplar and query of every run, scored inline."""
+    """evaluate's accuracies the slow way: a fresh single-instance forward
+    for every support exemplar and query of every run, scored inline one
+    distance at a time."""
     root = Rng(seed)
     per_run = []
     for run in range(n_runs):
@@ -33,8 +46,7 @@ def reference_per_run(params, cfg, kind, pool, g, n_queries, n_runs, seed):
         support = embed_pairs(params, cfg, ep.support)
         correct = 0
         for q, truth in ep.queries:
-            q_emb = omega_forward(params, cfg, q)[0]
-            correct += nearest_class([(distance(kind, q_emb, emb), c) for emb, c in support]) == truth
+            correct += nearest_class(kind, support, omega_forward(params, cfg, q)[0]) == truth
         per_run.append(correct / n_queries)
     return per_run
 
@@ -88,8 +100,11 @@ class TestBuildEpisode:
 
 class TestClassify:
     def test_nearest_class_argmin_and_ties(self):
-        assert nearest_class([(0.3, 7), (0.1, 2), (0.5, 9)]) == 2
-        assert nearest_class([(0.25, 9), (0.25, 4)]) == 4  # tie -> smaller id
+        query = np.zeros((1, 1))
+        for kind in ("euclidean", "manhattan"):
+            assert classify(kind, np.array([[0.3], [0.1], [0.5]]), [7, 2, 9], query).tolist() == [2]
+            # tie -> smaller id
+            assert classify(kind, np.array([[0.25], [-0.25]]), [9, 4], query).tolist() == [4]
 
     def test_label_set_closure(self):
         pool, meta = make_pool()
@@ -98,8 +113,8 @@ class TestClassify:
         ep = build_episode(pool, 4, 12, Rng(5))
         support = embed_pairs(params, cfg, ep.support)
         support_classes = {c for _, c in ep.support}
-        for q_emb, _ in embed_pairs(params, cfg, ep.queries):
-            assert classify("euclidean", support, q_emb) in support_classes
+        q_embs = [q_emb for q_emb, _ in embed_pairs(params, cfg, ep.queries)]
+        assert set(classify_pairs("euclidean", support, q_embs)) <= support_classes
 
     def test_query_identical_to_support(self):
         pool, meta = make_pool()
@@ -108,14 +123,14 @@ class TestClassify:
         ep = build_episode(pool, 4, 6, Rng(6))
         support = embed_pairs(params, cfg, ep.support)
         emb, truth = support[2]
-        assert classify("euclidean", support, emb) == truth
+        assert classify_pairs("euclidean", support, [emb]) == [truth]
 
     def test_tie_goes_to_smaller_class_id(self):
         emb, far = np.zeros(3), np.ones(3)
         support = [(emb, 7), (far, 1), (emb.copy(), 3)]
         for kind in ("euclidean", "manhattan"):
-            assert classify(kind, support, emb) == 3
-            assert classify(kind, support[::-1], emb) == 3
+            assert classify_pairs(kind, support, [emb, far]) == [3, 1]
+            assert classify_pairs(kind, support[::-1], [emb, far]) == [3, 1]
 
     def test_support_order_invariance(self):
         pool, meta = make_pool()
@@ -123,9 +138,36 @@ class TestClassify:
         params = random_params(cfg, meta, seed=4)
         ep = build_episode(pool, 5, 10, Rng(7))
         support = embed_pairs(params, cfg, ep.support)
-        for q_emb, _ in embed_pairs(params, cfg, ep.queries):
-            assert (classify("euclidean", support, q_emb)
-                    == classify("euclidean", support[::-1], q_emb))
+        q_embs = [q_emb for q_emb, _ in embed_pairs(params, cfg, ep.queries)]
+        assert (classify_pairs("euclidean", support, q_embs)
+                == classify_pairs("euclidean", support[::-1], q_embs))
+
+    @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+    def test_matches_scalar_distance_reference(self, kind):
+        # Supports whose offsets from the anchor query are permutations of
+        # one another are equally far in exact arithmetic, so the last bit of
+        # each distance decides; an exact duplicate gives a true tie, and one
+        # query sits on a support (zero distance).
+        gen = np.random.default_rng(3)
+        last_bit_decided = 0
+        for trial in range(60):
+            n, g = int(gen.integers(5, 60)), int(gen.integers(2, 9))
+            anchor = gen.normal(size=n)
+            supports = gen.normal(size=(g, n))
+            for k in range(1, g - 1):
+                supports[k] = anchor + gen.permutation(supports[0] - anchor)
+            supports[-1] = supports[0]
+            queries = np.vstack([anchor, anchor + 1e-3 * gen.normal(size=(6, n)), supports[1]])
+            classes = [int(c) for c in gen.permutation(20)[:g]]
+            support = list(zip(supports, classes))
+            assert classify_pairs(kind, support, queries) == [
+                nearest_class(kind, support, emb) for emb in queries]
+            last_bit_decided += len({distance(kind, anchor, emb) for emb in supports}) > 1
+        assert last_bit_decided > 20
+
+    def test_rejects_unknown_distance(self):
+        with pytest.raises(ValueError, match="unknown distance kind"):
+            classify("cosine", np.zeros((2, 3)), [0, 1], np.zeros((1, 3)))
 
     def test_one_way_episode_is_always_correct(self):
         pool, meta = make_pool()
@@ -222,11 +264,12 @@ class TestEvaluate:
         params = random_params(cfg, meta, seed=2)
         embedded = []
 
-        def counting_forward(params, cfg, inst):
-            embedded.append(id(inst))
-            return omega_forward(params, cfg, inst)
+        def counting_embed(params, cfg, instances):
+            embedded.extend(id(inst) for inst in instances)
+            return embed_instances(params, cfg, instances)
 
-        monkeypatch.setattr(episodes, "omega_forward", counting_forward)
+        monkeypatch.setattr(episodes, "embed_instances", counting_embed)
+        monkeypatch.setattr(episodes, "omega_forward", None)  # no single-instance forwards
         evaluate(params, cfg, "euclidean", pool, 3, 5, 4, seed=8)
         root = Rng(8)
         drawn = set()
@@ -235,3 +278,17 @@ class TestEvaluate:
             drawn.update(ep.support_idx + ep.query_idx)
         assert sorted(embedded) == sorted(id(pool[i][0]) for i in drawn)
         assert len(drawn) < len(pool)  # undrawn instances are never embedded
+
+    def test_scores_each_run_in_one_classify_call(self, monkeypatch):
+        pool, meta = make_pool(per_class=10)
+        cfg = tiny_cfg()
+        params = random_params(cfg, meta, seed=2)
+        calls = []
+
+        def counting_classify(kind, support_embeddings, support_classes, query_embeddings):
+            calls.append(len(query_embeddings))
+            return classify(kind, support_embeddings, support_classes, query_embeddings)
+
+        monkeypatch.setattr(episodes, "classify", counting_classify)
+        evaluate(params, cfg, "euclidean", pool, 3, 7, 5, seed=4)
+        assert calls == [7] * 5

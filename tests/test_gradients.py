@@ -296,14 +296,27 @@ def test_gradcheck_suite_reports():
     assert {t["ell"] for t in suite["trials"]} == {0, 1}
 
 
-# Trial 7 of this seed has an analytic u_f[4] of 9.69e-9 that central
-# differences read as 9.70e-9: a round-off gap, not a gradient defect.
+# Trials 4 and 7 of this seed (relu) have an analytic fc0_b gradient of
+# exactly 0 that central differences read as about 1e-11: a round-off gap,
+# not a gradient defect.
 ROUNDOFF_SEED = 11114635213193769522
 
 
-def test_gradcheck_suite_passes_round_off_limited_gradient():
+def test_gradcheck_suite_passes_round_off_limited_gradient(monkeypatch):
     suite = gradcheck_suite(trials=10, seed=ROUNDOFF_SEED)
     assert suite["passed"], suite["worst"]
+    # the suite does hold a round-off-limited trial: at the fixed 1e-8
+    # floor it fails
+    monkeypatch.setattr(gradients, "resolvable_gradient", lambda *args: 1e-8)
+    assert not gradcheck_suite(trials=10, seed=ROUNDOFF_SEED)["passed"]
+
+
+def test_gradcheck_suite_cycles_every_route():
+    suite = gradcheck_suite(trials=24, seed=7)
+    assert suite["passed"], suite["worst"]
+    routes = {(t["activation"], t["branch_mode"], t["kind"], t["ell"]) for t in suite["trials"]}
+    assert routes == {(a, b, kind, ell) for a in ("tanh", "relu") for b in BRANCH_MODES
+                      for kind in ("euclidean", "manhattan") for ell in (0, 1)}
 
 
 @pytest.mark.parametrize("tensor", ["u_f", "w_p"])

@@ -268,6 +268,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="tensor b_p"):
             load_checkpoint(path)
 
+    def test_meta_beyond_one_hot_limit(self, tmp_path):
+        import json
+
+        cfg, meta = tiny_cfg(), tiny_meta()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(random_params(cfg, meta), cfg, meta, path)
+        env = json.loads(path.read_text())
+        env["meta"]["r"] = 10**12
+        path.write_text(json.dumps(env))
+        with pytest.raises(CheckpointError, match="one-hot size"):
+            load_checkpoint(path)
+
     def test_demo_checkpoint_resaves_byte_identical(self, tmp_path):
         params, cfg, meta, info = load_checkpoint(DEMO_RUN / "model.json")
         save_checkpoint(params, cfg, meta, tmp_path / "model.json", train_info=info)
