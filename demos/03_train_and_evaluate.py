@@ -2,7 +2,7 @@
 attributes are pure noise, so any accuracy gain comes from the recurrent
 branch learning the per-class transition structure.
 
-Run with: python demos/03_train_and_evaluate.py  (about half a minute)
+Run with: python demos/03_train_and_evaluate.py  (about 15 seconds)
 """
 
 import numpy as np

@@ -189,7 +189,25 @@ def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
     return alphas[-1], alphas
 
 
-def lstm_batch(params: ModelParams, x: np.ndarray, lengths: np.ndarray):
+class LstmBuffers:
+    """Every array `lstm_batch` writes, for batches of N sequences of at
+    most T steps: the trace arrays gates (T, N, 4*n_l), c, tanh_c and h
+    (T, N, n_l), and the per-step buffers z (N, 4*n_l) and ig (N, n_l).
+
+    A caller that runs many batches of one size passes the same buffers to
+    every call; each call overwrites the trace of the one before.
+    """
+
+    def __init__(self, T: int, N: int, n_l: int):
+        self.gates = np.empty((T, N, 4 * n_l))
+        self.c = np.empty((T, N, n_l))
+        self.tanh_c = np.empty((T, N, n_l))
+        self.h = np.empty((T, N, n_l))
+        self.z = np.empty((N, 4 * n_l))
+        self.ig = np.empty((N, n_l))
+
+
+def lstm_batch(params: ModelParams, x: np.ndarray, lengths: np.ndarray, buffers=None):
     """The LSTM kernel: N sequences at once, time-major.
 
     x is (T, N, r) with T the longest length; rows of sequence k at and
@@ -197,7 +215,8 @@ def lstm_batch(params: ModelParams, x: np.ndarray, lengths: np.ndarray):
     are no per-step masks: the states past a sequence's length are computed
     but never used, and each sequence's state is picked at its own length
     after the loop. Returns (h at each length (N, n_l), trace of (T, N, .)
-    arrays). States start at zero.
+    arrays). States start at zero. The trace is written into the first T
+    steps of `buffers` (an `LstmBuffers`) when given, else into new arrays.
     """
     T, N, r = x.shape
     if r != params.lstm_w.shape[1]:
@@ -206,29 +225,39 @@ def lstm_batch(params: ModelParams, x: np.ndarray, lengths: np.ndarray):
             f"dimension {params.lstm_w.shape[1]}"
         )
     n_l = params.lstm_b.shape[0] // 4
+    if buffers is None:
+        buffers = LstmBuffers(T, N, n_l)
+    elif buffers.gates.shape[0] < T or buffers.gates.shape[1:] != (N, 4 * n_l):
+        raise ValueError(
+            f"buffers of gate shape {buffers.gates.shape} cannot hold {T} steps "
+            f"of {N} sequences of width {n_l}"
+        )
+    gates, c, tanh_c, h = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
     # input-side projections of every step in one product; each step reads
     # its row before overwriting it with the gate activations
-    gates = (x.reshape(T * N, r) @ params.lstm_w.T).reshape(T, N, 4 * n_l)
+    np.matmul(x.reshape(T * N, r), params.lstm_w.T, out=gates.reshape(T * N, 4 * n_l))
     gates += params.lstm_b
     u_t = params.lstm_u.T
-    c = np.empty((T, N, n_l))
-    tanh_c = np.empty((T, N, n_l))
-    h = np.empty((T, N, n_l))
     h_prev = np.zeros((N, n_l))
     c_prev = np.zeros((N, n_l))
+    # per-step buffers: nothing is allocated inside the loop
+    z, ig = buffers.z, buffers.ig
     s3 = 3 * n_l
+    z_sig, z_g = z[:, :s3], z[:, s3:]
     sig = gates[:, :, :s3]  # i, f, o
     gi, gf, go, gg = (gates[:, :, k * n_l:(k + 1) * n_l] for k in range(4))
-    for t in range(T):
-        z = h_prev @ u_t
-        z += gates[t]
-        sig[t] = sigmoid(z[:, :s3])
-        np.tanh(z[:, s3:], out=gg[t])
+    for gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t in zip(
+            gates, sig, gi, gf, go, gg, c, tanh_c, h):
+        np.matmul(h_prev, u_t, out=z)
+        z += gates_t
+        sigmoid(z_sig, out=sig_t)
+        np.tanh(z_g, out=g_t)
         # c = f * c_prev + i * g and h = o * tanh(c), written into the trace
-        c_prev = np.multiply(gf[t], c_prev, out=c[t])
-        c_prev += gi[t] * gg[t]
-        np.tanh(c_prev, out=tanh_c[t])
-        h_prev = np.multiply(go[t], tanh_c[t], out=h[t])
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += np.multiply(i_t, g_t, out=ig)
+        np.tanh(c_t, out=tc_t)
+        np.multiply(o_t, tc_t, out=h_t)
+        h_prev, c_prev = h_t, c_t
     h_last = h[np.asarray(lengths) - 1, np.arange(N)]
     return h_last, LstmTrace(x, gates, c, tanh_c, h)
 
@@ -275,12 +304,20 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
     embed identically. A row can still differ from the instance's
     `omega_forward` embedding in the last bits, because a matrix product
     sums in another order than a matrix-vector product.
+
+    Every chunk writes its trace into one `LstmBuffers`: a fresh trace of
+    about 1.3 MiB per chunk comes from the C allocator either as resident
+    memory or as new pages to fault in, depending on what the process
+    allocated before, and the faults make evaluation up to a third slower
+    in some processes than in others.
     """
     n_inst = len(instances)
     out = np.empty((n_inst, cfg.n))
     if not n_inst:
         return out
     size = -(-n_inst // -(-n_inst // EMBED_CHUNK))  # fewest chunks, then equal sizes
+    t_max = max(max(inst.true_len for inst in instances), 1)  # bad lengths raise below
+    buffers = LstmBuffers(t_max, size, params.lstm_b.shape[0] // 4)
     for start in range(0, n_inst, size):
         chunk = instances[start:start + size]
         lengths = np.ones(size, dtype=np.int64)  # padding rows: zero inputs, one step
@@ -292,8 +329,7 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
         for k, inst in enumerate(chunk):
             attrs[k] = inst.attributes
             x[:inst.true_len, k] = inst.seq[:inst.true_len]
-        # indexing drops each trace at once, so no two chunks' traces coexist
         a_m = fc_forward(params, attrs, cfg.activation)[0]
-        h_last = lstm_batch(params, x, lengths)[0]
+        h_last = lstm_batch(params, x, lengths, buffers)[0]
         out[start:start + len(chunk)] = _fuse(params, cfg, a_m, h_last)[2][:len(chunk)]
     return out

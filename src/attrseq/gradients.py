@@ -73,11 +73,13 @@ def distance_grad(kind: str, mode: str, p_i: np.ndarray, p_j: np.ndarray, d: flo
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact"):
+def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact", out=None):
     """Loss and gradients of one siamese pair w.r.t. every parameter tensor.
 
     Both sides share weights, so their gradient contributions accumulate into
-    one gradient container: a zeroed `ModelParams` with the layout of params.
+    one gradient container with the layout of params: `out` when given (it
+    is zeroed first, so a training loop can reuse one store for every pair),
+    else a fresh `ModelParams`. Returns (loss, that container).
     """
     _check_trace(params, trace_i)
     _check_trace(params, trace_j)
@@ -86,7 +88,13 @@ def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact"
     loss = contrastive_loss(d, ell, margin)
     scale = dloss_ddistance(d, ell, margin)
     direction = distance_grad(kind, mode, p_i, p_j, d)
-    grads = ModelParams(params.shapes)
+    if out is None:
+        grads = ModelParams(params.shapes)
+    elif out.shapes != params.shapes:
+        raise ValueError(f"gradient store layout {out.shapes} does not match params {params.shapes}")
+    else:
+        grads = out
+        grads.flat.fill(0.0)
     if scale != 0.0:
         _accumulate_encoder_grads(params, cfg, trace_i, scale * direction, grads)
         _accumulate_encoder_grads(params, cfg, trace_j, -scale * direction, grads)
@@ -139,20 +147,40 @@ def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
     lt = trace.lstm
     T = lt.x.shape[0]
     n_l = params.b_i.shape[0]
-    h_prev = np.vstack([np.zeros((1, n_l)), lt.h[:-1]])
-    c_prev = np.vstack([np.zeros((1, n_l)), lt.c[:-1]])
-    sig = lt.gates[:, :3 * n_l]  # i, f, o
-    i, f, o, g = np.split(lt.gates, 4, axis=1)
+    s3 = 3 * n_l
+    h_prev = np.zeros_like(lt.h)  # states shifted one step, zero at t=0
+    h_prev[1:] = lt.h[:-1]
+    c_prev = np.zeros_like(lt.c)
+    c_prev[1:] = lt.c[:-1]
+    sig = lt.gates[:, :s3]  # i, f, o
+    i, f, o, g = (lt.gates[:, k * n_l:(k + 1) * n_l] for k in range(4))
+    # the step-independent factors, for all steps at once
+    dtanh_c = 1.0 - lt.tanh_c ** 2
+    dsig = 1.0 - sig
+    dg = 1.0 - g ** 2
     da = np.empty((T, 4 * n_l))  # d(loss)/d(gate pre-activations), gates stacked
+    u_t = params.lstm_u.T
     dh_vec = dh
     dc_vec = np.zeros(n_l)
+    tmp = np.empty(n_l)
+    # every product is formed in the order of dc += dh*o*(1-tanh(c)^2),
+    # da[:3n_l] = [dc*g, dc*c_prev, dh*tanh(c)] * sig * (1-sig),
+    # da[3n_l:] = dc*i*(1-g^2), dh = U^T da, dc *= f; nothing is allocated per step
     for t in range(T - 1, -1, -1):
-        dc_vec = dc_vec + dh_vec * o[t] * (1.0 - lt.tanh_c[t] ** 2)
-        d_sig = np.concatenate([dc_vec * g[t], dc_vec * c_prev[t], dh_vec * lt.tanh_c[t]])
-        da[t, :3 * n_l] = d_sig * sig[t] * (1.0 - sig[t])
-        da[t, 3 * n_l:] = dc_vec * i[t] * (1.0 - g[t] ** 2)
-        dh_vec = params.lstm_u.T @ da[t]
-        dc_vec = dc_vec * f[t]
+        da_t = da[t]
+        da_sig, da_g = da_t[:s3], da_t[s3:]
+        np.multiply(dh_vec, o[t], out=tmp)
+        tmp *= dtanh_c[t]
+        dc_vec += tmp
+        np.multiply(dc_vec, g[t], out=da_t[:n_l])
+        np.multiply(dc_vec, c_prev[t], out=da_t[n_l:2 * n_l])
+        np.multiply(dh_vec, lt.tanh_c[t], out=da_t[2 * n_l:s3])
+        da_sig *= sig[t]
+        da_sig *= dsig[t]
+        np.multiply(dc_vec, i[t], out=da_g)
+        da_g *= dg[t]
+        np.matmul(u_t, da_t, out=dh_vec)
+        dc_vec *= f[t]
     grads.lstm_w += da.T @ lt.x
     grads.lstm_u += da.T @ h_prev
     grads.lstm_b += da.sum(axis=0)

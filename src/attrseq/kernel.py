@@ -2,7 +2,8 @@
 
 Vectors are 1-D float64 ndarrays, matrices 2-D row-major float64 ndarrays.
 Everything here is deterministic given an `Rng`, and nothing mutates its
-inputs, so values can be shared freely across threads.
+inputs, so values can be shared freely across threads. A kernel given an
+``out=`` array writes its result there, and writes nothing else.
 """
 
 import hashlib
@@ -36,11 +37,21 @@ def tanh(z):
     return np.tanh(np.asarray(z, dtype=np.float64))
 
 
-def sigmoid(z):
-    """Logistic function, overflow-safe for any finite input."""
+def sigmoid(z, out=None):
+    """Logistic function, overflow-safe for any finite input; written into
+    ``out`` when given (``out`` may be ``z`` itself).
+
+    With ez = exp(-|z|) it is 1 / (1 + ez) for z >= 0 and ez / (1 + ez)
+    below: the numerator is max(ez, [z >= 0]), since ez <= 1, so both
+    branches come from one division, bit for bit.
+    """
     z = np.asarray(z, dtype=np.float64)
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    if out is None:
+        out = np.empty_like(z)
+    nonneg = z >= 0  # before out is written, in case out is z
+    ez = np.exp(np.copysign(z, -1.0, out=out), out=out)
+    den = ez + 1.0
+    return np.divide(np.maximum(ez, nonneg, out=ez), den, out=ez)
 
 
 def relu(z):

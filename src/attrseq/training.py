@@ -4,11 +4,13 @@ The loop follows the contrastive objective: for every triplet it runs both
 encoder passes, backpropagates the pair loss, and immediately applies
 theta <- theta - lr * (grad + decay * theta) as one update of the flat
 parameter buffer, where decay is l2 on weight matrices and 0 on bias vectors.
+The gradient store and the update buffer are allocated once per `train`.
 Early stopping watches the mean validation loss per epoch, and the
 parameters returned are those of the best validation epoch.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -103,6 +105,8 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
     for w in decay.values():
         if w.ndim == 2:  # weight matrices; bias vectors do not decay
             w[...] = train_cfg.l2
+    grads = ModelParams(params.shapes)  # refilled by every backward_pair
+    step = np.empty_like(params.flat)
     report = TrainReport(n_train=len(train_idx), n_val=n_val)
     best_val = np.inf
     best_params = params.copy()
@@ -120,9 +124,9 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
                 raise TrainingDiverged(
                     f"non-finite embedding at epoch {epoch}, triplet {pos}"
                 )
-            loss, grads = backward_pair(
+            loss, _ = backward_pair(
                 params, cfg, trace_i, trace_j, t.ell, train_cfg.margin,
-                train_cfg.distance, train_cfg.grad_mode,
+                train_cfg.distance, train_cfg.grad_mode, out=grads,
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -131,7 +135,11 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
             if t.ell == 1 and distance(train_cfg.distance, emb_i, emb_j) == 0.0:
                 report.zero_distance_dissimilar += 1
             if train_cfg.lr != 0.0:
-                params.flat -= train_cfg.lr * (grads.flat + decay.flat * params.flat)
+                # flat -= lr * (g + decay * flat), one product at a time
+                np.multiply(decay.flat, params.flat, out=step)
+                step += grads.flat
+                step *= train_cfg.lr
+                params.flat -= step
             epoch_losses[pos] = loss
         train_loss = float(epoch_losses.mean())
         if n_val:
@@ -227,8 +235,11 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
 
-    params = ModelParams(param_shapes(cfg, meta))
-    for name, view in params.items():
+    # every stored tensor is checked against the layout before the store is
+    # allocated, so the store never holds more values than the file does
+    shapes = param_shapes(cfg, meta)
+    values = {}
+    for name, shape in shapes.items():
         if name not in stored:
             raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {name}")
         try:
@@ -236,19 +247,22 @@ def load_checkpoint(path):
             data = np.asarray(stored[name]["data"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"corrupt checkpoint {path}: tensor {name}: {e!r}") from None
-        if stored_shape != view.shape:
+        if stored_shape != shape:
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} has shape "
-                f"{list(stored_shape)}, expected {list(view.shape)}"
+                f"{list(stored_shape)}, expected {list(shape)}"
             )
         if not np.isfinite(data).all():
             raise CheckpointError(f"corrupt checkpoint {path}: tensor {name} holds non-finite values")
-        if data.size != view.size:
+        if data.size != math.prod(shape):
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} carries {data.size} "
-                f"values for shape {list(view.shape)}"
+                f"values for shape {list(shape)}"
             )
-        view[...] = data.reshape(view.shape)
+        values[name] = data
+    params = ModelParams(shapes)
+    for name, data in values.items():
+        params[name] = data.reshape(shapes[name])
     return params, cfg, meta, envelope.get("train", {})
 
 

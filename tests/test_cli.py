@@ -366,6 +366,17 @@ class TestEmbed:
         assert "one-hot size" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_checkpoint_config_beyond_stored_tensors_exit_5(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        ckpt, _, _ = train_small(tmp_path, data)
+        envelope = json.loads(ckpt.read_text())
+        envelope["config"]["n_l"] = 10**7
+        ckpt.write_text(json.dumps(envelope))
+        out = tmp_path / "emb.csv"
+        assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out) == 5
+        assert "expected [10000000, 4]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demo_run_embeddings_reproduce(self, tmp_path):
         demo = Path(__file__).resolve().parents[1] / "demo_run"
         out = tmp_path / "emb.csv"

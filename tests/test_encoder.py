@@ -7,6 +7,7 @@ from attrseq.data import AttributedSequence, DatasetMeta, encode
 from attrseq.encoder import (
     BRANCH_MODES,
     EMBED_CHUNK,
+    LstmBuffers,
     ModelConfig,
     ModelParams,
     branch_gates,
@@ -323,6 +324,31 @@ class TestBatchedForward:
             np.testing.assert_allclose(h_last[k], h, rtol=0, atol=1e-12)
             np.testing.assert_allclose(trace.gates[:inst.true_len, k], single.gates,
                                        rtol=0, atol=1e-12)
+
+    def test_reused_buffers_are_bitwise_fresh_arrays(self):
+        cfg, meta, params = self.setup_model()
+        buffers = LstmBuffers(meta.t_max, 3, cfg.n_l)
+        for a in vars(buffers).values():
+            a.fill(np.nan)  # stale values must never reach a result
+        for T, seed in ((meta.t_max, 0), (2, 1), (meta.t_max, 2)):
+            insts = [random_instance(meta, seed=seed + 10 * k, length=1 + k % T) for k in range(3)]
+            lengths = np.array([inst.true_len for inst in insts])
+            x = np.stack([inst.seq[:T] for inst in insts], axis=1)
+            h_ref, ref = lstm_batch(params, x, lengths)
+            h_last, trace = lstm_batch(params, x, lengths, buffers)
+            assert np.array_equal(h_last, h_ref)
+            for name in ("gates", "c", "tanh_c", "h"):
+                assert getattr(trace, name).shape == getattr(ref, name).shape
+                assert np.array_equal(getattr(trace, name), getattr(ref, name))
+                assert np.shares_memory(getattr(trace, name), getattr(buffers, name))
+
+    def test_rejects_buffers_that_do_not_fit(self):
+        cfg, meta, params = self.setup_model()
+        x, lengths = np.zeros((3, 2, meta.r)), np.array([3, 1])
+        for buffers in (LstmBuffers(2, 2, cfg.n_l), LstmBuffers(3, 4, cfg.n_l),
+                        LstmBuffers(3, 2, cfg.n_l + 1)):
+            with pytest.raises(ValueError, match="cannot hold"):
+                lstm_batch(params, x, lengths, buffers)
 
     def test_rejects_wrong_row_width(self):
         cfg, meta, params = self.setup_model()

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from attrseq.data import AttributedSequence, DatasetMeta, encode
+from attrseq.data import AttributedSequence, DatasetMeta, Triplet, encode
 from attrseq import gradients
-from attrseq.encoder import BRANCH_MODES, ModelConfig, branch_gates, init_params, omega_forward
+from attrseq.encoder import (
+    BRANCH_MODES,
+    ModelConfig,
+    ModelParams,
+    branch_gates,
+    init_params,
+    omega_forward,
+)
 from attrseq.gradients import (
     DISTANCE_KINDS,
     backward_pair,
@@ -18,7 +25,8 @@ from attrseq.gradients import (
     gradcheck_suite,
     pair_loss,
 )
-from attrseq.kernel import Rng
+from attrseq.kernel import Rng, activation, activation_grad_from_output
+from attrseq.training import TrainConfig, train
 
 from test_encoder import random_instance, random_params, tiny_cfg, tiny_meta
 
@@ -143,6 +151,30 @@ class TestBackwardPair:
         other = random_params(tiny_cfg(m=3), meta, seed=9)
         with pytest.raises(ValueError, match="layers"):
             backward_pair(other, cfg, trace_i, trace_j, 0, 1.0, "euclidean")
+
+    @pytest.mark.parametrize("hinge", ["active", "clipped"])
+    def test_fills_a_given_store(self, hinge):
+        cfg, meta = tiny_cfg(), tiny_meta()
+        params, _, _, trace_i, trace_j = _pair(cfg, meta, 8)
+        d = distance("euclidean", trace_i.embedding, trace_j.embedding)
+        margin = d + 1.0 if hinge == "active" else d / 2
+        loss, fresh = backward_pair(params, cfg, trace_i, trace_j, 1, margin, "euclidean")
+        store = ModelParams(params.shapes)
+        store.flat[...] = np.random.default_rng(0).normal(size=store.flat.size)
+        store.flat[::7] = np.nan
+        loss2, got = backward_pair(params, cfg, trace_i, trace_j, 1, margin, "euclidean",
+                                   out=store)
+        assert got is store
+        assert loss2 == loss
+        assert np.array_equal(store.flat.view(np.uint64), fresh.flat.view(np.uint64))
+        assert store.flat.any() == (hinge == "active")
+
+    def test_rejects_a_store_of_another_layout(self):
+        cfg, meta = tiny_cfg(), tiny_meta()
+        params, _, _, trace_i, trace_j = _pair(cfg, meta, 8)
+        other = ModelParams(random_params(tiny_cfg(n_l=5), meta).shapes)
+        with pytest.raises(ValueError, match="gradient store layout"):
+            backward_pair(params, cfg, trace_i, trace_j, 0, 1.0, "euclidean", out=other)
 
     def test_surrogate_mode_finite_and_shaped(self):
         cfg, meta = tiny_cfg(), tiny_meta()
@@ -443,3 +475,135 @@ def test_fused_gates_match_per_gate_reference(activation, mode):
         assert any(want[name].any() for name in ("w_f", "u_o")) == (mode != "attributes_only")
         for name in want:
             assert np.allclose(grads[name], want[name], rtol=0, atol=1e-12), name
+
+
+def _where_sigmoid(z):
+    z = np.asarray(z, dtype=np.float64)
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def _allocating_forward(params, cfg, inst):
+    """The allocating encoder pass the lean kernels replaced: the two-branch
+    sigmoid, fresh arrays at every LSTM step, shapes of a one-row batch."""
+    act = activation(cfg.activation)
+    alphas = [inst.attributes]
+    for w, b in zip(params.fc_w, params.fc_b):
+        alphas.append(act(alphas[-1] @ w.T + b))
+    T = inst.true_len
+    x = inst.seq[:T]
+    n_l = params.lstm_b.shape[0] // 4
+    gates = (x @ params.lstm_w.T).reshape(T, 1, 4 * n_l)
+    gates += params.lstm_b
+    c, tanh_c, h = (np.empty((T, 1, n_l)) for _ in range(3))
+    h_prev = c_prev = np.zeros((1, n_l))
+    s3 = 3 * n_l
+    gi, gf, go, gg = (gates[:, :, k * n_l:(k + 1) * n_l] for k in range(4))
+    for t in range(T):
+        z = h_prev @ params.lstm_u.T
+        z += gates[t]
+        gates[t, :, :s3] = _where_sigmoid(z[:, :s3])
+        np.tanh(z[:, s3:], out=gg[t])
+        c_prev = np.multiply(gf[t], c_prev, out=c[t])
+        c_prev += gi[t] * gg[t]
+        np.tanh(c_prev, out=tanh_c[t])
+        h_prev = np.multiply(go[t], tanh_c[t], out=h[t])
+    ga, gs = branch_gates(cfg.branch_mode)
+    concat = np.concatenate([ga * alphas[-1], gs * h[T - 1, 0]])
+    embedding = act(concat @ params.w_p.T + params.b_p)
+    lstm = {"x": x, "gates": gates[:, 0], "c": c[:, 0], "tanh_c": tanh_c[:, 0], "h": h[:, 0]}
+    return embedding, alphas, lstm, concat
+
+
+def _allocating_backward(params, cfg, fwd, dp, grads):
+    """One side's reverse pass with np.split / np.vstack and fresh arrays."""
+    embedding, alphas, lt, concat = fwd
+    act = cfg.activation
+    ga, gs = branch_gates(cfg.branch_mode)
+    delta = dp * activation_grad_from_output(act, embedding)
+    grads["w_p"] += np.outer(delta, concat)
+    grads["b_p"] += delta
+    dq = params.w_p.T @ delta
+    n_m = alphas[-1].shape[0]
+    d_alpha = ga * dq[:n_m]
+    dh = gs * dq[n_m:]
+    for k in range(len(params.fc_w) - 1, -1, -1):
+        delta_k = d_alpha * activation_grad_from_output(act, alphas[k + 1])
+        grads[f"fc{k}_w"] += np.outer(delta_k, alphas[k])
+        grads[f"fc{k}_b"] += delta_k
+        if k > 0:
+            d_alpha = params.fc_w[k].T @ delta_k
+    if gs == 0.0:
+        return
+    T, n_l = lt["h"].shape
+    h_prev = np.vstack([np.zeros((1, n_l)), lt["h"][:-1]])
+    c_prev = np.vstack([np.zeros((1, n_l)), lt["c"][:-1]])
+    sig = lt["gates"][:, :3 * n_l]
+    i, f, o, g = np.split(lt["gates"], 4, axis=1)
+    da = np.empty((T, 4 * n_l))
+    dh_vec, dc_vec = dh, np.zeros(n_l)
+    for t in range(T - 1, -1, -1):
+        dc_vec = dc_vec + dh_vec * o[t] * (1.0 - lt["tanh_c"][t] ** 2)
+        d_sig = np.concatenate([dc_vec * g[t], dc_vec * c_prev[t], dh_vec * lt["tanh_c"][t]])
+        da[t, :3 * n_l] = d_sig * sig[t] * (1.0 - sig[t])
+        da[t, 3 * n_l:] = dc_vec * i[t] * (1.0 - g[t] ** 2)
+        dh_vec = params.lstm_u.T @ da[t]
+        dc_vec = dc_vec * f[t]
+    grads.lstm_w += da.T @ lt["x"]
+    grads.lstm_u += da.T @ h_prev
+    grads.lstm_b += da.sum(axis=0)
+
+
+def _allocating_train_epoch(params, cfg, triplets, tc):
+    """One epoch of `train`'s SGD as the allocating step: a fresh gradient
+    container per pair and flat -= lr * (g + decay * flat). Returns
+    (params, pair losses, pairs whose hinge was active)."""
+    rng = Rng(tc.seed)
+    n = len(triplets)
+    n_val = min(n - 1, max(1, round(tc.val_fraction * n)))
+    train_idx = rng.child("val_split").gen.permutation(n)[n_val:]
+    order = rng.child("epoch1").gen.permutation(len(train_idx))
+    params = params.copy()
+    decay = ModelParams(params.shapes)
+    for w in decay.values():
+        if w.ndim == 2:
+            w[...] = tc.l2
+    losses, active = np.empty(len(order)), 0
+    for pos, o in enumerate(order):
+        t = triplets[train_idx[o]]
+        fwd_i = _allocating_forward(params, cfg, t.a)
+        fwd_j = _allocating_forward(params, cfg, t.b)
+        d = distance(tc.distance, fwd_i[0], fwd_j[0])
+        losses[pos] = contrastive_loss(d, t.ell, tc.margin)
+        scale = dloss_ddistance(d, t.ell, tc.margin)
+        direction = distance_grad(tc.distance, tc.grad_mode, fwd_i[0], fwd_j[0], d)
+        grads = ModelParams(params.shapes)
+        if scale != 0.0:
+            active += 1
+            _allocating_backward(params, cfg, fwd_i, scale * direction, grads)
+            _allocating_backward(params, cfg, fwd_j, -scale * direction, grads)
+        params.flat -= tc.lr * (grads.flat + decay.flat * params.flat)
+    return params, losses, active
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+@pytest.mark.parametrize("mode", BRANCH_MODES)
+@pytest.mark.parametrize("activation_name", ["tanh", "relu"])
+def test_training_epoch_is_bitwise_the_allocating_step(activation_name, mode, kind, ell):
+    # compared on this machine only: BLAS kernels differ across CPUs, so no
+    # digest of the result is pinned
+    meta = tiny_meta(u=3, r=5, t_max=6)
+    cfg = tiny_cfg(m=2, n_m=5, n_l=6, n=4, activation=activation_name, branch_mode=mode)
+    seed = 17 * BRANCH_MODES.index(mode) + 5 * ell + DISTANCE_KINDS.index(kind)
+    params = random_params(cfg, meta, seed=seed, scale=0.5)
+    triplets = [Triplet(random_instance(meta, seed=1000 + seed * 50 + k),
+                        random_instance(meta, seed=2000 + seed * 50 + k), ell) for k in range(24)]
+    tc = TrainConfig(lr=0.05, max_epochs=1, margin=2.0, val_fraction=0.05, distance=kind,
+                     seed=seed)
+    want, losses, active = _allocating_train_epoch(params, cfg, triplets, tc)
+    assert len(losses) >= 20 and active >= 10
+    got, report = train(params, cfg, triplets, tc)
+    assert np.array_equal(got.flat, want.flat)
+    assert report.train_losses == [float(losses.mean())]
+    assert not np.array_equal(got.flat, params.flat)

@@ -34,6 +34,44 @@ def test_sigmoid_symmetry():
     assert np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0)) < 1e-12
 
 
+def _where_sigmoid(z):
+    """The two-branch formula `sigmoid` must reproduce bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_sigmoid_is_bitwise_the_where_formula():
+    gen = np.random.default_rng(7)
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan,
+               5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny, 709.8, -709.8, 745.2, -745.2]
+    z = np.concatenate([gen.normal(0.0, 4.0, 4000), gen.uniform(-800.0, 800.0, 4000),
+                        special]).reshape(-1, 2)
+    want = _where_sigmoid(z)
+    assert np.array_equal(_bits(sigmoid(z)), _bits(want))
+    out = np.full_like(z, 7.0)
+    assert sigmoid(z, out=out) is out
+    assert np.array_equal(_bits(out), _bits(want))
+    in_place = z.copy()
+    sigmoid(in_place, out=in_place)
+    assert np.array_equal(_bits(in_place), _bits(want))
+    # a strided view as out, as the LSTM writes its gate rows
+    rows = np.zeros((z.shape[0], 3))
+    sigmoid(z, out=rows[:, 1:])
+    assert np.array_equal(_bits(rows[:, 1:]), _bits(want))
+    assert not rows[:, 0].any()
+    z_before = z.copy()
+    sigmoid(z, out=out)
+    assert np.array_equal(_bits(z), _bits(z_before))
+    for x in special:  # scalars go through the same formula
+        assert _bits(sigmoid(x)) == _bits(_where_sigmoid(x)), x
+
+
 def test_activation_lookup():
     assert activation("tanh") is tanh
     assert activation("relu") is relu

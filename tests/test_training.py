@@ -12,7 +12,7 @@ from attrseq.data import (
     sample_triplets,
     split_by_class,
 )
-from attrseq.encoder import ModelConfig, init_params, omega_forward
+from attrseq.encoder import ModelConfig, init_params, omega_forward, param_shapes
 from attrseq.gradients import distance, pair_loss
 from attrseq.kernel import Rng
 from attrseq.training import (
@@ -278,6 +278,25 @@ class TestCheckpoint:
         env["meta"]["r"] = 10**12
         path.write_text(json.dumps(env))
         with pytest.raises(CheckpointError, match="one-hot size"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("stored_shapes", ["kept", "matching"])
+    def test_config_beyond_stored_tensors(self, tmp_path, stored_shapes):
+        # a store of the claimed size would take petabytes: the stored
+        # tensors are checked against the layout before anything is allocated
+        import json
+
+        cfg, meta = tiny_cfg(), tiny_meta()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(random_params(cfg, meta), cfg, meta, path)
+        env = json.loads(path.read_text())
+        env["config"]["n_l"] = 10**7
+        if stored_shapes == "matching":
+            for name, shape in param_shapes(ModelConfig(**env["config"]), meta).items():
+                env["tensors"][name]["shape"] = list(shape)
+        path.write_text(json.dumps(env))
+        match = "has shape" if stored_shapes == "kept" else "carries 16 values"
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_demo_checkpoint_resaves_byte_identical(self, tmp_path):
