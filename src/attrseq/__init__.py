@@ -8,7 +8,6 @@ from .data import (
     EncodedInstance,
     Triplet,
     encode,
-    decode,
     encode_labeled,
     encode_triplets,
     generate_synthetic,

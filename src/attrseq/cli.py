@@ -8,6 +8,7 @@ never wall-clock.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from .data import (
     encode_triplets,
     generate_synthetic,
     is_json_int,
+    is_number,
     load_jsonl,
     read_records,
     sample_triplets,
@@ -334,6 +336,8 @@ def cmd_eval(args) -> int:
         )
     oneshot_classes = set(manifest["oneshot_classes"])
     kind = args.distance or train_info.get("distance", "euclidean")
+    if kind not in DISTANCE_KINDS:  # a flag is checked by argparse, so this came from the file
+        raise CheckpointError(f"checkpoint {args.checkpoint}: unknown training distance {kind!r}")
     g = args.g if args.g is not None else len(oneshot_classes)
 
     pool_records = [rec for rec in records if rec.label in oneshot_classes]
@@ -372,17 +376,12 @@ def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
                      EXIT_USAGE)
     train_classes = set(manifest["train_classes"])
     train_records = [rec for rec in records if rec.label in train_classes]
-    rng = Rng(args.seed)
-    rows = []
-    for count in counts:
-        crng = rng.child(f"sweep{count}")
-        triplets = sample_triplets(
-            train_records, count, crng.child("triplets"),
-            positive_fraction=train_info.get("positive_fraction", 0.5),
-        )
-        encoded = encode_triplets(triplets, ckpt_meta)
-        fresh = init_params(cfg, ckpt_meta, crng.child("init"))
-        tcfg = TrainConfig(
+    # the checkpoint's training settings, checked once before any retraining
+    positive_fraction = train_info.get("positive_fraction", 0.5)
+    try:
+        if not is_number(positive_fraction) or not 0 <= positive_fraction <= 1:
+            raise ValueError(f"positive_fraction must be in [0, 1], got {positive_fraction!r}")
+        settings = TrainConfig(
             lr=train_info.get("lr", 0.01),
             max_epochs=train_info.get("epochs", 100),
             converge_eps=train_info.get("converge_eps", 1e-4),
@@ -392,8 +391,18 @@ def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
             patience=train_info.get("patience", 5),
             distance=kind,
             grad_mode=train_info.get("grad_mode", "exact"),
-            seed=crng.child("train").seed,
         )
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint {args.checkpoint}: unusable train settings: {e}") from None
+    rng = Rng(args.seed)
+    rows = []
+    for count in counts:
+        crng = rng.child(f"sweep{count}")
+        triplets = sample_triplets(train_records, count, crng.child("triplets"),
+                                   positive_fraction=positive_fraction)
+        encoded = encode_triplets(triplets, ckpt_meta)
+        fresh = init_params(cfg, ckpt_meta, crng.child("init"))
+        tcfg = dataclasses.replace(settings, seed=crng.child("train").seed)
         trained, _ = train(fresh, cfg, encoded, tcfg)
         report = evaluate(trained, cfg, kind, pool, g, args.queries, args.runs,
                           crng.child("eval").seed)

@@ -4,11 +4,12 @@ A record pairs a fixed-length attribute vector with a variable-length
 sequence of categorical item ids. The on-disk form is JSONL, one object per
 line: ``{"attrs": [...], "seq": [...], "label": 3}`` (label optional), with
 an optional sidecar ``<stem>.meta.json`` holding ``{"u":..,"r":..,"t_max":..}``
-overrides for the inferred dimensions.
+overrides for the inferred dimensions. Encoded sequences stay item ids.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,10 +18,11 @@ import numpy as np
 from .kernel import Rng
 
 
-# The largest one-hot sequence an encoded instance may hold: t_max * r cells,
-# 32 MiB of float64. Far beyond any alphabet this model trains on, and small
-# enough that an absurd item id or declared dimension is reported as a format
-# error instead of an attempt to allocate terabytes.
+# The largest one-hot input the model reads: t_max * r cells, 32 MiB of
+# float64, though sequences are stored as ids. r sizes the LSTM kernels and
+# the one-hot block backpropagation builds, t_max what `gen` writes. Far
+# beyond any alphabet this model trains on, and small enough that an absurd
+# item id or dimension is a format error, not an attempt to allocate terabytes.
 MAX_ONE_HOT_CELLS = 2**22
 
 
@@ -43,6 +45,10 @@ class DatasetMeta:
     class_ids: frozenset
 
     def __post_init__(self):
+        if not all(is_integer(v) for v in (self.u, self.r, self.t_max)):
+            raise ValueError(
+                f"meta dimensions must be integers: u={self.u!r} r={self.r!r} t_max={self.t_max!r}"
+            )
         if self.u <= 0 or self.r <= 0 or self.t_max <= 0:
             raise ValueError(f"meta dimensions must be positive: u={self.u} r={self.r} t_max={self.t_max}")
         if self.t_max * self.r > MAX_ONE_HOT_CELLS:
@@ -54,10 +60,10 @@ class DatasetMeta:
 
 @dataclass
 class EncodedInstance:
-    """Model-ready record: one-hot rows up to true_len, zero rows after."""
+    """Model-ready record: the attributes and the item ids, no padding."""
 
     attributes: np.ndarray  # shape (u,)
-    seq: np.ndarray  # shape (t_max, r)
+    seq: np.ndarray  # int64 item ids in [0, r), shape (true_len,)
     true_len: int
 
 
@@ -75,6 +81,17 @@ def sidecar_path(path) -> Path:
 def is_json_int(x) -> bool:
     """A JSON integer; booleans, although an int subclass, are not."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_integer(x) -> bool:
+    """A Python or numpy integer, not a boolean: checks a built dimension or
+    count (JSON values, checked in bulk, go through the faster is_json_int)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """A Python or numpy real number, not a boolean."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _finite_numbers(values) -> bool:
@@ -205,7 +222,7 @@ def write_meta(meta: DatasetMeta, path):
 
 
 def encode(rec: AttributedSequence, meta: DatasetMeta) -> EncodedInstance:
-    """One-hot encode a record and zero-pad it to t_max rows."""
+    """Check a record against meta and keep its item ids as an int64 array."""
     n = len(rec.items)
     if n == 0:
         raise ValueError("cannot encode an empty sequence")
@@ -213,17 +230,11 @@ def encode(rec: AttributedSequence, meta: DatasetMeta) -> EncodedInstance:
         raise ValueError(f"sequence length {n} exceeds t_max={meta.t_max}")
     if len(rec.attributes) != meta.u:
         raise ValueError(f"attribute length {len(rec.attributes)} does not match u={meta.u}")
-    seq = np.zeros((meta.t_max, meta.r), dtype=np.float64)
-    for t, item in enumerate(rec.items):
+    for item in rec.items:
         if not 0 <= item < meta.r:
             raise ValueError(f"item id {item} out of range for r={meta.r}")
-        seq[t, item] = 1.0
+    seq = np.array(rec.items, dtype=np.int64)
     return EncodedInstance(np.asarray(rec.attributes, dtype=np.float64), seq, n)
-
-
-def decode(inst: EncodedInstance) -> list:
-    """Inverse of encode: item ids of the non-padding rows."""
-    return [int(np.argmax(inst.seq[t])) for t in range(inst.true_len)]
 
 
 def encode_labeled(records, meta):

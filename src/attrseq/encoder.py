@@ -1,16 +1,17 @@
 """The attributed-sequence encoder.
 
-Maps (attribute vector, one-hot item sequence) to an n-dimensional embedding:
+Maps (attribute vector, item-id sequence) to an n-dimensional embedding:
 an m-layer fully connected stack reads the attributes, an LSTM reads the
-sequence up to its true length (padding rows are never processed), the last
-hidden state is concatenated with the final attribute activation, and one
-fused fully connected layer produces the embedding. The forward pass records
-every intermediate value the backward pass needs.
+sequence up to its true length, the last hidden state is concatenated with
+the final attribute activation, and one fused fully connected layer produces
+the embedding. The forward pass records every intermediate value the
+backward pass needs.
 
 All parameters live in one contiguous float64 buffer (`ModelParams.flat`);
 every named tensor is a view of it, laid out by `param_shapes`. The LSTM
 runs its four gates as one stacked block: one input projection for all
-steps, then one recurrent product per step.
+steps, then one recurrent product per step. A step's input is its item's
+one-hot row, so its projection is that item's kernel column, gathered by id.
 
 There is one forward kernel, written for a batch of N instances
 (`lstm_batch`; `fc_forward` and the fusion layer take a batch too).
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetMeta, EncodedInstance
+from .data import DatasetMeta, EncodedInstance, is_integer
 from .kernel import Rng, activation, glorot_bound, orthogonal_init, sigmoid, uniform_init
 
 BRANCH_MODES = ("both", "attributes_only", "sequence_only")
@@ -48,6 +49,8 @@ class ModelConfig:
     branch_mode: str = "both"
 
     def __post_init__(self):
+        if not all(is_integer(v) for v in (self.m, self.n_m, self.n_l, self.n)):
+            raise ValueError(f"all model dimensions must be integers, got {self}")
         if min(self.m, self.n_m, self.n_l, self.n) < 1:
             raise ValueError(f"all model dimensions must be >= 1, got {self}")
         if self.activation not in ("tanh", "relu"):
@@ -141,7 +144,7 @@ class ModelParams(Mapping):
 class LstmTrace:
     """Per-step values, (T, .) for one instance or (T, N, .) for a batch."""
 
-    x: np.ndarray  # (T, r) consumed one-hot rows
+    x: np.ndarray  # item ids read at each step, int64 (T,)
     gates: np.ndarray  # (T, 4*n_l): i, f, o (sigmoid) then g (tanh) per step
     c: np.ndarray  # cell states, (T, n_l)
     tanh_c: np.ndarray
@@ -207,23 +210,20 @@ class LstmBuffers:
         self.ig = np.empty((N, n_l))
 
 
-def lstm_batch(params: ModelParams, x: np.ndarray, lengths: np.ndarray, buffers=None):
+def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None):
     """The LSTM kernel: N sequences at once, time-major.
 
-    x is (T, N, r) with T the longest length; rows of sequence k at and
-    past lengths[k] are padding. Every sequence runs all T steps, so there
-    are no per-step masks: the states past a sequence's length are computed
-    but never used, and each sequence's state is picked at its own length
-    after the loop. Returns (h at each length (N, n_l), trace of (T, N, .)
-    arrays). States start at zero. The trace is written into the first T
-    steps of `buffers` (an `LstmBuffers`) when given, else into new arrays.
+    ids is a (T, N) block of item ids in [0, r) with T the longest length
+    (`encode` checks the range); slots of sequence k at and past lengths[k]
+    are padding and may hold any valid id. Every sequence runs all T steps,
+    so there are no per-step masks: the states past a sequence's length are
+    computed but never used, and each sequence's state is picked at its own
+    length after the loop. Returns (h at each length (N, n_l), trace of
+    (T, N, .) arrays). States start at zero. The trace is written into the
+    first T steps of `buffers` (an `LstmBuffers`) when given, else into new
+    arrays.
     """
-    T, N, r = x.shape
-    if r != params.lstm_w.shape[1]:
-        raise ValueError(
-            f"sequence row width {r} does not match kernel input "
-            f"dimension {params.lstm_w.shape[1]}"
-        )
+    T, N = ids.shape
     n_l = params.lstm_b.shape[0] // 4
     if buffers is None:
         buffers = LstmBuffers(T, N, n_l)
@@ -233,9 +233,11 @@ def lstm_batch(params: ModelParams, x: np.ndarray, lengths: np.ndarray, buffers=
             f"of {N} sequences of width {n_l}"
         )
     gates, c, tanh_c, h = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
-    # input-side projections of every step in one product; each step reads
-    # its row before overwriting it with the gate activations
-    np.matmul(x.reshape(T * N, r), params.lstm_w.T, out=gates.reshape(T * N, 4 * n_l))
+    # input-side projections of every step, gathered into the gate buffer
+    # ("clip" writes into out, where "raise" would buffer a copy of it);
+    # each step reads its row before overwriting it with the activations
+    np.take(params.lstm_w.T, ids.reshape(T * N), axis=0, out=gates.reshape(T * N, 4 * n_l),
+            mode="clip")
     gates += params.lstm_b
     u_t = params.lstm_u.T
     h_prev = np.zeros((N, n_l))
@@ -259,18 +261,20 @@ def lstm_batch(params: ModelParams, x: np.ndarray, lengths: np.ndarray, buffers=
         np.multiply(o_t, tc_t, out=h_t)
         h_prev, c_prev = h_t, c_t
     h_last = h[np.asarray(lengths) - 1, np.arange(N)]
-    return h_last, LstmTrace(x, gates, c, tanh_c, h)
+    return h_last, LstmTrace(ids, gates, c, tanh_c, h)
 
 
 def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
-    """Run the sequence branch over rows 1..true_len; padding is skipped.
+    """Run the sequence branch over the first true_len item ids of seq.
 
     `lstm_batch` at N=1. Returns (h at true_len, trace). States start at zero.
     """
     if true_len < 1:
         raise ValueError(f"true_len must be >= 1, got {true_len}")
+    if true_len > len(seq):
+        raise ValueError(f"true_len {true_len} exceeds the {len(seq)} item ids given")
     T = int(true_len)
-    h_last, trace = lstm_batch(params, seq[:T, None, :], np.array([T]))
+    h_last, trace = lstm_batch(params, seq[:T, None], np.array([T]))
     return h_last[0], LstmTrace(*(a[:, 0] for a in (trace.x, trace.gates, trace.c,
                                                      trace.tanh_c, trace.h)))
 
@@ -320,16 +324,16 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
     buffers = LstmBuffers(t_max, size, params.lstm_b.shape[0] // 4)
     for start in range(0, n_inst, size):
         chunk = instances[start:start + size]
-        lengths = np.ones(size, dtype=np.int64)  # padding rows: zero inputs, one step
+        lengths = np.ones(size, dtype=np.int64)  # padding rows: item 0, one step
         lengths[:len(chunk)] = [inst.true_len for inst in chunk]
         if lengths.min() < 1:
             raise ValueError(f"true_len must be >= 1, got {lengths.min()}")
         attrs = np.zeros((size, params.fc_w[0].shape[1]))
-        x = np.zeros((lengths.max(), size, params.lstm_w.shape[1]))
+        ids = np.zeros((lengths.max(), size), dtype=np.int64)  # padding slots: item 0
         for k, inst in enumerate(chunk):
             attrs[k] = inst.attributes
-            x[:inst.true_len, k] = inst.seq[:inst.true_len]
+            ids[:inst.true_len, k] = inst.seq[:inst.true_len]
         a_m = fc_forward(params, attrs, cfg.activation)[0]
-        h_last = lstm_batch(params, x, lengths, buffers)[0]
+        h_last = lstm_batch(params, ids, lengths, buffers)[0]
         out[start:start + len(chunk)] = _fuse(params, cfg, a_m, h_last)[2][:len(chunk)]
     return out

@@ -112,11 +112,6 @@ def _check_trace(params, trace):
             f"trace embedding shape {trace.embedding.shape} does not match "
             f"fusion bias shape {params.b_p.shape}"
         )
-    if trace.lstm.x.shape[1] != params.w_i.shape[1]:
-        raise ValueError(
-            f"trace sequence width {trace.lstm.x.shape[1]} does not match "
-            f"kernel input dimension {params.w_i.shape[1]}"
-        )
 
 
 def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
@@ -181,7 +176,11 @@ def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
         da_g *= dg[t]
         np.matmul(u_t, da_t, out=dh_vec)
         dc_vec *= f[t]
-    grads.lstm_w += da.T @ lt.x
+    # the sequence's one-hot rows, for a dense product: a scatter-add of the
+    # rows of da by item id would sum them in another order
+    x = np.zeros((T, params.lstm_w.shape[1]))
+    x[np.arange(T), lt.x] = 1.0
+    grads.lstm_w += da.T @ x
     grads.lstm_u += da.T @ h_prev
     grads.lstm_b += da.sum(axis=0)
 

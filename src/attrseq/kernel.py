@@ -33,10 +33,6 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
-def tanh(z):
-    return np.tanh(np.asarray(z, dtype=np.float64))
-
-
 def sigmoid(z, out=None):
     """Logistic function, overflow-safe for any finite input; written into
     ``out`` when given (``out`` may be ``z`` itself).
@@ -55,10 +51,10 @@ def sigmoid(z, out=None):
 
 
 def relu(z):
-    return np.maximum(np.asarray(z, dtype=np.float64), 0.0)
+    return np.maximum(z, 0.0)
 
 
-_ACTIVATIONS = {"tanh": tanh, "relu": relu}
+_ACTIVATIONS = {"tanh": np.tanh, "relu": relu}
 
 
 def activation(name: str):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetMeta
+from .data import DatasetMeta, is_integer, is_number
 from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
 from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
 from .gradients import pair_loss  # noqa: F401  (bench/tracer.py wraps it here)
@@ -51,6 +51,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_epochs", "patience", "seed"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "converge_eps", "margin", "l2", "val_fraction"):
+            if not (is_number(value := getattr(self, name)) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.max_epochs < 1:
@@ -234,6 +240,9 @@ def load_checkpoint(path):
         stored = envelope["tensors"]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
+    train_info = envelope.get("train", {})
+    if not isinstance(train_info, dict):
+        raise CheckpointError(f"corrupt checkpoint {path}: 'train' must be an object, got {train_info!r}")
 
     # every stored tensor is checked against the layout before the store is
     # allocated, so the store never holds more values than the file does
@@ -263,7 +272,7 @@ def load_checkpoint(path):
     params = ModelParams(shapes)
     for name, data in values.items():
         params[name] = data.reshape(shapes[name])
-    return params, cfg, meta, envelope.get("train", {})
+    return params, cfg, meta, train_info
 
 
 def check_meta_compatible(ckpt_meta: DatasetMeta, data_meta: DatasetMeta):

@@ -457,3 +457,39 @@ def test_bad_tensor_value_exit_5(tmp_path, capsys, command, bad_value):
     assert run(*argv) == 5
     assert "tensor b_p" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("block, key, value, sweep", [
+    ("meta", "u", 10.0, False),
+    ("config", "n_l", 20.0, False),
+    ("config", "m", 2.5, False),
+    (None, "train", [1], False),
+    ("train", "lr", "0.01", True),
+    ("train", "epochs", 2.5, True),
+    ("train", "distance", "cosine", False),
+    ("train", "positive_fraction", "half", True),
+], ids=["meta-u-float", "config-n_l-float", "config-m-fraction", "train-not-object",
+        "train-lr-string", "train-epochs-fraction", "train-distance-unknown",
+        "train-positive_fraction-string"])
+def test_malformed_checkpoint_header_exit_5(tmp_path, capsys, block, key, value, sweep):
+    # u = 10 and n_l = 20 are the demo model's own dimensions, written as
+    # floats, so the stored tensor shapes still compare equal to the layout
+    demo = Path(__file__).resolve().parents[1] / "demo_run"
+    envelope = json.loads((demo / "model.json").read_text())
+    (envelope if block is None else envelope[block])[key] = value
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    commands = [["eval", "--checkpoint", ckpt, "--data", demo / "data.jsonl",
+                 "--manifest", demo / "manifest.json", "--g", 2, "--queries", 4, "--runs", 1,
+                 "--seed", 5, "--out-json", out, "--out-csv", out]
+                + (["--sweep-triplets", 4] if sweep else [])]
+    if block in ("meta", "config"):  # embed reads only the header and the tensors
+        commands.append(["embed", "--checkpoint", ckpt, "--data", demo / "data.jsonl",
+                         "--out", out])
+    for argv in commands:
+        assert run(*argv) == 5, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("attrseq: error:") and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()

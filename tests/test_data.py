@@ -8,7 +8,6 @@ from attrseq.data import (
     AttributedSequence,
     DataFormatError,
     DatasetMeta,
-    decode,
     encode,
     encode_labeled,
     encode_triplets,
@@ -149,6 +148,13 @@ def test_load_jsonl_rejects_sidecar_beyond_one_hot_limit(tmp_path, sidecar):
         load_jsonl(p)
 
 
+@pytest.mark.parametrize("bad", [4.0, True, "4"], ids=["float", "bool", "string"])
+def test_meta_rejects_non_integer_dimensions(bad):
+    for dims in (dict(u=bad, r=3, t_max=2), dict(u=2, r=bad, t_max=2), dict(u=2, r=3, t_max=bad)):
+        with pytest.raises(ValueError, match="must be integers"):
+            DatasetMeta(**dims, class_ids=frozenset())
+
+
 def test_meta_rejects_one_hot_beyond_limit():
     DatasetMeta(u=1, r=MAX_ONE_HOT_CELLS, t_max=1, class_ids=frozenset())
     with pytest.raises(ValueError, match="one-hot size"):
@@ -168,20 +174,19 @@ def test_write_then_load_round_trip(tmp_path):
         assert a.items == b.items and a.label == b.label
 
 
-def test_encode_places_one_hot_rows():
+def test_encode_keeps_item_ids():
     meta = DatasetMeta(u=1, r=3, t_max=5, class_ids=frozenset())
     inst = encode(AttributedSequence(np.array([0.5]), [2, 0, 1], None), meta)
-    expected = np.zeros((5, 3))
-    expected[0, 2] = expected[1, 0] = expected[2, 1] = 1.0
-    assert np.array_equal(inst.seq, expected)
+    assert inst.seq.dtype == np.int64 and inst.seq.shape == (3,)
+    assert inst.seq.tolist() == [2, 0, 1]
     assert inst.true_len == 3
-    assert inst.seq.sum() == inst.true_len
 
 
 def test_encode_minimal_case():
     meta = DatasetMeta(u=1, r=1, t_max=1, class_ids=frozenset())
     inst = encode(AttributedSequence(np.array([0.0]), [0], None), meta)
-    assert np.array_equal(inst.seq, [[1.0]])
+    assert inst.seq.dtype == np.int64 and inst.seq.tolist() == [0]
+    assert inst.true_len == 1
 
 
 def test_encode_rejects_overlong_sequence():
@@ -190,16 +195,23 @@ def test_encode_rejects_overlong_sequence():
         encode(AttributedSequence(np.array([0.0]), [0, 1, 0], None), meta)
 
 
-def test_decode_inverts_encode_randomized():
+@pytest.mark.parametrize("item", [pytest.param(-1, id="-1"), pytest.param(3, id="r")])
+def test_encode_rejects_out_of_range_id(item):
+    # the one item-id check: the LSTM gathers its input by id unchecked
+    meta = DatasetMeta(u=1, r=3, t_max=4, class_ids=frozenset())
+    with pytest.raises(ValueError, match=f"item id {item} out of range for r=3"):
+        encode(AttributedSequence(np.array([0.0]), [0, item, 1], None), meta)
+
+
+def test_encode_keeps_item_ids_randomized():
     gen = np.random.default_rng(9)
     meta = DatasetMeta(u=2, r=7, t_max=10, class_ids=frozenset())
     for _ in range(200):
         items = [int(gen.integers(7)) for _ in range(int(gen.integers(1, 11)))]
         rec = AttributedSequence(gen.uniform(-1, 1, 2), items, None)
         inst = encode(rec, meta)
-        assert decode(inst) == items
-        # padding rows must be exactly zero
-        assert not inst.seq[inst.true_len:].any()
+        assert inst.seq.dtype == np.int64 and inst.seq.shape == (len(items),)
+        assert inst.seq.tolist() == items and inst.true_len == len(items)
 
 
 def test_split_by_class_table_layouts():
@@ -310,7 +322,7 @@ def test_encode_triplets_shares_encoding():
     assert len(encoded) == 8
     for raw, enc in zip(triplets, encoded):
         assert enc.ell == raw.ell
-        assert decode(enc.a) == raw.a.items
+        assert enc.a.seq.tolist() == raw.a.items
 
 
 def test_encode_labeled_requires_labels():

@@ -139,7 +139,7 @@ class TestLstmForward:
         w = dict(w_i=0.3, w_f=-0.4, w_o=0.7, w_c=0.2, b_i=0.1, b_f=0.05, b_o=-0.2, b_c=0.6)
         for name, val in w.items():
             getattr(params, name)[...] = val
-        h, _ = lstm_forward(params, np.array([[1.0]]), 1)
+        h, _ = lstm_forward(params, np.array([0]), 1)  # item 0: the one-hot row [1.0]
 
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         i = sig(w["w_i"] * 1.0 + w["b_i"])
@@ -162,12 +162,11 @@ class TestLstmForward:
         params.u_f[...] = -0.5
         params.u_o[...] = 0.4
         params.u_c[...] = 0.8
-        seq = np.array([[1.0, 0.0], [0.0, 1.0]])
-        h, _ = lstm_forward(params, seq, 2)
+        h, _ = lstm_forward(params, np.array([0, 1]), 2)
 
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         hp, cp = 0.0, 0.0
-        for x0, x1 in seq:
+        for x0, x1 in ((1.0, 0.0), (0.0, 1.0)):  # the one-hot rows of items 0 and 1
             i = sig(0.3 * x0 - 0.1 * x1 + 0.6 * hp)
             f = sig(-0.4 * x0 + 0.2 * x1 - 0.5 * hp)
             o = sig(0.7 * x0 + 0.5 * x1 + 0.4 * hp)
@@ -180,17 +179,25 @@ class TestLstmForward:
         cfg, meta = tiny_cfg(), tiny_meta(t_max=6)
         params = random_params(cfg, meta, seed=4)
         inst = random_instance(meta, seed=5, length=3)
+        longer = np.concatenate([inst.seq, [1, 2, 3]])
         h_full, _ = lstm_forward(params, inst.seq, inst.true_len)
-        h_trunc, _ = lstm_forward(params, inst.seq[:3], 3)
+        h_trunc, _ = lstm_forward(params, longer, 3)  # ids past true_len are never read
         assert np.array_equal(h_full, h_trunc)
-        # processing the zero-padded tail as if it were data gives a different state
-        h_padded, _ = lstm_forward(params, inst.seq, meta.t_max)
-        assert not np.allclose(h_full, h_padded)
+        # processing the extra ids as if they were data gives a different state
+        h_longer, _ = lstm_forward(params, longer, meta.t_max)
+        assert not np.allclose(h_full, h_longer)
 
     def test_rejects_zero_length(self):
         params = random_params(tiny_cfg(), tiny_meta())
         with pytest.raises(ValueError, match="true_len"):
-            lstm_forward(params, np.zeros((5, 4)), 0)
+            lstm_forward(params, np.zeros(5, dtype=np.int64), 0)
+
+    def test_rejects_true_len_beyond_ids(self):
+        meta = tiny_meta()
+        params = random_params(tiny_cfg(), meta)
+        inst = random_instance(meta, seed=2, length=3)
+        with pytest.raises(ValueError, match="true_len 4 exceeds the 3 item ids"):
+            lstm_forward(params, inst.seq, 4)
 
 
 class TestOmegaForward:
@@ -276,6 +283,14 @@ class TestBatchedForward:
         cfg = tiny_cfg(m=2, n_m=16, n_l=16, n=12, activation=activation, branch_mode=branch_mode)
         return cfg, meta, random_params(cfg, meta, seed=3)
 
+    @staticmethod
+    def id_block(insts, T, pad=0):
+        """(T, N) time-major item ids, `pad` in every slot past a length."""
+        ids = np.full((T, len(insts)), pad, dtype=np.int64)
+        for k, inst in enumerate(insts):
+            ids[:inst.true_len, k] = inst.seq
+        return ids
+
     @pytest.mark.parametrize("branch_mode", BRANCH_MODES)
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_matches_single_instance_path(self, activation, branch_mode):
@@ -316,14 +331,18 @@ class TestBatchedForward:
         cfg, meta, params = self.setup_model()
         insts = [random_instance(meta, seed=k, length=1 + k % meta.t_max) for k in range(9)]
         lengths = np.array([inst.true_len for inst in insts])
-        x = np.stack([inst.seq for inst in insts], axis=1)  # (t_max, N, r), zero padded
-        h_last, trace = lstm_batch(params, x, lengths)
+        ids = self.id_block(insts, meta.t_max)
+        h_last, trace = lstm_batch(params, ids, lengths)
         assert trace.h.shape == (meta.t_max, len(insts), cfg.n_l)
+        assert trace.x is ids
         for k, inst in enumerate(insts):
             h, single = lstm_forward(params, inst.seq, inst.true_len)
             np.testing.assert_allclose(h_last[k], h, rtol=0, atol=1e-12)
             np.testing.assert_allclose(trace.gates[:inst.true_len, k], single.gates,
                                        rtol=0, atol=1e-12)
+        # whatever the padding slots hold is never read
+        h_other, _ = lstm_batch(params, self.id_block(insts, meta.t_max, pad=meta.r - 1), lengths)
+        assert np.array_equal(h_other, h_last)
 
     def test_reused_buffers_are_bitwise_fresh_arrays(self):
         cfg, meta, params = self.setup_model()
@@ -333,9 +352,9 @@ class TestBatchedForward:
         for T, seed in ((meta.t_max, 0), (2, 1), (meta.t_max, 2)):
             insts = [random_instance(meta, seed=seed + 10 * k, length=1 + k % T) for k in range(3)]
             lengths = np.array([inst.true_len for inst in insts])
-            x = np.stack([inst.seq[:T] for inst in insts], axis=1)
-            h_ref, ref = lstm_batch(params, x, lengths)
-            h_last, trace = lstm_batch(params, x, lengths, buffers)
+            ids = self.id_block(insts, T)
+            h_ref, ref = lstm_batch(params, ids, lengths)
+            h_last, trace = lstm_batch(params, ids, lengths, buffers)
             assert np.array_equal(h_last, h_ref)
             for name in ("gates", "c", "tanh_c", "h"):
                 assert getattr(trace, name).shape == getattr(ref, name).shape
@@ -344,16 +363,11 @@ class TestBatchedForward:
 
     def test_rejects_buffers_that_do_not_fit(self):
         cfg, meta, params = self.setup_model()
-        x, lengths = np.zeros((3, 2, meta.r)), np.array([3, 1])
+        ids, lengths = np.zeros((3, 2), dtype=np.int64), np.array([3, 1])
         for buffers in (LstmBuffers(2, 2, cfg.n_l), LstmBuffers(3, 4, cfg.n_l),
                         LstmBuffers(3, 2, cfg.n_l + 1)):
             with pytest.raises(ValueError, match="cannot hold"):
-                lstm_batch(params, x, lengths, buffers)
-
-    def test_rejects_wrong_row_width(self):
-        cfg, meta, params = self.setup_model()
-        with pytest.raises(ValueError, match="row width"):
-            lstm_batch(params, np.zeros((3, 2, meta.r + 1)), np.array([3, 1]))
+                lstm_batch(params, ids, lengths, buffers)
 
 
 def test_branch_gates_table():
@@ -369,6 +383,10 @@ def test_model_config_validation():
         ModelConfig(branch_mode="fused")
     with pytest.raises(ValueError, match="activation"):
         ModelConfig(activation="gelu")
+    for bad in (20.0, 2.5, True, "20"):
+        with pytest.raises(ValueError, match="must be integers"):
+            ModelConfig(n_l=bad)
+    assert ModelConfig(m=np.int64(2)).m == 2
 
 
 class TestParamStore:

@@ -393,8 +393,16 @@ def test_pair_loss_matches_backward_loss():
     assert forward_only == pytest.approx(reverse, rel=1e-15)
 
 
+def _one_hot(ids, r):
+    """The dense one-hot input rows of item ids, as the model reads them."""
+    x = np.zeros((len(ids), r))
+    x[np.arange(len(ids)), ids] = 1.0
+    return x
+
+
 def _reference_forward(params, cfg, inst):
-    """Per-gate encoder pass: one matrix-vector product per gate and step."""
+    """Per-gate encoder pass: one matrix-vector product per gate and step,
+    over the dense one-hot input rows."""
     act = np.tanh if cfg.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
     alphas = [inst.attributes]
@@ -402,7 +410,7 @@ def _reference_forward(params, cfg, inst):
         alphas.append(act(w @ alphas[-1] + b))
     h = c = np.zeros(params.b_i.shape[0])
     steps = []
-    for x in inst.seq[:inst.true_len]:
+    for x in _one_hot(inst.seq[:inst.true_len], params.w_i.shape[1]):
         i = sig(params.w_i @ x + params.u_i @ h + params.b_i)
         f = sig(params.w_f @ x + params.u_f @ h + params.b_f)
         o = sig(params.w_o @ x + params.u_o @ h + params.b_o)
@@ -485,13 +493,14 @@ def _where_sigmoid(z):
 
 def _allocating_forward(params, cfg, inst):
     """The allocating encoder pass the lean kernels replaced: the two-branch
-    sigmoid, fresh arrays at every LSTM step, shapes of a one-row batch."""
+    sigmoid, fresh arrays at every LSTM step, shapes of a one-row batch, and
+    the input projection as a dense product with the one-hot rows."""
     act = activation(cfg.activation)
     alphas = [inst.attributes]
     for w, b in zip(params.fc_w, params.fc_b):
         alphas.append(act(alphas[-1] @ w.T + b))
     T = inst.true_len
-    x = inst.seq[:T]
+    x = _one_hot(inst.seq[:T], params.lstm_w.shape[1])
     n_l = params.lstm_b.shape[0] // 4
     gates = (x @ params.lstm_w.T).reshape(T, 1, 4 * n_l)
     gates += params.lstm_b

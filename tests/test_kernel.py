@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy import tanh  # activation("tanh") is the numpy ufunc itself
 
 from attrseq.kernel import (
     Rng,
@@ -9,7 +10,6 @@ from attrseq.kernel import (
     orthogonal_init,
     relu,
     sigmoid,
-    tanh,
     uniform_init,
 )
 

@@ -202,6 +202,14 @@ def test_train_config_validation():
         TrainConfig(margin=0.0)
     with pytest.raises(ValueError, match="distance"):
         TrainConfig(distance="cosine")
+    for field, bad in (("max_epochs", 2.5), ("patience", True), ("seed", "3")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: bad})
+    for field, bad in (("lr", "0.01"), ("margin", True), ("l2", None), ("lr", float("nan")),
+                       ("converge_eps", float("inf"))):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            TrainConfig(**{field: bad})
+    assert TrainConfig(lr=1, max_epochs=np.int64(3)).max_epochs == 3
 
 
 class TestCheckpoint:
