@@ -195,7 +195,8 @@ def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
 class LstmBuffers:
     """Every array `lstm_batch` writes, for batches of N sequences of at
     most T steps: the trace arrays gates (T, N, 4*n_l), c, tanh_c and h
-    (T, N, n_l), and the per-step buffers z (N, 4*n_l) and ig (N, n_l).
+    (T, N, n_l), and the per-step buffers z (N, 4*n_l), ig (N, n_l) and
+    the sigmoid's contiguous scratch pair sig (2, N, 3*n_l).
 
     A caller that runs many batches of one size passes the same buffers to
     every call; each call overwrites the trace of the one before.
@@ -208,6 +209,7 @@ class LstmBuffers:
         self.h = np.empty((T, N, n_l))
         self.z = np.empty((N, 4 * n_l))
         self.ig = np.empty((N, n_l))
+        self.sig = np.empty((2, N, 3 * n_l))
 
 
 def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None):
@@ -243,7 +245,7 @@ def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffer
     h_prev = np.zeros((N, n_l))
     c_prev = np.zeros((N, n_l))
     # per-step buffers: nothing is allocated inside the loop
-    z, ig = buffers.z, buffers.ig
+    z, ig, sig_scratch = buffers.z, buffers.ig, buffers.sig
     s3 = 3 * n_l
     z_sig, z_g = z[:, :s3], z[:, s3:]
     sig = gates[:, :, :s3]  # i, f, o
@@ -252,7 +254,7 @@ def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffer
             gates, sig, gi, gf, go, gg, c, tanh_c, h):
         np.matmul(h_prev, u_t, out=z)
         z += gates_t
-        sigmoid(z_sig, out=sig_t)
+        sigmoid(z_sig, out=sig_t, scratch=sig_scratch)
         np.tanh(z_g, out=g_t)
         # c = f * c_prev + i * g and h = o * tanh(c), written into the trace
         np.multiply(f_t, c_prev, out=c_t)
@@ -298,16 +300,17 @@ def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):
 
 
 def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndarray:
-    """Embeddings (N, n) of many instances, at most EMBED_CHUNK at a time.
+    """Embeddings (N, n) of many instances, row k for instance k.
 
-    Each chunk goes through the same kernels as `omega_forward`, batched;
-    only one chunk's traces are alive at any time. The chunks are equal in
-    size, a short last one padded with empty rows, so every chunk runs the
-    same product shapes: within one call a row depends only on its
-    instance, never on its position or its chunk, so duplicate instances
-    embed identically. A row can still differ from the instance's
-    `omega_forward` embedding in the last bits, because a matrix product
-    sums in another order than a matrix-vector product.
+    The instances go through in a stable order by length, EMBED_CHUNK at a
+    time, so each chunk runs only as many LSTM steps as its longest member;
+    only one chunk's traces are alive at any time. Every chunk has exactly
+    EMBED_CHUNK rows, a short last one padded with empty rows, so every
+    chunk runs the same product shapes and a row's bits depend only on its
+    instance, never on its position or its neighbours. A one-instance call
+    runs at N=1, bitwise `omega_forward`; a batched row can differ from
+    that in the last bits, because a matrix product sums in another order
+    than a matrix-vector product.
 
     Every chunk writes its trace into one `LstmBuffers`: a fresh trace of
     about 1.3 MiB per chunk comes from the C allocator either as resident
@@ -319,21 +322,23 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
     out = np.empty((n_inst, cfg.n))
     if not n_inst:
         return out
-    size = -(-n_inst // -(-n_inst // EMBED_CHUNK))  # fewest chunks, then equal sizes
-    t_max = max(max(inst.true_len for inst in instances), 1)  # bad lengths raise below
-    buffers = LstmBuffers(t_max, size, params.lstm_b.shape[0] // 4)
+    lengths = np.array([inst.true_len for inst in instances], dtype=np.int64)
+    if lengths.min() < 1:
+        raise ValueError(f"true_len must be >= 1, got {lengths.min()}")
+    order = np.argsort(lengths, kind="stable")
+    size = 1 if n_inst == 1 else EMBED_CHUNK
+    buffers = LstmBuffers(lengths.max(), size, params.lstm_b.shape[0] // 4)
     for start in range(0, n_inst, size):
-        chunk = instances[start:start + size]
-        lengths = np.ones(size, dtype=np.int64)  # padding rows: item 0, one step
-        lengths[:len(chunk)] = [inst.true_len for inst in chunk]
-        if lengths.min() < 1:
-            raise ValueError(f"true_len must be >= 1, got {lengths.min()}")
+        rows = order[start:start + size]
+        chunk_lengths = np.ones(size, dtype=np.int64)  # padding rows: item 0, one step
+        chunk_lengths[:len(rows)] = lengths[rows]
         attrs = np.zeros((size, params.fc_w[0].shape[1]))
-        ids = np.zeros((lengths.max(), size), dtype=np.int64)  # padding slots: item 0
-        for k, inst in enumerate(chunk):
+        ids = np.zeros((chunk_lengths.max(), size), dtype=np.int64)  # padding slots: item 0
+        for k, row in enumerate(rows):
+            inst = instances[row]
             attrs[k] = inst.attributes
             ids[:inst.true_len, k] = inst.seq[:inst.true_len]
         a_m = fc_forward(params, attrs, cfg.activation)[0]
-        h_last = lstm_batch(params, ids, lengths, buffers)[0]
-        out[start:start + len(chunk)] = _fuse(params, cfg, a_m, h_last)[2][:len(chunk)]
+        h_last = lstm_batch(params, ids, chunk_lengths, buffers)[0]
+        out[rows] = _fuse(params, cfg, a_m, h_last)[2][:len(rows)]
     return out

@@ -55,19 +55,27 @@ class EvalReport:
         }
 
 
-def build_episode(pool, g: int, n_queries: int, rng: Rng) -> Episode:
+def group_by_class(pool) -> dict:
+    """Class id -> pool indices of its instances, in pool order."""
+    by_class = {}
+    for idx, (_, label) in enumerate(pool):
+        by_class.setdefault(label, []).append(idx)
+    return by_class
+
+
+def build_episode(pool, g: int, n_queries: int, rng: Rng, by_class=None) -> Episode:
     """Draw a G-way episode from (instance, label) pairs.
 
     Support exemplars are excluded from the query pool, and queries only come
-    from the G chosen classes.
+    from the G chosen classes. ``by_class`` is the pool's
+    `group_by_class`, for a caller that draws many episodes from one pool.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if n_queries < 1:
         raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-    by_class = {}
-    for idx, (_, label) in enumerate(pool):
-        by_class.setdefault(label, []).append(idx)
+    if by_class is None:
+        by_class = group_by_class(pool)
     classes = sorted(by_class)
     if len(classes) < g:
         raise ValueError(f"a {g}-way episode needs {g} classes, pool has {len(classes)}")
@@ -120,7 +128,8 @@ def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     root = Rng(seed)
-    episodes = [build_episode(pool, g, n_queries, root.child(f"run{run}"))
+    by_class = group_by_class(pool)
+    episodes = [build_episode(pool, g, n_queries, root.child(f"run{run}"), by_class)
                 for run in range(n_runs)]
     drawn = sorted({i for ep in episodes for i in ep.support_idx + ep.query_idx})
     rows = embed_instances(params, cfg, [pool[i][0] for i in drawn])

@@ -121,8 +121,8 @@ def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
 
     # fusion layer
     delta = dp * activation_grad_from_output(act, trace.embedding)
-    grads["w_p"] += np.outer(delta, trace.concat)
-    grads["b_p"] += delta
+    grads.w_p += np.outer(delta, trace.concat)
+    grads.b_p += delta
     dq = params.w_p.T @ delta
     n_m = trace.alphas[-1].shape[0]
     d_alpha = ga * dq[:n_m]
@@ -131,8 +131,8 @@ def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
     # fully connected stack
     for k in range(len(params.fc_w) - 1, -1, -1):
         delta_k = d_alpha * activation_grad_from_output(act, trace.alphas[k + 1])
-        grads[f"fc{k}_w"] += np.outer(delta_k, trace.alphas[k])
-        grads[f"fc{k}_b"] += delta_k
+        grads.fc_w[k] += np.outer(delta_k, trace.alphas[k])
+        grads.fc_b[k] += delta_k
         if k > 0:
             d_alpha = params.fc_w[k].T @ delta_k
 

@@ -212,8 +212,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, pa
         },
     }
     with open(path, "w") as fh:
-        json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path):

@@ -47,6 +47,10 @@ def random_instance(meta, seed=0, length=None):
     return encode(AttributedSequence(gen.uniform(-1, 1, meta.u), items, None), meta)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
 def zero_params(cfg, meta):
     params = init_params(cfg, meta, Rng(0))
     for t in params.tensors().values():
@@ -316,6 +320,26 @@ class TestBatchedForward:
         for k in range(n):
             assert np.array_equal(rows[n + EMBED_CHUNK + n - 1 - k], rows[k])
         assert np.array_equal(rows[-1], rows[0])
+
+    @pytest.mark.parametrize("width", [50, 20])
+    def test_rows_never_depend_on_position(self, width):
+        # realistic widths and init, unsaturated: at the default widths a
+        # fusion product of a row count that is not a multiple of 4 rounds
+        # a row by its position in the last bit
+        cfg = ModelConfig() if width == 50 else ModelConfig(n_m=width, n_l=width, n=width)
+        meta = tiny_meta(u=8, r=30, t_max=15)
+        params = init_params(cfg, meta, Rng(5))
+        pool = [random_instance(meta, seed=k) for k in range(2 * EMBED_CHUNK + 1)]
+        assert len({inst.true_len for inst in pool[:10]}) >= 5  # the length order matters
+        gen = np.random.default_rng(width)
+        for n in range(2, 2 * EMBED_CHUNK + 2):
+            insts = pool[:n]
+            rows = embed_instances(params, cfg, insts)
+            dup = embed_instances(params, cfg, insts[:-1] + insts[:1])
+            assert np.array_equal(_bits(dup[-1]), _bits(dup[0])), n
+            perm = gen.permutation(n)
+            permuted = embed_instances(params, cfg, [insts[k] for k in perm])
+            assert np.array_equal(_bits(permuted), _bits(rows[perm])), n
 
     def test_empty_batch(self):
         cfg, meta, params = self.setup_model()

@@ -4,7 +4,7 @@ import pytest
 from attrseq import episodes
 from attrseq.data import DatasetMeta, encode_labeled, generate_synthetic
 from attrseq.encoder import embed_instances, init_params, omega_forward
-from attrseq.episodes import build_episode, classify, evaluate
+from attrseq.episodes import build_episode, classify, evaluate, group_by_class
 from attrseq.gradients import distance
 from attrseq.kernel import Rng
 
@@ -292,3 +292,22 @@ class TestEvaluate:
         monkeypatch.setattr(episodes, "classify", counting_classify)
         evaluate(params, cfg, "euclidean", pool, 3, 7, 5, seed=4)
         assert calls == [7] * 5
+
+    def test_groups_the_pool_once(self, monkeypatch):
+        pool, meta = make_pool(per_class=10)
+        cfg = tiny_cfg()
+        params = random_params(cfg, meta, seed=2)
+        for run in range(5):  # a given index draws the same episode
+            own = build_episode(pool, 3, 7, Rng(run))
+            given = build_episode(pool, 3, 7, Rng(run), group_by_class(pool))
+            assert (given.support_idx, given.query_idx) == (own.support_idx, own.query_idx)
+        want = reference_per_run(params, cfg, "euclidean", pool, 3, 7, 5, seed=4)
+        calls = []
+
+        def counting_group(pool):
+            calls.append(len(pool))
+            return group_by_class(pool)
+
+        monkeypatch.setattr(episodes, "group_by_class", counting_group)
+        assert evaluate(params, cfg, "euclidean", pool, 3, 7, 5, seed=4).per_run == want
+        assert calls == [len(pool)]
