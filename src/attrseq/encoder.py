@@ -195,8 +195,7 @@ def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
 class LstmBuffers:
     """Every array `lstm_batch` writes, for batches of N sequences of at
     most T steps: the trace arrays gates (T, N, 4*n_l), c, tanh_c and h
-    (T, N, n_l), and the per-step buffers z (N, 4*n_l), ig (N, n_l) and
-    the sigmoid's contiguous scratch pair sig (2, N, 3*n_l).
+    (T, N, n_l), and the per-step buffers z (N, 4*n_l) and ig (N, n_l).
 
     A caller that runs many batches of one size passes the same buffers to
     every call; each call overwrites the trace of the one before.
@@ -209,7 +208,6 @@ class LstmBuffers:
         self.h = np.empty((T, N, n_l))
         self.z = np.empty((N, 4 * n_l))
         self.ig = np.empty((N, n_l))
-        self.sig = np.empty((2, N, 3 * n_l))
 
 
 def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None):
@@ -244,8 +242,8 @@ def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffer
     u_t = params.lstm_u.T
     h_prev = np.zeros((N, n_l))
     c_prev = np.zeros((N, n_l))
-    # per-step buffers: nothing is allocated inside the loop
-    z, ig, sig_scratch = buffers.z, buffers.ig, buffers.sig
+    # per-step buffers, reused by every step
+    z, ig = buffers.z, buffers.ig
     s3 = 3 * n_l
     z_sig, z_g = z[:, :s3], z[:, s3:]
     sig = gates[:, :, :s3]  # i, f, o
@@ -254,7 +252,7 @@ def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffer
             gates, sig, gi, gf, go, gg, c, tanh_c, h):
         np.matmul(h_prev, u_t, out=z)
         z += gates_t
-        sigmoid(z_sig, out=sig_t, scratch=sig_scratch)
+        sigmoid(z_sig, out=sig_t)
         np.tanh(z_g, out=g_t)
         # c = f * c_prev + i * g and h = o * tanh(c), written into the trace
         np.multiply(f_t, c_prev, out=c_t)

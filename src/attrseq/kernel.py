@@ -33,24 +33,22 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
-def sigmoid(z, out=None, scratch=None):
+def sigmoid(z, out=None):
     """Logistic function, overflow-safe for any finite input; written into
     ``out`` when given (``out`` may be ``z`` itself).
 
     With ez = exp(-|z|) it is 1 / (1 + ez) for z >= 0 and ez / (1 + ez)
     below: the numerator is max(ez, copysign(1, z)), since 0 <= ez <= 1
     (and ez = 1 at z = ±0), so both branches come from one division, bit
-    for bit. ``scratch`` is a pair of float64 arrays of z's shape that the
-    steps before the division run in; contiguous ones are fastest, and
-    without them the call allocates its own.
+    for bit.
     """
     z = np.asarray(z, dtype=np.float64)
-    num, ez = scratch if scratch is not None else (np.empty_like(z), np.empty_like(z))
+    num, ez = np.empty_like(z), np.empty_like(z)
     np.copysign(1.0, z, out=num)
     np.exp(np.copysign(z, -1.0, out=ez), out=ez)
     np.maximum(ez, num, out=num)  # a NaN z keeps ez's NaN, as the division needs
     ez += 1.0
-    return np.divide(num, ez, out=out)
+    return np.divide(num, ez, out=num if out is None else out)
 
 
 def relu(z):

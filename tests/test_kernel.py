@@ -65,36 +65,23 @@ def test_sigmoid_is_bitwise_the_where_formula():
     sigmoid(z, out=rows[:, 1:])
     assert np.array_equal(_bits(rows[:, 1:]), _bits(want))
     assert not rows[:, 0].any()
+    # the batched LSTM's call: a gate block of a (32, 200) array as z and as out
+    z_rows = np.full((32, 200), 3.0)
+    z_rows[:, :150] = gen.permutation(np.resize(np.concatenate([special, z.ravel()]), 32 * 150)
+                                      ).reshape(32, 150)
+    block = z_rows[:, :150]
+    block_want = _where_sigmoid(block)
+    gates = np.full((32, 200), 7.0)
+    sigmoid(block, out=gates[:, :150])
+    assert np.array_equal(_bits(gates[:, :150]), _bits(block_want))
+    assert np.all(gates[:, 150:] == 7.0) and np.all(z_rows[:, 150:] == 3.0)
+    sigmoid(block, out=block)
+    assert np.array_equal(_bits(block), _bits(block_want))
     z_before = z.copy()
     sigmoid(z, out=out)
     assert np.array_equal(_bits(z), _bits(z_before))
     for x in special:  # scalars go through the same formula
         assert _bits(sigmoid(x)) == _bits(_where_sigmoid(x)), x
-
-
-def test_sigmoid_scratch_is_bitwise_the_where_formula():
-    # the LSTM's call: a strided gate block of a (32, 200) row block as z
-    # and as out, with one contiguous scratch pair reused across calls
-    gen = np.random.default_rng(11)
-    tiny = np.finfo(np.float64).tiny
-    special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan,
-               5e-324, -5e-324, tiny / 3, -tiny / 3]
-    scratch = np.full((2, 32, 150), np.nan)
-    gates = np.full((32, 200), 7.0)
-    for values in (gen.normal(0.0, 4.0, 32 * 150),
-                   gen.permutation(np.resize(special, 32 * 150))):
-        z_rows = np.full((32, 200), 3.0)
-        z_rows[:, :150] = values.reshape(32, 150)
-        z = z_rows[:, :150]
-        want = _where_sigmoid(z)
-        sigmoid(z, out=gates[:, :150], scratch=scratch)
-        assert np.array_equal(_bits(gates[:, :150]), _bits(want))
-        assert np.all(gates[:, 150:] == 7.0)  # nothing past the block is written
-        assert np.all(z_rows[:, 150:] == 3.0)
-        fresh = sigmoid(z.copy(), scratch=scratch)  # a new out, scratch reused
-        assert np.array_equal(_bits(fresh), _bits(want))
-        sigmoid(z, out=z, scratch=scratch)  # out is z itself
-        assert np.array_equal(_bits(z), _bits(want))
 
 
 def test_activation_lookup():
