@@ -1,9 +1,11 @@
 """Command-line surface: gen, train, gradcheck, eval, embed.
 
 Exit codes: 0 success, 1 usage, 2 I/O or data format, 3 training failure,
-4 gradient-check failure, 5 artifact mismatch. Every command takes
-``--config path`` pointing at a JSON object mirroring its flags (dashes or
-underscores); explicit flags override the file. Seeds are always explicit,
+4 gradient-check failure, 5 artifact mismatch. Every JSON artifact is decoded
+by `data.read_json_object` and fails with its own code and one line naming
+the file: a config 1, a sidecar 2, a checkpoint or manifest 5. Every command
+takes ``--config path`` pointing at a JSON object mirroring its flags (dashes
+or underscores); explicit flags override the file. Seeds are always explicit,
 never wall-clock.
 """
 
@@ -23,6 +25,7 @@ from .data import (
     is_json_int,
     is_number,
     load_jsonl,
+    read_json_object,
     read_records,
     sample_triplets,
     sidecar_path,
@@ -59,7 +62,13 @@ GRADCHECK_TOLERANCE = 1e-4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, config=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.config = config  # the --config file whose entries this parser reads
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
+        if self.config:  # a bad entry in the file: one line, no usage
+            raise ValueError(f"config {self.config}: {message}")
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -150,8 +159,8 @@ _EMBED_ARGS = [
 ]
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="attrseq", description=__doc__.splitlines()[0])
+def build_parser(config=None) -> _Parser:
+    parser = _Parser(prog="attrseq", description=__doc__.splitlines()[0], config=config)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, specs, runner in (
         ("gen", _GEN_ARGS, cmd_gen),
@@ -160,7 +169,7 @@ def build_parser() -> _Parser:
         ("eval", _EVAL_ARGS, cmd_eval),
         ("embed", _EMBED_ARGS, cmd_embed),
     ):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, config=config)
         for flag, kwargs in specs + _COMMON:
             sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=runner)
@@ -171,36 +180,28 @@ def _config_argv(args, argv) -> list:
     """argv with the --config file's entries spliced in as flags right after
     the command name, so argparse type- and choice-checks them like typed
     flags, and the explicit flags, parsed after them, win."""
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"config {args.config} is not valid JSON: {e}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"config {args.config} must hold a JSON object")
     tokens = []
-    for key, value in config.items():
-        dest = key.replace("-", "_")
+    for key, value in read_json_object(args.config, ValueError, "config").items():
+        dest, where = key.replace("-", "_"), f"config {args.config}: key {key!r}"
         if dest not in vars(args) or dest in ("command", "func"):
-            raise ValueError(f"config key {key!r} is not a flag of this command")
+            raise ValueError(f"{where} is not a flag of this command")
         flag = "--" + dest.replace("_", "-")
         if isinstance(getattr(args, dest), bool):  # a store_true switch
             if not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+                raise ValueError(f"{where} must be true or false, got {value!r}")
             if value:
                 tokens.append(flag)
         elif isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise ValueError(f"config key {key!r} must be a number or a string, got {value!r}")
+            raise ValueError(f"{where} must be a number or a string, got {value!r}")
         else:
             tokens.append(f"{flag}={value}")
     return argv[:1] + tokens + argv[1:]
 
 
 def _parse(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
-        args = parser.parse_args(_config_argv(args, argv))
+        args = build_parser(args.config).parse_args(_config_argv(args, argv))
     return args
 
 
@@ -304,17 +305,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def _load_manifest(path):
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ShapeMismatchError(f"manifest {path} is not valid JSON: {e}") from None
+    manifest = read_json_object(path, ShapeMismatchError, "manifest")
     for key in ("train_classes", "oneshot_classes"):
-        if not isinstance(manifest, dict) or key not in manifest:
-            raise ShapeMismatchError(f"manifest {path} is missing {key!r}")
-        classes = manifest[key]
+        classes = manifest.get(key)
         if not isinstance(classes, list) or not all(is_json_int(c) for c in classes):
             raise ShapeMismatchError(f"manifest {path}: {key!r} must be a list of integers, got {classes!r}")
+    if not manifest["oneshot_classes"]:
+        raise ShapeMismatchError(f"manifest {path}: 'oneshot_classes' is empty")
+    if shared := set(manifest["train_classes"]) & set(manifest["oneshot_classes"]):
+        raise ShapeMismatchError(f"manifest {path}: classes {sorted(shared)} are both training and one-shot")
     return manifest
 
 
@@ -340,11 +339,7 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"checkpoint {args.checkpoint}: unknown training distance {kind!r}")
     g = args.g if args.g is not None else len(oneshot_classes)
 
-    pool_records = [rec for rec in records if rec.label in oneshot_classes]
-    try:
-        pool = encode_labeled(pool_records, ckpt_meta)
-    except ValueError as e:
-        raise ShapeMismatchError(f"dataset does not fit checkpoint encoding: {e}") from None
+    pool = encode_labeled([rec for rec in records if rec.label in oneshot_classes], ckpt_meta)
 
     if args.sweep_triplets:
         return _eval_sweep(args, params, cfg, ckpt_meta, train_info, records,
@@ -427,11 +422,6 @@ def cmd_embed(args) -> int:
     header = "label," + ",".join(f"e{k}" for k in range(cfg.n))
     instances = []
     for rec in records:
-        if len(rec.attributes) != ckpt_meta.u:
-            raise ShapeMismatchError(
-                f"record has {len(rec.attributes)} attributes but checkpoint "
-                f"expects u={ckpt_meta.u}"
-            )
         try:
             instances.append(encode(rec, ckpt_meta))
         except ValueError as e:

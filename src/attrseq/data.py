@@ -105,6 +105,21 @@ def _finite_numbers(values) -> bool:
         return False
 
 
+def read_json_object(path, error, what):
+    """The JSON object stored in `path`: the one reader of every JSON
+    artifact (sidecar, checkpoint, manifest, config). Undecodable bytes,
+    invalid JSON or a value that is not an object raise `error`, naming
+    `what` and the path."""
+    try:
+        with open(path, "rb") as fh:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as e:  # invalid UTF-8 or JSON, or nested too deep
+        raise error(f"{what} {path}: {e}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} {path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _read_records(path):
     """Parse JSONL into records, returning (records, line_numbers)."""
     records, line_nos = [], []
@@ -147,8 +162,8 @@ def read_records(path):
     return _read_records(path)[0]
 
 
-def load_jsonl(path, overrides=None):
-    """Load a dataset and infer its meta (sidecar overrides win, upward only).
+def load_jsonl(path):
+    """Load a dataset and infer its meta (sidecar values win, upward only).
 
     Returns ``(records, meta)``. Raises DataFormatError on malformed content,
     naming the offending line where one exists.
@@ -156,21 +171,10 @@ def load_jsonl(path, overrides=None):
     records, line_nos = _read_records(path)
     if not records:
         raise DataFormatError("no records")
-    source = "overrides"
-    if overrides is None:
-        sc = sidecar_path(path)
-        if sc.exists():
-            source = f"sidecar {sc}"
-            try:
-                with open(sc) as fh:
-                    overrides = json.load(fh)
-            except ValueError as e:  # invalid JSON or text
-                raise DataFormatError(f"{source}: {e}") from None
-    overrides = {} if overrides is None else overrides
-    if not isinstance(overrides, dict) or not all(
-        is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides
-    ):
-        raise DataFormatError(f"sidecar must be a JSON object of integer u, r, t_max, got {overrides!r}")
+    sc = sidecar_path(path)
+    overrides = read_json_object(sc, DataFormatError, "sidecar") if sc.exists() else {}
+    if not all(is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides):
+        raise DataFormatError(f"sidecar {sc} must hold integer u, r, t_max, got {overrides!r}")
 
     u = len(records[0].attributes)
     obs_r = max(max(rec.items) for rec in records) + 1
@@ -198,7 +202,7 @@ def load_jsonl(path, overrides=None):
         )
     if t_max * r > MAX_ONE_HOT_CELLS:
         raise DataFormatError(
-            f"{source}: one-hot size t_max*r = {t_max}*{r} exceeds the limit of "
+            f"sidecar {sc}: one-hot size t_max*r = {t_max}*{r} exceeds the limit of "
             f"{MAX_ONE_HOT_CELLS} cells"
         )
 
@@ -349,8 +353,8 @@ def generate_synthetic(
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if u < 1 or r < 1 or t_max < 1:
         raise ValueError(f"u, r, t_max must be positive: u={u} r={r} t_max={t_max}")
-    if attr_noise < 0:
-        raise ValueError(f"attr_noise must be >= 0, got {attr_noise}")
+    if not 0 <= attr_noise < math.inf:
+        raise ValueError(f"attr_noise must be a finite number >= 0, got {attr_noise}")
     if not 0 <= seq_noise <= 1:
         raise ValueError(f"seq_noise must be in [0, 1], got {seq_noise}")
 

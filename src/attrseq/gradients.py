@@ -268,6 +268,8 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
     """
     if mode not in GRAD_MODES:
         raise ValueError(f"unknown grad mode {mode!r}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be a finite positive number, got {step}")
     root = Rng(seed)
     results = []
     worst = (0.0, None, -1, 0.0, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetMeta, is_integer, is_number
+from .data import DatasetMeta, is_integer, is_json_int, is_number, read_json_object
 from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
 from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
 from .gradients import pair_loss  # noqa: F401  (bench/tracer.py wraps it here)
@@ -218,12 +218,8 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, pa
 def load_checkpoint(path):
     """Returns (params, cfg, meta, train_info); raises CheckpointError on
     version or shape problems and on non-numeric or non-finite tensor values."""
-    try:
-        with open(path) as fh:
-            envelope = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
-    if not isinstance(envelope, dict) or "version" not in envelope:
+    envelope = read_json_object(path, CheckpointError, "corrupt checkpoint")
+    if "version" not in envelope:
         raise CheckpointError(f"corrupt checkpoint {path}: missing envelope fields")
     if envelope["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -234,9 +230,13 @@ def load_checkpoint(path):
         cfg = ModelConfig(m=c["m"], n_m=c["n_m"], n_l=c["n_l"], n=c["n"],
                           activation=c["activation"], branch_mode=c["branch_mode"])
         mt = envelope["meta"]
+        if not all(is_json_int(k) for k in mt["class_ids"]):
+            raise ValueError(f"meta.class_ids must be integers, got {mt['class_ids']!r}")
         meta = DatasetMeta(u=mt["u"], r=mt["r"], t_max=mt["t_max"],
                            class_ids=frozenset(mt["class_ids"]))
         stored = envelope["tensors"]
+        if not isinstance(stored, dict) or len(stored) < cfg.m:  # before param_shapes loops m times
+            raise ValueError(f"'tensors' must be an object with two tensors per layer, m={cfg.m}")
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
     train_info = envelope.get("train", {})
@@ -253,7 +253,7 @@ def load_checkpoint(path):
         try:
             stored_shape = tuple(stored[name]["shape"])
             data = np.asarray(stored[name]["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CheckpointError(f"corrupt checkpoint {path}: tensor {name}: {e!r}") from None
         if stored_shape != shape:
             raise CheckpointError(
@@ -262,10 +262,10 @@ def load_checkpoint(path):
             )
         if not np.isfinite(data).all():
             raise CheckpointError(f"corrupt checkpoint {path}: tensor {name} holds non-finite values")
-        if data.size != math.prod(shape):
+        if data.shape != (math.prod(shape),):
             raise CheckpointError(
-                f"corrupt checkpoint {path}: tensor {name} carries {data.size} "
-                f"values for shape {list(shape)}"
+                f"corrupt checkpoint {path}: tensor {name} carries {data.size} values "
+                f"for shape {list(shape)} as a list of shape {list(data.shape)}"
             )
         values[name] = data
     params = ModelParams(shapes)

@@ -66,6 +66,13 @@ class TestGen:
         assert "one-hot size" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_attr_noise_is_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "d.jsonl"
+        assert run("gen", "--attr-noise", noise, "--seed", 1, "--out", out) == 1
+        assert "attr_noise must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_path_is_io_error(self, tmp_path):
         assert run("gen", "--classes", 4, "--seed", 0,
                    "--out", tmp_path / "missing_dir" / "x.jsonl") == 2
@@ -184,7 +191,10 @@ class TestTrain:
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps(entry))
         assert run("train", "--data", data, "--seed", 3, "--config", cfg_file) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        # one line naming the file, without argparse's usage text
+        assert err.startswith(f"attrseq: error: config {cfg_file}: ") and len(err.splitlines()) == 1
 
     def test_config_switch_must_be_boolean(self, tmp_path, capsys):
         cfg_file = tmp_path / "gen.json"
@@ -239,6 +249,12 @@ class TestGradcheck:
 
     def test_zero_trials_usage_error(self):
         assert run("gradcheck", "--trials", 0, "--seed", 1) == 1
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "0"])
+    def test_unusable_step_is_usage_error(self, capsys, step):
+        assert run("gradcheck", "--trials", 1, "--seed", 1, "--step", step) == 1
+        err = capsys.readouterr().err
+        assert err == f"attrseq: error: step must be a finite positive number, got {float(step)}\n"
 
     def test_failure_exits_4_naming_worst_coordinate(self, capsys, monkeypatch):
         import attrseq.cli as cli_mod
@@ -298,6 +314,23 @@ class TestEval:
         assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", bad,
                    "--queries", 4, "--runs", 2, "--seed", 5) == 5
         assert "'train_classes' must be a list of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oneshot, message", [
+        ([], "'oneshot_classes' is empty"),
+        ([0, 4, 5], "classes [0] are both training and one-shot"),
+    ], ids=["empty", "overlapping"])
+    def test_unusable_oneshot_classes_exit_5(self, tmp_path, capsys, oneshot, message):
+        data, ckpt, manifest = self.setup_artifacts(tmp_path)
+        bad = tmp_path / "bad_manifest.json"
+        train_classes = [0, 1, 2, 3] + ([4, 5] if not oneshot else [])
+        bad.write_text(json.dumps({"train_classes": train_classes, "oneshot_classes": oneshot}))
+        out = tmp_path / "eval.json"
+        assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", bad,
+                   "--g", 2, "--queries", 4, "--runs", 2, "--seed", 5,
+                   "--out-json", out, "--out-csv", out) == 5
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_checkpoint_dataset_mismatch_exit_5(self, tmp_path):
         data, ckpt, manifest = self.setup_artifacts(tmp_path)
@@ -429,6 +462,27 @@ def test_unknown_command_usage_error(capsys):
 
 def test_no_command_usage_error():
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("artifact, code", [
+    ("config.json", 1), ("model.json", 5), ("data.meta.json", 2), ("manifest.json", 5),
+])
+def test_undecodable_json_artifact_exits_with_its_code(tmp_path, capsys, artifact, code):
+    # every JSON artifact goes through one reader; each keeps its own exit code
+    demo = Path(__file__).resolve().parents[1] / "demo_run"
+    for name in ("data.jsonl", "data.meta.json", "model.json", "manifest.json"):
+        (tmp_path / name).write_bytes((demo / name).read_bytes())
+    (tmp_path / "config.json").write_text('{"g": 2}')
+    (tmp_path / artifact).write_bytes(b'{"\xff": 1}')
+    out = tmp_path / "out"
+    assert run("eval", "--checkpoint", tmp_path / "model.json", "--data", tmp_path / "data.jsonl",
+               "--manifest", tmp_path / "manifest.json", "--queries", 4, "--runs", 1,
+               "--seed", 5, "--out-json", out, "--out-csv", out,
+               "--config", tmp_path / "config.json") == code
+    err = capsys.readouterr().err
+    assert err.startswith("attrseq: error:") and len(err.splitlines()) == 1, err
+    assert str(tmp_path / artifact) in err and "codec can't decode" in err
+    assert not out.exists()
 
 
 def test_truncated_checkpoint_exit_5(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from attrseq.data import (
     encode_triplets,
     generate_synthetic,
     load_jsonl,
+    read_json_object,
     read_records,
     sample_triplets,
     split_by_class,
@@ -71,8 +73,9 @@ def test_load_jsonl_empty_sequence_names_line(tmp_path):
 def test_load_jsonl_item_above_declared_r(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_lines(p, ['{"attrs":[0.1],"seq":[0],"label":0}', '{"attrs":[0.2],"seq":[4],"label":1}'])
+    (tmp_path / "d.meta.json").write_text('{"r":3}')
     with pytest.raises(DataFormatError, match="line 2.*item id 4"):
-        load_jsonl(p, overrides={"r": 3})
+        load_jsonl(p)
 
 
 def test_load_jsonl_sidecar_overrides_upward(tmp_path):
@@ -81,10 +84,12 @@ def test_load_jsonl_sidecar_overrides_upward(tmp_path):
     (tmp_path / "d.meta.json").write_text('{"u":1,"r":9,"t_max":7}')
     _, meta = load_jsonl(p)
     assert meta.r == 9 and meta.t_max == 7
+    (tmp_path / "d.meta.json").write_text('{"t_max":1}')
     with pytest.raises(DataFormatError, match="t_max"):
-        load_jsonl(p, overrides={"t_max": 1})
+        load_jsonl(p)
+    (tmp_path / "d.meta.json").write_text('{"u":4}')
     with pytest.raises(DataFormatError, match="sidecar u"):
-        load_jsonl(p, overrides={"u": 4})
+        load_jsonl(p)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -119,6 +124,22 @@ def test_load_jsonl_rejects_malformed_sidecar(tmp_path, sidecar):
     (tmp_path / "d.meta.json").write_text(sidecar)
     with pytest.raises(DataFormatError, match="sidecar"):
         load_jsonl(p)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"u": "\xff"}', "x.json: 'utf-8' codec can't decode"),
+    (b'{"u": 1', "x.json: Expecting"),
+    (b"[1]", "x.json: expected a JSON object, got list"),
+    (b"[" * 100_000, "x.json: maximum recursion depth"),
+], ids=["undecodable", "truncated", "not-object", "nested-too-deep"])
+def test_read_json_object_raises_the_given_error(tmp_path, raw, message):
+    class Refused(Exception):
+        pass
+
+    p = tmp_path / "x.json"
+    p.write_bytes(raw)
+    with pytest.raises(Refused, match=f"^artifact {re.escape(str(tmp_path))}/{message}"):
+        read_json_object(p, Refused, "artifact")
 
 
 def test_load_jsonl_bounds_the_one_hot_size(tmp_path):
@@ -312,6 +333,9 @@ def test_generate_synthetic_validates_spec():
         generate_synthetic(classes=1, per_class=5, u=2, r=3, t_max=4)
     with pytest.raises(ValueError, match="seq_noise"):
         generate_synthetic(classes=2, per_class=5, u=2, r=3, t_max=4, seq_noise=1.5)
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="attr_noise must be a finite number"):
+            generate_synthetic(classes=2, per_class=5, u=2, r=3, t_max=4, attr_noise=noise)
 
 
 def test_encode_triplets_shares_encoding():

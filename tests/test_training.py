@@ -262,8 +262,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="w_p"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("entry", [[0.0, 1.0], {"data": [0.0]}, {"shape": 4}],
-                             ids=["list", "no-shape", "scalar-shape"])
+    @pytest.mark.parametrize("entry", [
+        [0.0, 1.0], {"data": [0.0]}, {"shape": 4},
+        {"shape": [4], "data": [[0.5]] * 4}, {"shape": [4], "data": [10**400] * 4},
+    ], ids=["list", "no-shape", "scalar-shape", "nested-data", "huge-int-data"])
     def test_malformed_tensor_entry(self, tmp_path, entry):
         import json
 
@@ -304,6 +306,25 @@ class TestCheckpoint:
                 env["tensors"][name]["shape"] = list(shape)
         path.write_text(json.dumps(env))
         match = "has shape" if stored_shapes == "kept" else "carries 16 values"
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("block, key, value, match", [
+        ("meta", "class_ids", ["a"], "class_ids must be integers"),
+        ("config", "m", 10**5, "two tensors per layer, m=100000"),
+        (None, "tensors", 5, "'tensors' must be an object"),
+    ], ids=["string-class-id", "m-beyond-stored-tensors", "tensors-not-object"])
+    def test_malformed_envelope_is_corrupt(self, tmp_path, block, key, value, match):
+        # m sizes the layout's loop, so a file with fewer tensors than m is
+        # refused before the layout is built
+        import json
+
+        cfg, meta = tiny_cfg(), tiny_meta()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(random_params(cfg, meta), cfg, meta, path)
+        env = json.loads(path.read_text())
+        (env if block is None else env[block])[key] = value
+        path.write_text(json.dumps(env))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
