@@ -5,13 +5,12 @@ Exit codes: 0 success, 1 usage, 2 I/O or data format, 3 training failure,
 by `data.read_json_object` and fails with its own code and one line naming
 the file: a config 1, a sidecar 2, a checkpoint or manifest 5. Every command
 takes ``--config path`` pointing at a JSON object mirroring its flags (dashes
-or underscores); explicit flags override the file. Seeds are always explicit,
-never wall-clock.
+or underscores), required flags included; explicit flags override the file.
+Seeds are always explicit, never wall-clock.
 """
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .data import (
     sidecar_path,
     split_by_class,
     standardize_attributes,
+    write_json,
     write_jsonl,
     write_meta,
 )
@@ -62,20 +62,31 @@ GRADCHECK_TOLERANCE = 1e-4
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, config=None, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, config=None, probe=False, **kwargs):
+        super().__init__(*args, add_help=not probe, **kwargs)
         self.config = config  # the --config file whose entries this parser reads
+        if probe:  # the probe only looks for --config; -h is left to the full parse
+            self.add_argument("-h", "--help", action="store_true")
 
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        if self.config:  # a bad entry in the file: one line, no usage
-            raise ValueError(f"config {self.config}: {message}")
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    def error(self, message):  # a usage problem: one line and exit 1, not argparse's 2
+        raise ValueError(f"config {self.config}: {message}" if self.config else message)
 
 
 def _fail(message: str, code: int) -> int:
     print(f"attrseq: error: {message}", file=sys.stderr)
     return code
+
+
+def positive_int(text) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_ints(text) -> list:
+    """argparse type of --sweep-triplets: comma-separated integers >= 1."""
+    return [positive_int(count) for count in text.split(",")]
 
 
 # (flag, kwargs) specs per command; every dest is the flag without its
@@ -96,31 +107,39 @@ _GEN_ARGS = [
 ]
 
 _MODEL_ARGS = [
-    ("--fc-depth", dict(type=int, default=3)),
-    ("--fc-width", dict(type=int, default=50)),
-    ("--lstm-width", dict(type=int, default=50)),
-    ("--embed-dim", dict(type=int, default=50)),
-    ("--activation", dict(choices=["tanh", "relu"], default="tanh")),
-    ("--branch-mode", dict(choices=list(BRANCH_MODES), default="both")),
+    ("--fc-depth", dict(type=int, default=ModelConfig.m)),
+    ("--fc-width", dict(type=int, default=ModelConfig.n_m)),
+    ("--lstm-width", dict(type=int, default=ModelConfig.n_l)),
+    ("--embed-dim", dict(type=int, default=ModelConfig.n)),
+    ("--activation", dict(choices=["tanh", "relu"], default=ModelConfig.activation)),
+    ("--branch-mode", dict(choices=list(BRANCH_MODES), default=ModelConfig.branch_mode)),
 ]
 
 _TRAINER_ARGS = [
-    ("--lr", dict(type=float, default=0.01)),
-    ("--epochs", dict(type=int, default=100)),
-    ("--margin", dict(type=float, default=1.0)),
-    ("--l2", dict(type=float, default=1e-4)),
-    ("--val-fraction", dict(type=float, default=0.2)),
-    ("--patience", dict(type=int, default=5)),
-    ("--converge-eps", dict(type=float, default=1e-4)),
+    ("--lr", dict(type=float, default=TrainConfig.lr)),
+    ("--epochs", dict(type=int, default=TrainConfig.max_epochs)),
+    ("--margin", dict(type=float, default=TrainConfig.margin)),
+    ("--l2", dict(type=float, default=TrainConfig.l2)),
+    ("--val-fraction", dict(type=float, default=TrainConfig.val_fraction)),
+    ("--patience", dict(type=int, default=TrainConfig.patience)),
+    ("--converge-eps", dict(type=float, default=TrainConfig.converge_eps)),
+    ("--distance", dict(choices=list(DISTANCE_KINDS), default=TrainConfig.distance)),
+    ("--grad-mode", dict(choices=list(GRAD_MODES), default=TrainConfig.grad_mode)),
 ]
+
+# Each checkpoint `train` key that is a training setting, which is also its
+# flag's dest, and the TrainConfig field it sets.
+_TRAIN_SETTINGS = {
+    "lr": "lr", "epochs": "max_epochs", "margin": "margin", "l2": "l2",
+    "val_fraction": "val_fraction", "patience": "patience", "converge_eps": "converge_eps",
+    "distance": "distance", "grad_mode": "grad_mode",
+}
 
 _TRAIN_ARGS = [
     ("--data", dict(required=True)),
     ("--triplets", dict(type=int, default=1000)),
     ("--positive-fraction", dict(type=float, default=0.5)),
     ("--train-fraction", dict(type=float, default=0.6)),
-    ("--distance", dict(choices=list(DISTANCE_KINDS), default="euclidean")),
-    ("--grad-mode", dict(choices=list(GRAD_MODES), default="exact")),
     ("--seed", dict(type=int, required=True)),
     *_MODEL_ARGS,
     *_TRAINER_ARGS,
@@ -130,9 +149,9 @@ _TRAIN_ARGS = [
 ]
 
 _GRADCHECK_ARGS = [
-    ("--trials", dict(type=int, default=20)),
+    ("--trials", dict(type=positive_int, default=20)),
     ("--seed", dict(type=int, required=True)),
-    ("--grad-mode", dict(choices=list(GRAD_MODES), default="exact")),
+    ("--grad-mode", dict(choices=list(GRAD_MODES), default=TrainConfig.grad_mode)),
     ("--step", dict(type=float, default=1e-5)),
 ]
 
@@ -141,12 +160,12 @@ _EVAL_ARGS = [
     ("--data", dict(required=True)),
     ("--manifest", dict(required=True)),
     ("--g", dict(type=int, default=None, help="episode way; default: all one-shot classes")),
-    ("--queries", dict(type=int, default=2000)),
-    ("--runs", dict(type=int, default=10)),
+    ("--queries", dict(type=positive_int, default=2000)),
+    ("--runs", dict(type=positive_int, default=10)),
     ("--seed", dict(type=int, required=True)),
     ("--distance", dict(choices=list(DISTANCE_KINDS), default=None,
                         help="default: the distance recorded in the checkpoint")),
-    ("--sweep-triplets", dict(default=None,
+    ("--sweep-triplets", dict(type=positive_ints, default=None,
                               help="comma-separated counts; retrain at each and emit a curve")),
     ("--out-json", dict(default="eval.json")),
     ("--out-csv", dict(default="eval.csv")),
@@ -159,9 +178,13 @@ _EMBED_ARGS = [
 ]
 
 
-def build_parser(config=None) -> _Parser:
-    parser = _Parser(prog="attrseq", description=__doc__.splitlines()[0], config=config)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser(config=None, probe=False) -> _Parser:
+    """The CLI's parser; `config` names the --config file spliced into the
+    argv it parses. A `probe` parser requires nothing and ignores -h: it only
+    finds the --config file, so a required flag may come from that file."""
+    parser = _Parser(prog="attrseq", description=__doc__.splitlines()[0], config=config,
+                     probe=probe)
+    sub = parser.add_subparsers(dest="command", required=not probe, parser_class=_Parser)
     for name, specs, runner in (
         ("gen", _GEN_ARGS, cmd_gen),
         ("train", _TRAIN_ARGS, cmd_train),
@@ -169,9 +192,9 @@ def build_parser(config=None) -> _Parser:
         ("eval", _EVAL_ARGS, cmd_eval),
         ("embed", _EMBED_ARGS, cmd_embed),
     ):
-        sp = sub.add_parser(name, config=config)
+        sp = sub.add_parser(name, config=config, probe=probe)
         for flag, kwargs in specs + _COMMON:
-            sp.add_argument(flag, **kwargs)
+            sp.add_argument(flag, **((kwargs | {"required": False}) if probe else kwargs))
         sp.set_defaults(func=runner)
     return parser
 
@@ -183,7 +206,7 @@ def _config_argv(args, argv) -> list:
     tokens = []
     for key, value in read_json_object(args.config, ValueError, "config").items():
         dest, where = key.replace("-", "_"), f"config {args.config}: key {key!r}"
-        if dest not in vars(args) or dest in ("command", "func"):
+        if dest not in vars(args) or dest in ("command", "func", "help"):
             raise ValueError(f"{where} is not a flag of this command")
         flag = "--" + dest.replace("_", "-")
         if isinstance(getattr(args, dest), bool):  # a store_true switch
@@ -199,10 +222,12 @@ def _config_argv(args, argv) -> list:
 
 
 def _parse(argv):
-    args = build_parser().parse_args(argv)
-    if args.config:
-        args = build_parser(args.config).parse_args(_config_argv(args, argv))
-    return args
+    """Parse argv, with the entries of its --config file spliced in; required
+    flags are enforced only on the spliced argv."""
+    probe = build_parser(probe=True).parse_args(argv)
+    if getattr(probe, "config", None):
+        return build_parser(probe.config).parse_args(_config_argv(probe, argv))
+    return build_parser().parse_args(argv)
 
 
 def cmd_gen(args) -> int:
@@ -226,46 +251,44 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _fit(records, count, positive_fraction, meta, cfg, settings, rng):
+    """The training recipe of `train` and of each `eval --sweep-triplets`
+    count: `count` triplets sampled from `records`, fresh parameters and SGD
+    under `settings`, each from its own labeled child stream of `rng`.
+    Returns (trained params, report)."""
+    triplets = sample_triplets(records, count, rng.child("triplets"),
+                               positive_fraction=positive_fraction)
+    encoded = encode_triplets(triplets, meta)
+    params = init_params(cfg, meta, rng.child("init"))
+    return train(params, cfg, encoded, dataclasses.replace(settings, seed=rng.child("train").seed))
+
+
 def cmd_train(args) -> int:
     records, meta = load_jsonl(args.data)
     rng = Rng(args.seed)
     train_records, oneshot_records = split_by_class(records, args.train_fraction, rng.child("split"))
-    triplets = sample_triplets(train_records, args.triplets, rng.child("triplets"),
-                               positive_fraction=args.positive_fraction)
-    encoded = encode_triplets(triplets, meta)
     cfg = ModelConfig(m=args.fc_depth, n_m=args.fc_width, n_l=args.lstm_width,
                       n=args.embed_dim, activation=args.activation,
                       branch_mode=args.branch_mode)
-    params = init_params(cfg, meta, rng.child("init"))
-    tcfg = TrainConfig(
-        lr=args.lr, max_epochs=args.epochs, converge_eps=args.converge_eps,
-        margin=args.margin, l2=args.l2, val_fraction=args.val_fraction,
-        patience=args.patience, distance=args.distance, grad_mode=args.grad_mode,
-        seed=rng.child("train").seed,
-    )
-    trained, report = train(params, cfg, encoded, tcfg)
+    stored = {key: getattr(args, key) for key in _TRAIN_SETTINGS}  # in the checkpoint too
+    settings = TrainConfig(**{field: stored[key] for key, field in _TRAIN_SETTINGS.items()})
+    trained, report = _fit(train_records, args.triplets, args.positive_fraction, meta, cfg,
+                           settings, rng)
 
     train_info = {
-        "distance": args.distance, "grad_mode": args.grad_mode,
-        "triplets": args.triplets, "positive_fraction": args.positive_fraction,
-        "lr": args.lr, "epochs": args.epochs, "margin": args.margin,
-        "l2": args.l2, "val_fraction": args.val_fraction,
-        "patience": args.patience, "converge_eps": args.converge_eps,
+        **stored, "triplets": args.triplets, "positive_fraction": args.positive_fraction,
         "seed": args.seed, "train_fraction": args.train_fraction,
         "stop_reason": report.stop_reason, "best_epoch": report.best_epoch,
     }
     save_checkpoint(trained, cfg, meta, args.checkpoint, train_info=train_info)
     write_metrics(report, args.metrics)
-    manifest = {
+    write_json({
         "train_classes": sorted({rec.label for rec in train_records}),
         "oneshot_classes": sorted({rec.label for rec in oneshot_records}),
         "train_fraction": args.train_fraction,
         "seed": args.seed,
         "data": Path(args.data).name,
-    }
-    with open(args.manifest, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    }, args.manifest)
     print(
         f"trained {report.n_train}+{report.n_val} triplets "
         f"(distance={args.distance}, grad_mode={args.grad_mode}), "
@@ -277,8 +300,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        return _fail(f"--trials must be >= 1, got {args.trials}", EXIT_USAGE)
     suite = gradcheck_suite(trials=args.trials, seed=args.seed, mode=args.grad_mode,
                             step=args.step, tolerance=GRADCHECK_TOLERANCE)
     worst = suite["worst"]
@@ -318,10 +339,6 @@ def _load_manifest(path):
 
 
 def cmd_eval(args) -> int:
-    if args.queries < 1:
-        return _fail(f"--queries must be >= 1, got {args.queries}", EXIT_USAGE)
-    if args.runs < 1:
-        return _fail(f"--runs must be >= 1, got {args.runs}", EXIT_USAGE)
     params, cfg, ckpt_meta, train_info = load_checkpoint(args.checkpoint)
     records, data_meta = load_jsonl(args.data)
     manifest = _load_manifest(args.manifest)
@@ -334,7 +351,7 @@ def cmd_eval(args) -> int:
             f"classes {sorted(data_meta.class_ids)}"
         )
     oneshot_classes = set(manifest["oneshot_classes"])
-    kind = args.distance or train_info.get("distance", "euclidean")
+    kind = args.distance or train_info.get("distance", TrainConfig.distance)
     if kind not in DISTANCE_KINDS:  # a flag is checked by argparse, so this came from the file
         raise CheckpointError(f"checkpoint {args.checkpoint}: unknown training distance {kind!r}")
     g = args.g if args.g is not None else len(oneshot_classes)
@@ -346,10 +363,7 @@ def cmd_eval(args) -> int:
                            manifest, pool, kind, g)
 
     report = evaluate(params, cfg, kind, pool, g, args.queries, args.runs, args.seed)
-    payload = report.to_dict()
-    with open(args.out_json, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(report.to_dict(), args.out_json)
     with open(args.out_csv, "w") as fh:
         fh.write("g,queries,runs,distance,median,p25,p75\n")
         fh.write(f"{g},{args.queries},{args.runs},{kind},"
@@ -361,44 +375,23 @@ def cmd_eval(args) -> int:
 
 def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
                 pool, kind, g) -> int:
-    try:
-        counts = [int(x) for x in str(args.sweep_triplets).split(",") if x.strip()]
-    except ValueError:
-        return _fail(f"--sweep-triplets must be comma-separated integers, "
-                     f"got {args.sweep_triplets!r}", EXIT_USAGE)
-    if not counts or any(c < 1 for c in counts):
-        return _fail(f"--sweep-triplets needs positive counts, got {args.sweep_triplets!r}",
-                     EXIT_USAGE)
     train_classes = set(manifest["train_classes"])
     train_records = [rec for rec in records if rec.label in train_classes]
-    # the checkpoint's training settings, checked once before any retraining
+    # the checkpoint's training settings, checked once before any retraining;
+    # a setting it lacks keeps TrainConfig's default, and eval's distance wins
     positive_fraction = train_info.get("positive_fraction", 0.5)
+    stored = {field: train_info[key] for key, field in _TRAIN_SETTINGS.items() if key in train_info}
     try:
         if not is_number(positive_fraction) or not 0 <= positive_fraction <= 1:
             raise ValueError(f"positive_fraction must be in [0, 1], got {positive_fraction!r}")
-        settings = TrainConfig(
-            lr=train_info.get("lr", 0.01),
-            max_epochs=train_info.get("epochs", 100),
-            converge_eps=train_info.get("converge_eps", 1e-4),
-            margin=train_info.get("margin", 1.0),
-            l2=train_info.get("l2", 1e-4),
-            val_fraction=train_info.get("val_fraction", 0.2),
-            patience=train_info.get("patience", 5),
-            distance=kind,
-            grad_mode=train_info.get("grad_mode", "exact"),
-        )
+        settings = TrainConfig(**(stored | {"distance": kind}))
     except ValueError as e:
         raise CheckpointError(f"checkpoint {args.checkpoint}: unusable train settings: {e}") from None
     rng = Rng(args.seed)
     rows = []
-    for count in counts:
+    for count in args.sweep_triplets:
         crng = rng.child(f"sweep{count}")
-        triplets = sample_triplets(train_records, count, crng.child("triplets"),
-                                   positive_fraction=positive_fraction)
-        encoded = encode_triplets(triplets, ckpt_meta)
-        fresh = init_params(cfg, ckpt_meta, crng.child("init"))
-        tcfg = dataclasses.replace(settings, seed=crng.child("train").seed)
-        trained, _ = train(fresh, cfg, encoded, tcfg)
+        trained, _ = _fit(train_records, count, positive_fraction, ckpt_meta, cfg, settings, crng)
         report = evaluate(trained, cfg, kind, pool, g, args.queries, args.runs,
                           crng.child("eval").seed)
         rows.append((count, report))
@@ -409,10 +402,7 @@ def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
         fh.write("triplets,median,p25,p75\n")
         for count, report in rows:
             fh.write(f"{count},{report.median!r},{report.p25!r},{report.p75!r}\n")
-    payload = [{"triplets": count, **report.to_dict()} for count, report in rows]
-    with open(args.out_json, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json([{"triplets": count, **report.to_dict()} for count, report in rows], args.out_json)
     return EXIT_OK
 
 
@@ -437,18 +427,11 @@ def cmd_embed(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = _parse(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else EXIT_OK
-    except OSError as e:
-        return _fail(f"cannot read config: {e}", EXIT_IO)
-    except ValueError as e:
-        return _fail(str(e), EXIT_USAGE)
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except SystemExit as e:  # -h printed the help
+        return int(e.code) if e.code else EXIT_OK
     except DataFormatError as e:
         return _fail(str(e), EXIT_IO)
     except (CheckpointError, ShapeMismatchError) as e:

@@ -94,7 +94,7 @@ def is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _finite_numbers(values) -> bool:
+def all_finite_numbers(values) -> bool:
     """True when every value is a JSON number that is finite as a float64."""
     try:
         return all(
@@ -120,6 +120,14 @@ def read_json_object(path, error, what):
     return obj
 
 
+def write_json(obj, path):
+    """Write `obj` to `path` as JSON with sorted keys, compact separators and
+    a final newline: the one writer of the checkpoint, manifest and eval
+    outputs, mirroring `read_json_object`."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _read_records(path):
     """Parse JSONL into records, returning (records, line_numbers)."""
     records, line_nos = [], []
@@ -136,7 +144,7 @@ def _read_records(path):
             if not isinstance(obj, dict):
                 raise DataFormatError(f"line {ln}: expected a JSON object")
             attrs = obj.get("attrs")
-            if not isinstance(attrs, list) or not attrs or not _finite_numbers(attrs):
+            if not isinstance(attrs, list) or not attrs or not all_finite_numbers(attrs):
                 raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of finite numbers")
             if u is None:
                 u = len(attrs)

@@ -156,7 +156,6 @@ class ForwardTrace:
     alphas: list  # fully connected activations [input, a_1, .., a_m]
     lstm: LstmTrace
     concat: np.ndarray  # gated (a_m ++ h_last), length n_m + n_l
-    fused_pre: np.ndarray  # fusion pre-activation, (n,)
     embedding: np.ndarray  # (n,)
 
 
@@ -281,20 +280,19 @@ def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
 
 def _fuse(params: ModelParams, cfg: ModelConfig, a_m, h_last):
     """Fusion layer over one instance or a batch; returns
-    (concat, pre-activation, embedding). A disabled branch (branch_mode) is
+    (concat, embedding). A disabled branch (branch_mode) is
     zeroed in the fusion input, so the embedding shape never changes."""
     ga, gs = branch_gates(cfg.branch_mode)
     concat = np.concatenate([ga * a_m, gs * h_last], axis=-1)
-    fused_pre = concat @ params.w_p.T + params.b_p
-    return concat, fused_pre, activation(cfg.activation)(fused_pre)
+    return concat, activation(cfg.activation)(concat @ params.w_p.T + params.b_p)
 
 
 def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):
     """Full encoder pass over one instance; returns (embedding, trace)."""
     a_m, alphas = fc_forward(params, inst.attributes, cfg.activation)
     h_last, lstm = lstm_forward(params, inst.seq, inst.true_len)
-    concat, fused_pre, embedding = _fuse(params, cfg, a_m, h_last)
-    return embedding, ForwardTrace(alphas, lstm, concat, fused_pre, embedding)
+    concat, embedding = _fuse(params, cfg, a_m, h_last)
+    return embedding, ForwardTrace(alphas, lstm, concat, embedding)
 
 
 def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndarray:
@@ -338,5 +336,5 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
             ids[:inst.true_len, k] = inst.seq[:inst.true_len]
         a_m = fc_forward(params, attrs, cfg.activation)[0]
         h_last = lstm_batch(params, ids, chunk_lengths, buffers)[0]
-        out[rows] = _fuse(params, cfg, a_m, h_last)[2][:len(rows)]
+        out[rows] = _fuse(params, cfg, a_m, h_last)[1][:len(rows)]
     return out

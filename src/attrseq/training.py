@@ -9,14 +9,14 @@ Early stopping watches the mean validation loss per epoch, and the
 parameters returned are those of the best validation epoch.
 """
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import DatasetMeta, is_integer, is_json_int, is_number, read_json_object
+from .data import (DatasetMeta, all_finite_numbers, is_integer, is_json_int, is_number,
+                   read_json_object, write_json)
 from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
 from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
 from .gradients import pair_loss  # noqa: F401  (bench/tracer.py wraps it here)
@@ -195,12 +195,9 @@ def write_metrics(report: TrainReport, path):
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, path, train_info=None):
     """Self-describing JSON checkpoint; tensor round-trips are bitwise exact."""
-    envelope = {
+    write_json({
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "m": cfg.m, "n_m": cfg.n_m, "n_l": cfg.n_l, "n": cfg.n,
-            "activation": cfg.activation, "branch_mode": cfg.branch_mode,
-        },
+        "config": asdict(cfg),
         "meta": {
             "u": meta.u, "r": meta.r, "t_max": meta.t_max,
             "class_ids": sorted(meta.class_ids),
@@ -210,14 +207,25 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, pa
             name: {"shape": list(t.shape), "data": [float(x) for x in t.reshape(-1)]}
             for name, t in params.tensors().items()
         },
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+    }, path)
+
+
+def _header_block(envelope, name, cls) -> dict:
+    """The fields of dataclass `cls` stored in the checkpoint block `name`;
+    a missing block or field raises ValueError naming it."""
+    block = envelope.get(name)
+    if not isinstance(block, dict):
+        raise ValueError(f"{name} must be an object, got {type(block).__name__}")
+    keys = [f.name for f in fields(cls)]
+    if missing := [key for key in keys if key not in block]:
+        raise ValueError(f"{name} lacks {', '.join(missing)}")
+    return {key: block[key] for key in keys}
 
 
 def load_checkpoint(path):
     """Returns (params, cfg, meta, train_info); raises CheckpointError on
-    version or shape problems and on non-numeric or non-finite tensor values."""
+    version or shape problems, on a missing header field and on tensor data
+    that is not a flat list of finite numbers."""
     envelope = read_json_object(path, CheckpointError, "corrupt checkpoint")
     if "version" not in envelope:
         raise CheckpointError(f"corrupt checkpoint {path}: missing envelope fields")
@@ -226,18 +234,15 @@ def load_checkpoint(path):
             f"unsupported checkpoint version {envelope['version']} (expected {CHECKPOINT_VERSION})"
         )
     try:
-        c = envelope["config"]
-        cfg = ModelConfig(m=c["m"], n_m=c["n_m"], n_l=c["n_l"], n=c["n"],
-                          activation=c["activation"], branch_mode=c["branch_mode"])
-        mt = envelope["meta"]
+        cfg = ModelConfig(**_header_block(envelope, "config", ModelConfig))
+        mt = _header_block(envelope, "meta", DatasetMeta)
         if not all(is_json_int(k) for k in mt["class_ids"]):
             raise ValueError(f"meta.class_ids must be integers, got {mt['class_ids']!r}")
-        meta = DatasetMeta(u=mt["u"], r=mt["r"], t_max=mt["t_max"],
-                           class_ids=frozenset(mt["class_ids"]))
-        stored = envelope["tensors"]
+        meta = DatasetMeta(**{**mt, "class_ids": frozenset(mt["class_ids"])})
+        stored = envelope.get("tensors")
         if not isinstance(stored, dict) or len(stored) < cfg.m:  # before param_shapes loops m times
             raise ValueError(f"'tensors' must be an object with two tensors per layer, m={cfg.m}")
-    except (KeyError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
     train_info = envelope.get("train", {})
     if not isinstance(train_info, dict):
@@ -246,31 +251,30 @@ def load_checkpoint(path):
     # every stored tensor is checked against the layout before the store is
     # allocated, so the store never holds more values than the file does
     shapes = param_shapes(cfg, meta)
-    values = {}
     for name, shape in shapes.items():
         if name not in stored:
             raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {name}")
         try:
-            stored_shape = tuple(stored[name]["shape"])
-            data = np.asarray(stored[name]["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            stored_shape, data = tuple(stored[name]["shape"]), stored[name]["data"]
+        except (KeyError, TypeError) as e:
             raise CheckpointError(f"corrupt checkpoint {path}: tensor {name}: {e!r}") from None
         if stored_shape != shape:
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} has shape "
                 f"{list(stored_shape)}, expected {list(shape)}"
             )
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"corrupt checkpoint {path}: tensor {name} holds non-finite values")
-        if data.shape != (math.prod(shape),):
+        if not (isinstance(data, list) and all_finite_numbers(data)):
             raise CheckpointError(
-                f"corrupt checkpoint {path}: tensor {name} carries {data.size} values "
-                f"for shape {list(shape)} as a list of shape {list(data.shape)}"
+                f"corrupt checkpoint {path}: tensor {name} data must be a flat list of finite numbers"
             )
-        values[name] = data
+        if len(data) != math.prod(shape):
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: tensor {name} carries {len(data)} values "
+                f"for shape {list(shape)}"
+            )
     params = ModelParams(shapes)
-    for name, data in values.items():
-        params[name] = data.reshape(shapes[name])
+    for name, shape in shapes.items():
+        params[name] = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
     return params, cfg, meta, train_info
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from attrseq.cli import main
-from attrseq.training import load_checkpoint
+from attrseq.training import TrainConfig, load_checkpoint
 
 
 def run(*argv):
@@ -172,6 +173,33 @@ class TestTrain:
         assert info["distance"] == "euclidean"  # flag beats file
         assert info["triplets"] == 12  # file beats default
 
+    def test_required_flags_from_config(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        ckpt, _, _ = train_small(tmp_path, data)
+        cfg_file = tmp_path / "train.json"
+        cfg_file.write_text(json.dumps({
+            "data": str(data), "seed": 3, "triplets": 12, "fc_depth": 1, "fc_width": 4,
+            "lstm_width": 4, "embed_dim": 4, "epochs": 2, "checkpoint": str(tmp_path / "c.json"),
+            "metrics": str(tmp_path / "m.csv"), "manifest": str(tmp_path / "man.json"),
+        }))
+        assert run("train", "--config", cfg_file) == 0
+        assert (tmp_path / "c.json").read_bytes() == ckpt.read_bytes()
+        capsys.readouterr()
+        # a required flag that neither the file nor argv gives
+        cfg_file.write_text(json.dumps({"data": str(data)}))
+        assert run("train", "--config", cfg_file) == 1
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --seed" in err
+        assert err.startswith("attrseq: error:") and len(err.splitlines()) == 1, err
+
+    def test_missing_config_file_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert run("gen", "--seed", 0, "--out", tmp_path / "x.jsonl", "--config", missing) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attrseq: error:") and len(err.splitlines()) == 1, err
+        assert str(missing) in err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_config_unknown_key_is_usage_error(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
         cfg_file = tmp_path / "bad.json"
@@ -293,6 +321,34 @@ class TestEval:
         assert lines[0] == "g,queries,runs,distance,median,p25,p75"
         assert len(lines) == 2
 
+    def test_required_flags_from_config(self, tmp_path):
+        data, ckpt, manifest = self.setup_artifacts(tmp_path)
+        common = ["--g", 2, "--queries", 10, "--runs", 3]
+        assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,
+                   "--seed", 5, *common, "--out-json", tmp_path / "flags.json",
+                   "--out-csv", tmp_path / "flags.csv") == 0
+        cfg_file = tmp_path / "eval_config.json"
+        cfg_file.write_text(json.dumps({"checkpoint": str(ckpt), "data": str(data),
+                                        "manifest": str(manifest), "seed": 5}))
+        assert run("eval", "--config", cfg_file, *common, "--out-json", tmp_path / "file.json",
+                   "--out-csv", tmp_path / "file.csv") == 0
+        for ext in ("json", "csv"):
+            assert (tmp_path / f"file.{ext}").read_bytes() == (tmp_path / f"flags.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--runs", "0"], "argument --runs: must be >= 1, got 0"),
+        (["--sweep-triplets", "0,5"], "argument --sweep-triplets: must be >= 1, got 0"),
+        (["--sweep-triplets", ""], "argument --sweep-triplets: invalid positive_ints value: ''"),
+    ], ids=["zero-runs", "zero-count", "empty-counts"])
+    def test_bad_count_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
+        # refused while parsing, before any input is read
+        out = tmp_path / "out"
+        assert run("eval", "--checkpoint", tmp_path / "c.json", "--data", tmp_path / "d.jsonl",
+                   "--manifest", tmp_path / "m.json", "--seed", 5, *flags,
+                   "--out-json", out, "--out-csv", out) == 1
+        assert capsys.readouterr().err == f"attrseq: error: {message}\n"
+        assert not out.exists()
+
     def test_zero_queries_usage_error(self, tmp_path):
         data, ckpt, manifest = self.setup_artifacts(tmp_path)
         assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,
@@ -358,6 +414,51 @@ class TestEval:
         data, ckpt, manifest = self.setup_artifacts(tmp_path)
         assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,
                    "--seed", 5, "--sweep-triplets", "ten") == 1
+
+
+    @staticmethod
+    def spy_on_train(monkeypatch):
+        """The TrainConfig of every `cli.train` call from now on, in call order."""
+        import attrseq.cli as cli_mod
+
+        seen, real_train = [], cli_mod.train
+
+        def spy(params, cfg, triplets, tcfg):
+            seen.append(tcfg)
+            return real_train(params, cfg, triplets, tcfg)
+
+        monkeypatch.setattr(cli_mod, "train", spy)
+        return seen
+
+    def test_sweep_retrains_with_the_train_settings(self, tmp_path, monkeypatch):
+        seen = self.spy_on_train(monkeypatch)
+        data = gen_dataset(tmp_path, classes=6, per_class=10)
+        ckpt, _, manifest = train_small(
+            tmp_path, data, lr=0.02, margin=0.5, l2=0, val_fraction=0.3, patience=1,
+            converge_eps=0, distance="manhattan", grad_mode="paper-literal", activation="relu")
+        (trained,) = seen
+        defaults = TrainConfig()
+        assert all(getattr(trained, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+        assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,
+                   "--g", 2, "--queries", 4, "--runs", 1, "--seed", 5, "--sweep-triplets", "6,8",
+                   "--out-csv", tmp_path / "s.csv", "--out-json", tmp_path / "s.json") == 0
+        assert len(seen) == 3
+        for swept in seen[1:]:
+            assert swept.seed != trained.seed
+            assert dataclasses.replace(swept, seed=trained.seed) == trained
+
+    def test_sweep_without_train_settings_uses_defaults(self, tmp_path, monkeypatch):
+        data, ckpt, manifest = self.setup_artifacts(tmp_path)
+        envelope = json.loads(ckpt.read_text())
+        envelope["train"] = {}
+        ckpt.write_text(json.dumps(envelope))
+        seen = self.spy_on_train(monkeypatch)
+        assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,
+                   "--g", 2, "--queries", 4, "--runs", 1, "--seed", 5, "--sweep-triplets", "4",
+                   "--out-csv", tmp_path / "s.csv", "--out-json", tmp_path / "s.json") == 0
+        (swept,) = seen
+        assert dataclasses.replace(swept, seed=0) == TrainConfig()
 
 
 class TestEmbed:
@@ -510,6 +611,18 @@ def test_bad_tensor_value_exit_5(tmp_path, capsys, command, bad_value):
         argv = ["embed", "--checkpoint", ckpt, "--data", data, "--out", out]
     assert run(*argv) == 5
     assert "tensor b_p" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_checkpoint_header_key_is_named(tmp_path, capsys):
+    demo = Path(__file__).resolve().parents[1] / "demo_run"
+    envelope = json.loads((demo / "model.json").read_text())
+    del envelope["meta"]["t_max"]
+    ckpt = tmp_path / "nokey.json"
+    ckpt.write_text(json.dumps(envelope))
+    out = tmp_path / "emb.csv"
+    assert run("embed", "--checkpoint", ckpt, "--data", demo / "data.jsonl", "--out", out) == 5
+    assert capsys.readouterr().err == f"attrseq: error: corrupt checkpoint {ckpt}: meta lacks t_max\n"
     assert not out.exists()
 
 

@@ -265,7 +265,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("entry", [
         [0.0, 1.0], {"data": [0.0]}, {"shape": 4},
         {"shape": [4], "data": [[0.5]] * 4}, {"shape": [4], "data": [10**400] * 4},
-    ], ids=["list", "no-shape", "scalar-shape", "nested-data", "huge-int-data"])
+        {"shape": [4], "data": [True] * 4},
+    ], ids=["list", "no-shape", "scalar-shape", "nested-data", "huge-int-data", "bool-data"])
     def test_malformed_tensor_entry(self, tmp_path, entry):
         import json
 
