@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .data import (
+    POSITIVE_FRACTION,
     DataFormatError,
     DatasetMeta,
     encode,
@@ -66,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, add_help=not probe, **kwargs)
         self.config = config  # the --config file whose entries this parser reads
         if probe:  # the probe only looks for --config; -h is left to the full parse
-            self.add_argument("-h", "--help", action="store_true")
+            self.add_argument("-h", "--help", action="store_true", default=argparse.SUPPRESS)
 
     def error(self, message):  # a usage problem: one line and exit 1, not argparse's 2
         raise ValueError(f"config {self.config}: {message}" if self.config else message)
@@ -85,8 +86,11 @@ def positive_int(text) -> int:
 
 
 def positive_ints(text) -> list:
-    """argparse type of --sweep-triplets: comma-separated integers >= 1."""
-    return [positive_int(count) for count in text.split(",")]
+    """argparse type of --sweep-triplets: distinct comma-separated integers >= 1."""
+    counts = [positive_int(count) for count in text.split(",")]
+    if len(set(counts)) < len(counts):
+        raise argparse.ArgumentTypeError(f"repeats a count: {text}")
+    return counts
 
 
 # (flag, kwargs) specs per command; every dest is the flag without its
@@ -138,7 +142,7 @@ _TRAIN_SETTINGS = {
 _TRAIN_ARGS = [
     ("--data", dict(required=True)),
     ("--triplets", dict(type=int, default=1000)),
-    ("--positive-fraction", dict(type=float, default=0.5)),
+    ("--positive-fraction", dict(type=float, default=POSITIVE_FRACTION)),
     ("--train-fraction", dict(type=float, default=0.6)),
     ("--seed", dict(type=int, required=True)),
     *_MODEL_ARGS,
@@ -206,7 +210,7 @@ def _config_argv(args, argv) -> list:
     tokens = []
     for key, value in read_json_object(args.config, ValueError, "config").items():
         dest, where = key.replace("-", "_"), f"config {args.config}: key {key!r}"
-        if dest not in vars(args) or dest in ("command", "func", "help"):
+        if dest not in vars(args) or dest in ("command", "func"):
             raise ValueError(f"{where} is not a flag of this command")
         flag = "--" + dest.replace("_", "-")
         if isinstance(getattr(args, dest), bool):  # a store_true switch
@@ -223,9 +227,9 @@ def _config_argv(args, argv) -> list:
 
 def _parse(argv):
     """Parse argv, with the entries of its --config file spliced in; required
-    flags are enforced only on the spliced argv."""
+    flags are enforced only on the spliced argv. With -h the file is not read."""
     probe = build_parser(probe=True).parse_args(argv)
-    if getattr(probe, "config", None):
+    if getattr(probe, "config", None) and not hasattr(probe, "help"):
         return build_parser(probe.config).parse_args(_config_argv(probe, argv))
     return build_parser().parse_args(argv)
 
@@ -379,7 +383,7 @@ def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
     train_records = [rec for rec in records if rec.label in train_classes]
     # the checkpoint's training settings, checked once before any retraining;
     # a setting it lacks keeps TrainConfig's default, and eval's distance wins
-    positive_fraction = train_info.get("positive_fraction", 0.5)
+    positive_fraction = train_info.get("positive_fraction", POSITIVE_FRACTION)
     stored = {field: train_info[key] for key, field in _TRAIN_SETTINGS.items() if key in train_info}
     try:
         if not is_number(positive_fraction) or not 0 <= positive_fraction <= 1:
@@ -410,12 +414,10 @@ def cmd_embed(args) -> int:
     params, cfg, ckpt_meta, _ = load_checkpoint(args.checkpoint)
     records = read_records(args.data)
     header = "label," + ",".join(f"e{k}" for k in range(cfg.n))
-    instances = []
-    for rec in records:
-        try:
-            instances.append(encode(rec, ckpt_meta))
-        except ValueError as e:
-            raise ShapeMismatchError(f"record does not fit checkpoint encoding: {e}") from None
+    try:
+        instances = [encode(rec, ckpt_meta) for rec in records]
+    except ValueError as e:
+        raise ShapeMismatchError(f"record does not fit checkpoint encoding: {e}") from None
     lines = [header]
     for rec, emb in zip(records, embed_instances(params, cfg, instances)):
         label = "" if rec.label is None else str(rec.label)

@@ -25,6 +25,8 @@ from .kernel import Rng
 # item id or dimension is a format error, not an attempt to allocate terabytes.
 MAX_ONE_HOT_CELLS = 2**22
 
+POSITIVE_FRACTION = 0.5  # the share of same-class pairs `sample_triplets` draws by default
+
 
 class DataFormatError(ValueError):
     """Malformed dataset content; the message names the offending line."""
@@ -284,7 +286,7 @@ def split_by_class(records, train_fraction: float, rng: Rng):
     return train, oneshot
 
 
-def sample_triplets(records, n_triplets: int, rng: Rng, positive_fraction: float = 0.5):
+def sample_triplets(records, n_triplets: int, rng: Rng, positive_fraction: float = POSITIVE_FRACTION):
     """Draw labeled pairs: ell=0 for same-class, ell=1 for different-class.
 
     Positives and negatives are balanced to within one triplet by default;

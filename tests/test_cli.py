@@ -200,6 +200,16 @@ class TestTrain:
         assert str(missing) in err
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("before", [["train"], ["-h", "train"]], ids=["command", "top"])
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    def test_help_does_not_read_config(self, tmp_path, capsys, before, content):
+        cfg_file = tmp_path / "c.json"
+        if content is not None:
+            cfg_file.write_text(content)
+        assert run(*before, "--config", cfg_file, *(["-h"] if before == ["train"] else [])) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: attrseq") and err == ""
+
     def test_config_unknown_key_is_usage_error(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
         cfg_file = tmp_path / "bad.json"
@@ -339,7 +349,8 @@ class TestEval:
         (["--runs", "0"], "argument --runs: must be >= 1, got 0"),
         (["--sweep-triplets", "0,5"], "argument --sweep-triplets: must be >= 1, got 0"),
         (["--sweep-triplets", ""], "argument --sweep-triplets: invalid positive_ints value: ''"),
-    ], ids=["zero-runs", "zero-count", "empty-counts"])
+        (["--sweep-triplets", "20,20"], "argument --sweep-triplets: repeats a count: 20,20"),
+    ], ids=["zero-runs", "zero-count", "empty-counts", "repeated-count"])
     def test_bad_count_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
         # refused while parsing, before any input is read
         out = tmp_path / "out"
