@@ -31,6 +31,7 @@ from .data import (
     sidecar_path,
     split_by_class,
     standardize_attributes,
+    write_csv,
     write_json,
     write_jsonl,
     write_meta,
@@ -39,7 +40,7 @@ from .encoder import BRANCH_MODES, ModelConfig, embed_instances, init_params
 from .encoder import omega_forward  # noqa: F401  (bench/tracer.py wraps it here)
 from .episodes import evaluate
 from .gradients import DISTANCE_KINDS, GRAD_MODES, gradcheck_suite
-from .kernel import Rng
+from .kernel import ACTIVATIONS, Rng
 from .training import (
     CheckpointError,
     ShapeMismatchError,
@@ -115,7 +116,7 @@ _MODEL_ARGS = [
     ("--fc-width", dict(type=int, default=ModelConfig.n_m)),
     ("--lstm-width", dict(type=int, default=ModelConfig.n_l)),
     ("--embed-dim", dict(type=int, default=ModelConfig.n)),
-    ("--activation", dict(choices=["tanh", "relu"], default=ModelConfig.activation)),
+    ("--activation", dict(choices=list(ACTIVATIONS), default=ModelConfig.activation)),
     ("--branch-mode", dict(choices=list(BRANCH_MODES), default=ModelConfig.branch_mode)),
 ]
 
@@ -368,10 +369,8 @@ def cmd_eval(args) -> int:
 
     report = evaluate(params, cfg, kind, pool, g, args.queries, args.runs, args.seed)
     write_json(report.to_dict(), args.out_json)
-    with open(args.out_csv, "w") as fh:
-        fh.write("g,queries,runs,distance,median,p25,p75\n")
-        fh.write(f"{g},{args.queries},{args.runs},{kind},"
-                 f"{report.median!r},{report.p25!r},{report.p75!r}\n")
+    write_csv(args.out_csv, ["g", "queries", "runs", "distance", "median", "p25", "p75"],
+              [(g, args.queries, args.runs, kind, report.median, report.p25, report.p75)])
     print(f"eval g={g} queries={args.queries} runs={args.runs} distance={kind}: "
           f"median={report.median:.4f} p25={report.p25:.4f} p75={report.p75:.4f}")
     return EXIT_OK
@@ -402,10 +401,8 @@ def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
         print(f"sweep triplets={count}: median={report.median:.4f} "
               f"p25={report.p25:.4f} p75={report.p75:.4f}")
 
-    with open(args.out_csv, "w") as fh:
-        fh.write("triplets,median,p25,p75\n")
-        for count, report in rows:
-            fh.write(f"{count},{report.median!r},{report.p25!r},{report.p75!r}\n")
+    write_csv(args.out_csv, ["triplets", "median", "p25", "p75"],
+              [(count, report.median, report.p25, report.p75) for count, report in rows])
     write_json([{"triplets": count, **report.to_dict()} for count, report in rows], args.out_json)
     return EXIT_OK
 
@@ -413,17 +410,13 @@ def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
 def cmd_embed(args) -> int:
     params, cfg, ckpt_meta, _ = load_checkpoint(args.checkpoint)
     records = read_records(args.data)
-    header = "label," + ",".join(f"e{k}" for k in range(cfg.n))
     try:
         instances = [encode(rec, ckpt_meta) for rec in records]
     except ValueError as e:
         raise ShapeMismatchError(f"record does not fit checkpoint encoding: {e}") from None
-    lines = [header]
-    for rec, emb in zip(records, embed_instances(params, cfg, instances)):
-        label = "" if rec.label is None else str(rec.label)
-        lines.append(label + "," + ",".join(repr(float(x)) for x in emb))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(args.out, ["label", *(f"e{k}" for k in range(cfg.n))],
+              [("" if rec.label is None else rec.label, *emb)
+               for rec, emb in zip(records, embed_instances(params, cfg, instances).tolist())])
     print(f"wrote {len(records)} embeddings of width {cfg.n} to {args.out}")
     return EXIT_OK
 

@@ -130,6 +130,15 @@ def write_json(obj, path):
         fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def write_csv(path, header, rows):
+    """Write the `header` names and then each row as one comma-separated
+    line: strings verbatim, numbers by `repr`, so every float reads back
+    bit for bit. The one writer of the metrics, eval and embedding CSVs."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
+
+
 def _read_records(path):
     """Parse JSONL into records, returning (records, line_numbers)."""
     records, line_nos = [], []
@@ -210,14 +219,12 @@ def load_jsonl(path):
         raise DataFormatError(
             f"sidecar t_max={t_max} is below the observed maximum length {obs_t_max}"
         )
-    if t_max * r > MAX_ONE_HOT_CELLS:
-        raise DataFormatError(
-            f"sidecar {sc}: one-hot size t_max*r = {t_max}*{r} exceeds the limit of "
-            f"{MAX_ONE_HOT_CELLS} cells"
-        )
-
     class_ids = frozenset(rec.label for rec in records if rec.label is not None)
-    return records, DatasetMeta(u=u, r=r, t_max=t_max, class_ids=class_ids)
+    try:  # the sidecar's values are the only ones that can break the meta's limits here
+        meta = DatasetMeta(u=u, r=r, t_max=t_max, class_ids=class_ids)
+    except ValueError as e:
+        raise DataFormatError(f"sidecar {sc}: {e}") from None
+    return records, meta
 
 
 def write_jsonl(records, path):

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetMeta, EncodedInstance, is_integer
-from .kernel import Rng, activation, glorot_bound, orthogonal_init, sigmoid, uniform_init
+from .kernel import (ACTIVATIONS, Rng, activation, glorot_bound, orthogonal_init, sigmoid,
+                     uniform_init)
 
 BRANCH_MODES = ("both", "attributes_only", "sequence_only")
 GATES = "ifoc"  # LSTM input, forget, output gates and cell candidate
@@ -37,6 +38,10 @@ GATES = "ifoc"  # LSTM input, forget, output gates and cell candidate
 # traces. On a 2-vCPU Xeon with one BLAS thread, evaluation ran no faster at
 # 48 or 64, and its peak memory grew by 0.8 or 1.4 MiB.
 EMBED_CHUNK = 32
+# The most values one parameter store holds, 128 MiB of float64. Training
+# keeps at least five stores of one layout, so a layout beyond this (an item
+# alphabet of millions sizes the LSTM kernels) is refused before allocation.
+MAX_PARAM_CELLS = 2**24
 
 
 @dataclass
@@ -53,7 +58,7 @@ class ModelConfig:
             raise ValueError(f"all model dimensions must be integers, got {self}")
         if min(self.m, self.n_m, self.n_l, self.n) < 1:
             raise ValueError(f"all model dimensions must be >= 1, got {self}")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.branch_mode not in BRANCH_MODES:
             raise ValueError(f"branch_mode must be one of {BRANCH_MODES}, got {self.branch_mode!r}")
@@ -100,7 +105,11 @@ class ModelParams(Mapping):
 
     def __init__(self, shapes: dict):
         self.shapes = dict(shapes)
-        self.flat = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        cells = sum(math.prod(shape) for shape in self.shapes.values())
+        if cells > MAX_PARAM_CELLS:
+            raise ValueError(f"the parameters need {cells} values, above the limit of "
+                             f"{MAX_PARAM_CELLS} per store")
+        self.flat = np.zeros(cells)
         self._views, starts, offset = {}, {}, 0
         for name, shape in self.shapes.items():
             starts[name] = offset

@@ -13,13 +13,13 @@ pass over its query x support distance block, with values bitwise equal to
 `gradients.distance` pair by pair.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .encoder import embed_instances
 from .encoder import omega_forward  # noqa: F401  (bench/tracer.py wraps it here)
-from .gradients import DISTANCE_KINDS
+from .gradients import distance
 from .kernel import Rng
 
 
@@ -43,16 +43,7 @@ class EvalReport:
     p75: float
 
     def to_dict(self):
-        return {
-            "G": self.g,
-            "n_queries": self.n_queries,
-            "n_runs": self.n_runs,
-            "distance": self.distance,
-            "per_run": self.per_run,
-            "median": self.median,
-            "p25": self.p25,
-            "p75": self.p75,
-        }
+        return {("G" if key == "g" else key): value for key, value in asdict(self).items()}
 
 
 def group_by_class(pool) -> dict:
@@ -99,22 +90,13 @@ def classify(kind, support_embeddings, support_classes, query_embeddings) -> np.
     its nearest support embedding ((G, n), one row per entry of
     `support_classes`); exact distance ties go to the smaller class id.
 
-    Distances are bitwise those of `gradients.distance(kind, query, support)`:
-    the euclidean inner products go through one BLAS dot per pair, as
-    `np.dot` does for two vectors, and the manhattan sums reduce the same
-    contiguous rows.
+    The (Q, G) distance block is one `gradients.distance` call, so each
+    value is bitwise that of the query and support pair alone.
     """
     order = np.argsort(support_classes, kind="stable")  # argmin keeps the first of a tie
     classes = np.asarray(support_classes)[order]
     queries, supports = np.asarray(query_embeddings), np.asarray(support_embeddings)[order]
-    diff = queries[:, None, :] - supports[None, :, :]
-    if kind == "euclidean":
-        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]))[..., 0, 0]
-    elif kind == "manhattan":
-        dist = np.abs(diff).sum(axis=-1)
-    else:
-        raise ValueError(f"unknown distance kind {kind!r}, expected one of {DISTANCE_KINDS}")
-    return classes[np.argmin(dist, axis=1)]
+    return classes[np.argmin(distance(kind, queries[:, None, :], supports[None, :, :]), axis=1)]
 
 
 def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:

@@ -11,7 +11,7 @@ must agree to high relative precision wherever the loss is differentiable.
 import numpy as np
 
 from .data import DatasetMeta, encode
-from .kernel import Rng, activation_grad_from_output
+from .kernel import ACTIVATIONS, Rng, activation_grad_from_output
 from .encoder import (
     BRANCH_MODES,
     ModelConfig,
@@ -25,15 +25,21 @@ DISTANCE_KINDS = ("euclidean", "manhattan")
 GRAD_MODES = ("exact", "paper-literal")
 
 
-def distance(kind: str, p: np.ndarray, q: np.ndarray) -> float:
-    if p.shape != q.shape:
+def distance(kind: str, p: np.ndarray, q: np.ndarray):
+    """Distance over the last axis, broadcasting the others: a float for two
+    vectors, else an array ((Q, G) for (Q, 1, n) against (1, G, n)). Each
+    euclidean value is one row-by-column matmul, which numpy runs as the BLAS
+    dot of the two rows, so no value depends on the rows around it."""
+    if p.shape[-1:] != q.shape[-1:]:
         raise ValueError(f"distance shape mismatch: {p.shape} vs {q.shape}")
     diff = p - q
     if kind == "euclidean":
-        return float(np.sqrt(np.dot(diff, diff)))
-    if kind == "manhattan":
-        return float(np.abs(diff).sum())
-    raise ValueError(f"unknown distance kind {kind!r}, expected one of {DISTANCE_KINDS}")
+        d = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]))[..., 0, 0]
+    elif kind == "manhattan":
+        d = np.abs(diff).sum(axis=-1)
+    else:
+        raise ValueError(f"unknown distance kind {kind!r}, expected one of {DISTANCE_KINDS}")
+    return float(d) if d.ndim == 0 else d
 
 
 def contrastive_loss(d: float, ell: int, margin: float) -> float:
@@ -282,7 +288,7 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
             n_m=int(gen.integers(2, 7)),
             n_l=int(gen.integers(2, 7)),
             n=int(gen.integers(2, 7)),
-            activation=("tanh", "relu")[(k // 4) % 2],
+            activation=list(ACTIVATIONS)[(k // 4) % len(ACTIVATIONS)],
             branch_mode=BRANCH_MODES[(k // 8) % 3],
         )
         meta = DatasetMeta(

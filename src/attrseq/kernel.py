@@ -55,14 +55,14 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-_ACTIVATIONS = {"tanh": np.tanh, "relu": relu}
+ACTIVATIONS = {"tanh": np.tanh, "relu": relu}  # the one list of activation names
 
 
 def activation(name: str):
     try:
-        return _ACTIVATIONS[name]
+        return ACTIVATIONS[name]
     except KeyError:
-        raise ValueError(f"unknown activation {name!r}, expected one of {sorted(_ACTIVATIONS)}")
+        raise ValueError(f"unknown activation {name!r}, expected one of {sorted(ACTIVATIONS)}")
 
 
 def activation_grad_from_output(name: str, out: np.ndarray) -> np.ndarray:

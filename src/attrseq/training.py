@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import (DatasetMeta, all_finite_numbers, is_integer, is_json_int, is_number,
-                   read_json_object, write_json)
+                   read_json_object, write_csv, write_json)
 from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
 from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
 from .gradients import pair_loss  # noqa: F401  (bench/tracer.py wraps it here)
@@ -181,16 +181,14 @@ def validation_loss(params, cfg, pairs, margin, kind) -> float:
     """Mean pair loss over held-out triplets, both sides of every pair
     embedded by the batched encoder."""
     emb = embed_instances(params, cfg, [t.a for t in pairs] + [t.b for t in pairs])
-    n = len(pairs)
-    return float(np.mean([contrastive_loss(distance(kind, emb[k], emb[n + k]), t.ell, margin)
-                          for k, t in enumerate(pairs)]))
+    d = distance(kind, emb[:len(pairs)], emb[len(pairs):]).tolist()
+    return float(np.mean([contrastive_loss(d_k, t.ell, margin) for d_k, t in zip(d, pairs)]))
 
 
 def write_metrics(report: TrainReport, path):
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for e, (tl, vl) in enumerate(zip(report.train_losses, report.val_losses), start=1):
-            fh.write(f"{e},{tl!r},{vl!r}\n")
+    write_csv(path, ["epoch", "train_loss", "val_loss"],
+              [(e, *losses) for e, losses in
+               enumerate(zip(report.train_losses, report.val_losses), start=1)])
 
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, path, train_info=None):
@@ -198,10 +196,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, meta: DatasetMeta, pa
     write_json({
         "version": CHECKPOINT_VERSION,
         "config": asdict(cfg),
-        "meta": {
-            "u": meta.u, "r": meta.r, "t_max": meta.t_max,
-            "class_ids": sorted(meta.class_ids),
-        },
+        "meta": {**asdict(meta), "class_ids": sorted(meta.class_ids)},
         "train": train_info or {},
         "tensors": {
             name: {"shape": list(t.shape), "data": [float(x) for x in t.reshape(-1)]}
@@ -272,7 +267,10 @@ def load_checkpoint(path):
                 f"corrupt checkpoint {path}: tensor {name} carries {len(data)} values "
                 f"for shape {list(shape)}"
             )
-    params = ModelParams(shapes)
+    try:
+        params = ModelParams(shapes)
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint {path}: {e}") from None
     for name, shape in shapes.items():
         params[name] = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
     return params, cfg, meta, train_info

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attrseq import encoder
 from attrseq.cli import main
 from attrseq.training import TrainConfig, load_checkpoint
 
@@ -267,6 +268,23 @@ class TestTrainFailure:
         assert "epoch 1" in err and "triplet" in err
 
 
+    def test_parameter_store_above_the_bound_exits_1(self, tmp_path, capsys):
+        # 8 records of one item each: t_max*r = 4,000,001 passes the one-hot
+        # limit, but the default model's LSTM kernels would hold 800 million values
+        data = tmp_path / "wide.jsonl"
+        data.write_text("".join(
+            '{"attrs":[%d,0.5,-1],"seq":[%d],"label":%d}\n' % (k, 4_000_000 if k == 5 else k, k % 4)
+            for k in range(8)))
+        ckpt = tmp_path / "c.json"
+        assert run("train", "--data", data, "--triplets", 10, "--seed", 1,
+                   "--checkpoint", ckpt, "--metrics", tmp_path / "m.csv",
+                   "--manifest", tmp_path / "man.json") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "need 800020750 values, above the limit of 16777216" in err
+        assert not ckpt.exists()
+
+
 class TestGradcheck:
     def test_default_pass(self, capsys):
         assert run("gradcheck", "--trials", 4, "--seed", 1) == 0
@@ -509,6 +527,18 @@ class TestEmbed:
         out = tmp_path / "emb.csv"
         assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out) == 5
         assert "one-hot size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_above_the_parameter_bound_exit_5(self, tmp_path, capsys, monkeypatch):
+        # a file above the real bound would hold over 16 million values, so
+        # the bound is lowered below the tiny checkpoint's 196
+        data = gen_dataset(tmp_path)
+        ckpt, _, _ = train_small(tmp_path, data)
+        monkeypatch.setattr(encoder, "MAX_PARAM_CELLS", 100)
+        out = tmp_path / "emb.csv"
+        assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out) == 5
+        assert f"checkpoint {ckpt}: the parameters need 196 values, above the limit of 100" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_checkpoint_config_beyond_stored_tensors_exit_5(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from attrseq.data import (
     sample_triplets,
     split_by_class,
     standardize_attributes,
+    write_csv,
     write_jsonl,
     write_meta,
 )
@@ -180,6 +182,22 @@ def test_meta_rejects_one_hot_beyond_limit():
     DatasetMeta(u=1, r=MAX_ONE_HOT_CELLS, t_max=1, class_ids=frozenset())
     with pytest.raises(ValueError, match="one-hot size"):
         DatasetMeta(u=1, r=MAX_ONE_HOT_CELLS // 2 + 1, t_max=2, class_ids=frozenset())
+
+
+def test_write_csv_strings_verbatim_numbers_read_back_bitwise(tmp_path):
+    floats = [0.1, -0.0, 1e-300, 5e-324, 2.5e-310, 1 / 3]  # two subnormals
+    p = tmp_path / "x.csv"
+    write_csv(p, ["label", "kind", "count", *(f"f{k}" for k in range(len(floats)))],
+              [("", "euclidean", 7, *floats), ("3", "x y", -2, *floats[::-1])])
+    lines = p.read_text().split("\n")
+    assert lines[0] == "label,kind,count,f0,f1,f2,f3,f4,f5" and lines[-1] == ""
+    for line, want in zip(lines[1:3], (floats, floats[::-1])):
+        cells = line.split(",")
+        assert cells[3:] == [repr(x) for x in want]
+        assert [struct.pack("<d", float(c)) for c in cells[3:]] == [
+            struct.pack("<d", x) for x in want]
+    assert lines[1].split(",")[:3] == ["", "euclidean", "7"]
+    assert lines[2].split(",")[:3] == ["3", "x y", "-2"]
 
 
 def test_write_then_load_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from attrseq.data import AttributedSequence, DatasetMeta, encode
 from attrseq.encoder import (
     BRANCH_MODES,
     EMBED_CHUNK,
+    MAX_PARAM_CELLS,
     LstmBuffers,
     ModelConfig,
     ModelParams,
@@ -461,6 +463,21 @@ class TestParamStore:
             assert np.array_equal(stacked, np.concatenate(gates))
         params.lstm_u[3:6] = -1.0  # the forget gate's rows
         assert np.all(params.u_f == -1.0) and not np.any(params.u_i == -1.0)
+
+    def test_store_above_the_cell_bound_is_refused_before_allocation(self):
+        # one item id of 4,000,000 passes the one-hot limit at t_max = 1, yet
+        # sizes the LSTM kernels at 800 million values
+        huge = param_shapes(ModelConfig(), DatasetMeta(u=3, r=4_000_001, t_max=1,
+                                                       class_ids=frozenset()))
+        tracemalloc.start()
+        try:
+            for shapes, cells in ((huge, 800_020_750), ({"w": (MAX_PARAM_CELLS + 1,)},
+                                                        MAX_PARAM_CELLS + 1)):
+                with pytest.raises(ValueError, match=f"need {cells} values, above the limit"):
+                    ModelParams(shapes)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_fresh_store_is_zero(self):
         shapes = param_shapes(tiny_cfg(), tiny_meta())

@@ -46,6 +46,43 @@ class TestDistance:
             distance("euclidean", np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="unknown distance"):
             distance("chebyshev", np.zeros(2), np.zeros(2))
+        for p, q in ((np.zeros((3, 2)), np.zeros((3, 3))), (np.zeros((2, 1, 4)), np.zeros(3))):
+            with pytest.raises(ValueError, match="mismatch"):
+                distance("manhattan", p, q)
+
+    @pytest.mark.parametrize("kind", DISTANCE_KINDS)
+    def test_rows_and_blocks_are_bitwise_the_pair_calls(self, kind):
+        # A (Q, G) block and an (N,) row of distances hold, bit for bit, the
+        # float each pair gives alone, which is the sqrt of np.dot or the sum
+        # of absolute differences; ties, identical pairs and zero rows included.
+        def bits(x):
+            return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+        def reference(p, q):
+            diff = p - q
+            return float(np.sqrt(np.dot(diff, diff)) if kind == "euclidean" else np.abs(diff).sum())
+
+        gen = np.random.default_rng(11)
+        for n in (1, 2, 3, 17, 50, 100):
+            queries, supports = gen.normal(size=(6, n)), gen.normal(size=(6, n))
+            queries[1] = 0.0
+            supports[2] = 0.0
+            supports[3] = queries[0]  # zero distance
+            # equally far in exact arithmetic: the last bit decides
+            supports[4] = queries[0] + gen.permutation(supports[0] - queries[0])
+            queries[2] = np.arange(n)
+            supports[1], supports[5] = queries[2].copy(), queries[2].copy()
+            supports[1][0] += 1.0
+            supports[5][-1] -= 1.0  # an exact tie at distance 1
+            pairs = [[distance(kind, p, s) for s in supports] for p in queries]
+            assert all(type(d) is float for row in pairs for d in row)
+            assert pairs == [[reference(p, s) for s in supports] for p in queries]
+            block = distance(kind, queries[:, None, :], supports[None, :, :])
+            assert block.shape == (6, 6) and np.array_equal(bits(block), bits(pairs))
+            rows = distance(kind, queries, supports)
+            assert rows.shape == (6,)
+            assert np.array_equal(bits(rows), bits([pairs[k][k] for k in range(6)]))
+            assert pairs[0][3] == pairs[1][2] == 0.0 and pairs[2][1] == pairs[2][5] == 1.0
 
 
 class TestLossAlgebra:

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -335,12 +338,27 @@ class TestCheckpoint:
         assert (tmp_path / "model.json").read_bytes() == (DEMO_RUN / "model.json").read_bytes()
 
     def test_fresh_default_checkpoint_bytes_are_pinned(self, tmp_path):
-        # init_params' draws and the checkpoint format, frozen as one digest
-        meta = DatasetMeta(u=10, r=12, t_max=15, class_ids=frozenset(range(10)))
+        # init_params' draws and the checkpoint format, frozen as one digest.
+        # The orthogonal init's QR goes through LAPACK, whose last bits depend
+        # on OpenBLAS's kernel, so the digest is taken under one named kernel
+        # (Haswell, which any AVX2 machine runs) with one BLAS thread.
         path = tmp_path / "init.json"
-        save_checkpoint(init_params(ModelConfig(), meta, Rng(0)), ModelConfig(), meta, path)
+        code = "\n".join([
+            "import sys",
+            "from attrseq.data import DatasetMeta",
+            "from attrseq.encoder import ModelConfig, init_params",
+            "from attrseq.kernel import Rng",
+            "from attrseq.training import save_checkpoint",
+            "meta = DatasetMeta(u=10, r=12, t_max=15, class_ids=frozenset(range(10)))",
+            "save_checkpoint(init_params(ModelConfig(), meta, Rng(0)), ModelConfig(), meta,",
+            "                sys.argv[1])",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "828b68c5f3d35bf84782cf122a52e8abd3132572f335a775c9d6151ae3204e56"
+        assert digest == "018c568e593bffb6ad3d9f5b8d881b36ede3507ac708049d5c5747d1fad41716"
 
     def test_meta_guard_rejects_wrong_u(self):
         ckpt_meta = DatasetMeta(u=5, r=4, t_max=6, class_ids=frozenset())
