@@ -22,7 +22,7 @@ from .data import (
     encode_labeled,
     encode_triplets,
     generate_synthetic,
-    is_json_int,
+    is_class_id,
     is_number,
     load_jsonl,
     read_json_object,
@@ -334,7 +334,7 @@ def _load_manifest(path):
     manifest = read_json_object(path, ShapeMismatchError, "manifest")
     for key in ("train_classes", "oneshot_classes"):
         classes = manifest.get(key)
-        if not isinstance(classes, list) or not all(is_json_int(c) for c in classes):
+        if not isinstance(classes, list) or not all(is_class_id(c) for c in classes):
             raise ShapeMismatchError(f"manifest {path}: {key!r} must be a list of integers, got {classes!r}")
     if not manifest["oneshot_classes"]:
         raise ShapeMismatchError(f"manifest {path}: 'oneshot_classes' is empty")

@@ -4,12 +4,22 @@ A record pairs a fixed-length attribute vector with a variable-length
 sequence of categorical item ids. The on-disk form is JSONL, one object per
 line: ``{"attrs": [...], "seq": [...], "label": 3}`` (label optional), with
 an optional sidecar ``<stem>.meta.json`` holding ``{"u":..,"r":..,"t_max":..}``
-overrides for the inferred dimensions. Encoded sequences stay item ids.
+overrides for the inferred dimensions. Beside a regular file it writes,
+`write_jsonl` also leaves ``<stem>.records.npz``, the parsed form of those
+records keyed by the SHA-256 of the file's bytes; a reader uses it in place
+of parsing only while the file still has those bytes, and the JSONL stays
+the one input format. Encoded sequences stay item ids.
 """
 
+import hashlib
 import json
 import math
 import numbers
+import os
+import stat
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +34,23 @@ from .kernel import Rng
 # beyond any alphabet this model trains on, and small enough that an absurd
 # item id or dimension is a format error, not an attempt to allocate terabytes.
 MAX_ONE_HOT_CELLS = 2**22
+
+# The companion's format version, arrays and dtypes. It stores 8 bytes per
+# JSON number (2 or more bytes in the JSONL), 17 per record and a fixed zip
+# overhead, so one above COMPANION_SIZE_FACTOR times its JSONL is not
+# `write_jsonl`'s and is refused unread.
+COMPANION_VERSION = 1
+COMPANION_ARRAYS = {
+    "version": np.int64, "digest": np.uint8, "attributes": np.float64, "items": np.int64,
+    "lengths": np.int64, "labels": np.int64, "labeled": np.bool_,
+}
+COMPANION_SIZE_FACTOR, COMPANION_SIZE_SLACK = 8, 2**16
+# What np.load raises on a damaged or hostile companion: truncated or
+# altered zip and npy structure (an npy header numpy cannot tokenize raises
+# TokenError), an unsupported compression or a header asking for more
+# memory than there is.
+_DAMAGED_COMPANION = (OSError, EOFError, ValueError, KeyError, MemoryError, NotImplementedError,
+                      RuntimeError, tokenize.TokenError, zipfile.BadZipFile, zlib.error)
 
 POSITIVE_FRACTION = 0.5  # the share of same-class pairs `sample_triplets` draws by default
 
@@ -80,9 +107,20 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
+def companion_path(path) -> Path:
+    return Path(path).with_suffix(".records.npz")
+
+
 def is_json_int(x) -> bool:
     """A JSON integer; booleans, although an int subclass, are not."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_class_id(x) -> bool:
+    """A JSON integer within int64: a dataset label, or a class id in a
+    manifest or checkpoint. Episodes hold class ids in numpy arrays, where a
+    larger one would turn into a float64 that other ids share."""
+    return is_json_int(x) and -(2**63) <= x < 2**63
 
 
 def is_integer(x) -> bool:
@@ -139,8 +177,66 @@ def write_csv(path, header, rows):
             fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
 
 
+def _sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(2**20), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _companion_ok(arrays) -> bool:
+    """The parser's acceptance rules, applied to a companion's arrays: at
+    least one record, one attribute width, finite attributes, sequences of
+    at least one non-negative item id, and one label slot per record."""
+    if any(arrays[key].dtype != dtype for key, dtype in COMPANION_ARRAYS.items()):
+        return False
+    attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
+    return (arrays["version"].shape == () and arrays["digest"].shape == (32,)
+            and attrs.ndim == 2 and attrs.size > 0 and items.ndim == 1
+            and lengths.shape == arrays["labels"].shape == arrays["labeled"].shape == (len(attrs),)
+            and bool(np.isfinite(attrs).all()) and bool((items >= 0).all())
+            and bool(((lengths >= 1) & (lengths <= items.size)).all())
+            and int(lengths.sum()) == items.size)
+
+
+def _read_companion(path):
+    """The (records, line_numbers) that `write_jsonl` stored beside `path`,
+    or None when the companion is missing, damaged, oversized, of another
+    version, outside the parser's rules or not of the file's current bytes;
+    the caller then parses the file."""
+    try:
+        st = os.stat(path)
+        if (not stat.S_ISREG(st.st_mode) or companion_path(path).stat().st_size
+                > COMPANION_SIZE_FACTOR * st.st_size + COMPANION_SIZE_SLACK):
+            return None
+        npz = np.load(companion_path(path), allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            return None
+        with npz:  # numpy reads no member to its end, so the CRCs are checked first
+            if npz.zip.testzip() is not None:
+                return None
+            arrays = {key: npz[key] for key in COMPANION_ARRAYS}
+        if (not _companion_ok(arrays) or int(arrays["version"]) != COMPANION_VERSION
+                or arrays["digest"].tobytes() != _sha256(path)):
+            return None
+    except _DAMAGED_COMPANION:
+        return None
+    records, start, items = [], 0, arrays["items"]
+    for row, n, label, labeled in zip(arrays["attributes"], arrays["lengths"].tolist(),
+                                      arrays["labels"].tolist(), arrays["labeled"].tolist()):
+        records.append(AttributedSequence(row, items[start:start + n].tolist(),
+                                          label if labeled else None))
+        start += n
+    return records, list(range(1, len(records) + 1))
+
+
 def _read_records(path):
-    """Parse JSONL into records, returning (records, line_numbers)."""
+    """Parse JSONL into records, returning (records, line_numbers); the
+    companion `write_jsonl` left beside `path` stands in for the parse while
+    it holds the parse of the file's current bytes."""
+    if (stored := _read_companion(path)) is not None:
+        return stored
     records, line_nos = [], []
     u = None
     with open(path, "rb") as fh:  # bytes, so undecodable text is reported by line
@@ -167,7 +263,7 @@ def _read_records(path):
             if not all(is_json_int(x) and x >= 0 for x in seq):
                 raise DataFormatError(f"line {ln}: sequence items must be non-negative integers")
             label = obj.get("label")
-            if label is not None and not is_json_int(label):
+            if label is not None and not is_class_id(label):
                 raise DataFormatError(f"line {ln}: label must be an integer")
             records.append(
                 AttributedSequence(np.asarray(attrs, dtype=np.float64), list(seq), label)
@@ -228,12 +324,47 @@ def load_jsonl(path):
 
 
 def write_jsonl(records, path):
-    with open(path, "w") as fh:
+    """Write records as JSONL and, when `path` is a regular file, their
+    companion ``<stem>.records.npz`` (see `_read_companion`). Records that
+    the companion cannot hold exactly, or that the parser would refuse,
+    get none. The file's bytes are hashed as they are written."""
+    encode_line = json.JSONEncoder(separators=(",", ":")).encode
+    digest = hashlib.sha256()
+    attrs, items, lengths, labels = [], [], [], []
+    with open(path, "wb") as fh:
         for rec in records:
-            obj = {"attrs": [float(x) for x in rec.attributes], "seq": [int(i) for i in rec.items]}
+            row = np.asarray(rec.attributes, dtype=np.float64)
+            seq = [int(i) for i in rec.items]
+            obj = {"attrs": row.tolist(), "seq": seq}
             if rec.label is not None:
                 obj["label"] = int(rec.label)
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            line = (encode_line(obj) + "\n").encode()
+            digest.update(line)
+            fh.write(line)
+            attrs.append(row)
+            items += seq
+            lengths.append(len(seq))
+            labels.append(obj.get("label"))
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    if not regular:  # a pipe or device: nothing to keep beside it
+        return
+    try:
+        items = np.array(items, dtype=np.int64)  # frees the list before the next array
+        arrays = {
+            "version": np.array(COMPANION_VERSION, dtype=np.int64),
+            "digest": np.frombuffer(digest.digest(), dtype=np.uint8),
+            "attributes": np.array(attrs, dtype=np.float64),
+            "items": items,
+            "lengths": np.array(lengths, dtype=np.int64),
+            "labels": np.array([0 if c is None else c for c in labels], dtype=np.int64),
+            "labeled": np.array([c is not None for c in labels], dtype=np.bool_),
+        }
+    except (ValueError, OverflowError):  # ragged attributes, an id or label beyond int64
+        arrays = None
+    if arrays is not None and _companion_ok(arrays):
+        np.savez(companion_path(path), **arrays)
+    else:  # a companion of earlier bytes would never match these, but is dead weight
+        companion_path(path).unlink(missing_ok=True)
 
 
 def write_meta(meta: DatasetMeta, path):

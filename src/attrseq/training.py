@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import (DatasetMeta, all_finite_numbers, is_integer, is_json_int, is_number,
+from .data import (DatasetMeta, all_finite_numbers, is_class_id, is_integer, is_number,
                    read_json_object, write_csv, write_json)
 from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
 from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
@@ -231,7 +231,7 @@ def load_checkpoint(path):
     try:
         cfg = ModelConfig(**_header_block(envelope, "config", ModelConfig))
         mt = _header_block(envelope, "meta", DatasetMeta)
-        if not all(is_json_int(k) for k in mt["class_ids"]):
+        if not all(is_class_id(k) for k in mt["class_ids"]):
             raise ValueError(f"meta.class_ids must be integers, got {mt['class_ids']!r}")
         meta = DatasetMeta(**{**mt, "class_ids": frozenset(mt["class_ids"])})
         stored = envelope.get("tensors")

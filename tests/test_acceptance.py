@@ -262,8 +262,8 @@ def test_criterion_7_determinism(tmp_path):
             "--runs", "4", "--seed", "29",
             "--out-json", str(root / "eval.json"), "--out-csv", str(root / "eval.csv"),
         ]) == 0
-        return ["data.jsonl", "data.meta.json", "ckpt.json", "metrics.csv",
-                "manifest.json", "eval.json", "eval.csv"]
+        return ["data.jsonl", "data.records.npz", "data.meta.json", "ckpt.json",
+                "metrics.csv", "manifest.json", "eval.json", "eval.csv"]
 
     files = pipeline(tmp_path / "run1")
     pipeline(tmp_path / "run2")

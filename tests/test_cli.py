@@ -120,7 +120,8 @@ class TestTrain:
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         assert run("train", "--data", tmp_path / "nope.jsonl", "--seed", 1) == 2
 
-    @pytest.mark.parametrize("edit", ["nan-attr", "bool-label", "bad-sidecar"])
+    @pytest.mark.parametrize("edit", ["nan-attr", "bool-label", "label-above-int64",
+                                      "bad-sidecar"])
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, edit):
         data = gen_dataset(tmp_path)
         if edit == "bad-sidecar":
@@ -131,7 +132,7 @@ class TestTrain:
             if edit == "nan-attr":
                 rec["attrs"][1] = float("nan")
             else:
-                rec["label"] = True
+                rec["label"] = True if edit == "bool-label" else 2**63
             lines[4] = json.dumps(rec)
             data.write_text("\n".join(lines) + "\n")
         assert run("train", "--data", data, "--triplets", 12, "--seed", 3,
@@ -390,8 +391,9 @@ class TestEval:
         assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", bad,
                    "--queries", 4, "--runs", 2, "--seed", 5) == 5
 
-    @pytest.mark.parametrize("classes", [3, "0,1", [0, "1"], [0, True], None],
-                             ids=["int", "string", "string-item", "bool-item", "null"])
+    @pytest.mark.parametrize("classes", [3, "0,1", [0, "1"], [0, True], None, [0, 2**63]],
+                             ids=["int", "string", "string-item", "bool-item", "null",
+                                  "item-above-int64"])
     def test_wrong_typed_manifest_exit_5(self, tmp_path, capsys, classes):
         data, ckpt, manifest = self.setup_artifacts(tmp_path)
         bad = tmp_path / "bad_manifest.json"

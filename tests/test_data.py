@@ -1,11 +1,18 @@
 import json
+import os
 import re
+import shutil
 import struct
+import threading
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attrseq.data import (
+    COMPANION_SIZE_FACTOR,
+    COMPANION_SIZE_SLACK,
     MAX_ONE_HOT_CELLS,
     AttributedSequence,
     DataFormatError,
@@ -24,7 +31,10 @@ from attrseq.data import (
     write_jsonl,
     write_meta,
 )
+from attrseq.data import _read_companion, _read_records, companion_path
 from attrseq.kernel import Rng
+
+DEMO_RUN = Path(__file__).resolve().parents[1] / "demo_run"
 
 
 def _write_lines(path, lines):
@@ -102,8 +112,10 @@ def test_load_jsonl_sidecar_overrides_upward(tmp_path):
     ('{"attrs":[0.1,true],"seq":[0],"label":0}', "finite numbers"),
     ('{"attrs":[0.1,0.2],"seq":[0,true],"label":0}', "non-negative integers"),
     ('{"attrs":[0.1,0.2],"seq":[0],"label":true}', "label must be an integer"),
+    ('{"attrs":[0.1,0.2],"seq":[0],"label":9223372036854775808}', "label must be an integer"),
+    ('{"attrs":[0.1,0.2],"seq":[0],"label":-9223372036854775809}', "label must be an integer"),
 ], ids=["nan", "infinity", "overflowing-float", "overflowing-int", "bool-attr",
-        "bool-item", "bool-label"])
+        "bool-item", "bool-label", "label-above-int64", "label-below-int64"])
 def test_load_jsonl_rejects_non_finite_and_boolean_values(tmp_path, line, message):
     p = tmp_path / "d.jsonl"
     _write_lines(p, ['{"attrs":[0.1,0.2],"seq":[1],"label":1}', line])
@@ -211,6 +223,211 @@ def test_write_then_load_round_trip(tmp_path):
     for a, b in zip(records, loaded):
         assert np.array_equal(a.attributes, b.attributes)
         assert a.items == b.items and a.label == b.label
+
+
+def _exact(result):
+    """(records, line numbers) in a form equal only for identical records:
+    attribute bits, the exact type of every item id and label."""
+    records, line_nos = result
+    return [(rec.attributes.dtype, rec.attributes.view(np.uint64).tolist(),
+             [(type(i), i) for i in rec.items], type(rec.label), rec.label)
+            for rec in records], line_nos
+
+
+def _parsed(path, tmp_path):
+    """`_read_records` of a copy of `path` that has no companion."""
+    plain = tmp_path / "parsed" / "plain.jsonl"
+    plain.parent.mkdir(exist_ok=True)
+    shutil.copyfile(path, plain)
+    return _read_records(plain)
+
+
+def _companion_arrays(path):
+    with np.load(companion_path(path), allow_pickle=False) as npz:
+        return {key: npz[key] for key in npz.files}
+
+
+class TestCompanion:
+    @staticmethod
+    def odd_values(tmp_path):
+        # zipfile checks a member's CRC at its end, which numpy reaches on a
+        # shifted header only through zipfile's 4 KiB read-ahead; 600 more
+        # records make the attributes 14 KiB, so a damaged one shows
+        records = [AttributedSequence(np.array([-0.0, 5e-324, 1e308]), [0, 7], 3),
+                   AttributedSequence(np.array([0.1, -2.5e-310, -1e308]), [2], None),
+                   AttributedSequence(np.array([1 / 3, 0.0, 2.0**-1074]), [1, 1, 0], -4),
+                   *generate_synthetic(classes=3, per_class=200, u=3, r=5, t_max=6, seed=4)]
+        p = tmp_path / "odd.jsonl"
+        write_jsonl(records, p)
+        return p
+
+    def test_demo_run_companion_is_the_parse(self, tmp_path):
+        stored = _read_companion(DEMO_RUN / "data.jsonl")
+        assert stored is not None
+        assert _exact(stored) == _exact(_parsed(DEMO_RUN / "data.jsonl", tmp_path))
+        assert stored[1] == list(range(1, 601))
+
+    def test_odd_floats_and_missing_labels_are_the_parse(self, tmp_path):
+        # -0.0, subnormals and 1e308 keep their bits; an unlabeled record reads None
+        p = self.odd_values(tmp_path)
+        stored = _read_companion(p)
+        assert stored is not None and stored[0][1].label is None
+        assert _exact(stored) == _exact(_parsed(p, tmp_path))
+
+    def test_unlabeled_dataset_is_the_parse(self, tmp_path):
+        records = generate_synthetic(classes=2, per_class=4, u=3, r=5, t_max=6, seed=2)
+        p = tmp_path / "d.jsonl"
+        write_jsonl([AttributedSequence(rec.attributes, rec.items) for rec in records], p)
+        stored = _read_companion(p)
+        assert stored is not None and all(rec.label is None for rec in stored[0])
+        assert _exact(stored) == _exact(_parsed(p, tmp_path))
+
+    def test_load_jsonl_through_the_companion_is_load_jsonl_parsing(self, tmp_path):
+        records = generate_synthetic(classes=3, per_class=5, u=4, r=6, t_max=8, seed=1)
+        p = tmp_path / "d.jsonl"
+        write_jsonl(records, p)
+        (tmp_path / "d.meta.json").write_text('{"r":9}')
+        plain = tmp_path / "parsed" / "d.jsonl"
+        plain.parent.mkdir()
+        shutil.copyfile(p, plain)
+        shutil.copyfile(tmp_path / "d.meta.json", plain.with_name("d.meta.json"))
+        (got, got_meta), (want, want_meta) = load_jsonl(p), load_jsonl(plain)
+        assert _read_companion(p) is not None and got_meta == want_meta
+        assert _exact((got, [])) == _exact((want, []))
+
+    def test_sidecar_error_names_the_same_line(self, tmp_path):
+        # line numbers from the companion are the file's
+        records = [AttributedSequence(np.array([0.5]), [k % 3], k) for k in range(5)]
+        records[3].items = [8]
+        p = tmp_path / "d.jsonl"
+        write_jsonl(records, p)
+        (tmp_path / "d.meta.json").write_text('{"r":5}')
+        assert _read_companion(p) is not None
+        with pytest.raises(DataFormatError, match="^line 4: item id 8 out of range for declared r=5$"):
+            load_jsonl(p)
+
+    @pytest.mark.parametrize("edit", ["byte", "valid-line", "invalid-line"])
+    def test_edited_jsonl_is_parsed(self, tmp_path, edit):
+        records = generate_synthetic(classes=3, per_class=5, u=4, r=6, t_max=8, seed=1)
+        p = tmp_path / "d.jsonl"
+        write_jsonl(records, p)
+        raw = p.read_bytes()
+        if edit == "byte":  # one attribute digit
+            at = raw.index(b".", 12) + 3
+            raw = raw[:at] + bytes([raw[at] ^ 1 if raw[at] != ord("9") else ord("8")]) + raw[at + 1:]
+        else:
+            raw += (b'{"attrs":[1,2,3,4],"seq":[5],"label":1}\n' if edit == "valid-line"
+                    else b'{"attrs":[1,2,3],"seq":[5],"label":1}\n')
+        p.write_bytes(raw)
+        assert _read_companion(p) is None
+        if edit == "invalid-line":
+            with pytest.raises(DataFormatError, match="^line 16: expected 4 attributes, got 3$"):
+                _read_records(p)
+            return
+        got = _read_records(p)
+        assert _exact(got) == _exact(_parsed(p, tmp_path))
+        assert len(got[0]) == (16 if edit == "valid-line" else 15)
+
+    def damaged(self, kind, p):
+        """Overwrite the companion of `p` with a damaged one of `kind`."""
+        cp, raw = companion_path(p), companion_path(p).read_bytes()
+        arrays = _companion_arrays(p)
+        if kind == "truncated":
+            cp.write_bytes(raw[: len(raw) // 2])
+        elif kind == "byte-flipped":
+            # the npy header length of the attributes: numpy alone would read
+            # shifted, finite values, since it never reaches the member's CRC
+            at = raw.index(b"{'descr': '<f8'") - 2
+            cp.write_bytes(raw[:at] + bytes([raw[at] ^ 0x20]) + raw[at + 1:])
+        elif kind == "payload-flipped":
+            at = raw.index(b"{'descr': '<f8'") + 128  # the second attribute
+            cp.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+        elif kind == "wrong-version":
+            np.savez(cp, **(arrays | {"version": np.array(2, dtype=np.int64)}))
+        elif kind == "missing-key":
+            np.savez(cp, **{k: v for k, v in arrays.items() if k != "labeled"})
+        elif kind == "object-dtype":
+            np.savez(cp, **(arrays | {"labels": arrays["labels"].astype(object)}))
+        elif kind == "non-finite":
+            attrs = arrays["attributes"].copy()
+            attrs[1, 0] = np.nan
+            np.savez(cp, **(arrays | {"attributes": attrs}))
+        elif kind == "lengths-mismatch":
+            lengths = arrays["lengths"].copy()
+            lengths[0] += 1
+            np.savez(cp, **(arrays | {"lengths": lengths}))
+        elif kind == "not-a-zip":
+            np.save(cp.with_suffix(".npy"), arrays["attributes"])
+            cp.with_suffix(".npy").rename(cp)
+        elif kind == "oversized":
+            # a well-formed companion with one more member, refused unread
+            limit = COMPANION_SIZE_FACTOR * p.stat().st_size + COMPANION_SIZE_SLACK
+            np.savez(cp, **arrays, padding=np.zeros(limit // 8, dtype=np.int64))
+        else:
+            raise AssertionError(kind)
+
+    @pytest.mark.parametrize("kind", [
+        "truncated", "byte-flipped", "payload-flipped", "wrong-version", "missing-key",
+        "object-dtype", "non-finite", "lengths-mismatch", "not-a-zip", "oversized"])
+    def test_unusable_companion_is_ignored(self, tmp_path, kind):
+        p = self.odd_values(tmp_path)
+        want = _exact(_parsed(p, tmp_path))
+        self.damaged(kind, p)
+        assert _read_companion(p) is None
+        assert _exact(_read_records(p)) == want
+        assert _exact((load_jsonl(p)[0], []))[0] == want[0]
+
+    def test_extra_member_within_the_size_limit_is_ignored(self, tmp_path):
+        # the control of the oversized case: only the size refuses it
+        p = self.odd_values(tmp_path)
+        want = _exact(_parsed(p, tmp_path))
+        np.savez(companion_path(p), **_companion_arrays(p), padding=np.zeros(4, dtype=np.int64))
+        assert _exact(_read_companion(p)) == want
+
+    def test_two_writes_give_identical_bytes(self, tmp_path):
+        records = generate_synthetic(classes=3, per_class=5, u=4, r=6, t_max=8, seed=1)
+        digests = []
+        for name in ("a.jsonl", "b.jsonl"):
+            write_jsonl(records, tmp_path / name)
+            digests.append(companion_path(tmp_path / name).read_bytes())
+        assert digests[0] == digests[1]
+        with zipfile.ZipFile(companion_path(tmp_path / "a.jsonl")) as zf:
+            assert sorted(zf.namelist()) == sorted(
+                f"{k}.npy" for k in ("version", "digest", "attributes", "items", "lengths",
+                                     "labels", "labeled"))
+
+    @pytest.mark.parametrize("records", [
+        [AttributedSequence(np.array([0.1, 0.2]), [1], 0),
+         AttributedSequence(np.array([0.1]), [1], 1)],
+        [AttributedSequence(np.array([0.1, np.inf]), [1], 0)],
+        [AttributedSequence(np.array([0.1]), [2**63], 0)],
+        [AttributedSequence(np.array([0.1]), [-1], 0)],
+        [AttributedSequence(np.array([0.1]), [], 0)],
+        [AttributedSequence(np.array([0.1]), [1], 2**63)],
+        [AttributedSequence(np.array([]), [1], 0)],
+        [],
+    ], ids=["ragged", "non-finite", "id-above-int64", "negative-id", "empty-sequence",
+            "label-above-int64", "no-attributes", "no-records"])
+    def test_records_the_companion_cannot_hold_get_none(self, tmp_path, records):
+        p = tmp_path / "d.jsonl"
+        write_jsonl([AttributedSequence(np.array([0.5]), [0], 0)], p)
+        assert companion_path(p).exists()
+        write_jsonl(records, p)  # the earlier companion goes too
+        assert not companion_path(p).exists()
+
+    def test_pipe_gets_the_bytes_and_no_companion(self, tmp_path):
+        records = generate_synthetic(classes=2, per_class=3, u=2, r=4, t_max=5, seed=3)
+        write_jsonl(records, tmp_path / "file.jsonl")
+        fifo = tmp_path / "pipe.jsonl"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_jsonl(records, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "file.jsonl").read_bytes()]
+        assert not companion_path(fifo).exists()
 
 
 def test_encode_keeps_item_ids():

@@ -4,9 +4,12 @@ Each example copies the demo_run/ dataset, sidecar, checkpoint and manifest
 and a small --config file into a fresh directory, mutates one of them
 (truncation, a flipped byte, a swapped JSON type, an inserted 1e400, huge
 integer or NaN token, or a dropped key) and runs the command that reads it.
+The dataset's companion ``data.records.npz`` is copied too, so a mutated
+dataset meets a companion of other bytes, as it would after an edit.
 The command must exit with a documented code (0-5); on failure it prints
-exactly one ``attrseq: error:`` line, and on success none of its output
-files holds a non-finite number. An exception escaping ``main`` (the
+exactly one ``attrseq: error:`` line, and on success none of its text
+output files holds a non-finite number and every companion it wrote reads
+back as the parse of its JSONL. An exception escaping ``main`` (the
 traceback a user would see) fails the test too.
 """
 
@@ -24,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from attrseq.cli import main
+from attrseq.data import _read_companion, _read_records, companion_path
 
 DEMO = Path(__file__).resolve().parents[1] / "demo_run"
 
@@ -89,6 +93,23 @@ def _non_finite_tokens(text: str) -> list:
             if tok.lower().lstrip("+-") in ("nan", "inf", "infinity")]
 
 
+def _assert_companion_is_the_parse(companion: Path, outputs) -> None:
+    """`companion` is the companion of one of `outputs` and reads back, bit
+    for bit, as the parse of that JSONL."""
+    (jsonl,) = [p for p in outputs if companion_path(p) == companion]
+    stored = _read_companion(jsonl)
+    assert stored is not None, companion.name
+    with tempfile.TemporaryDirectory() as tmp:
+        plain = Path(tmp) / "plain.jsonl"
+        shutil.copyfile(jsonl, plain)
+        parsed = _read_records(plain)
+    assert stored[1] == parsed[1]
+    for a, b in zip(stored[0], parsed[0], strict=True):
+        assert a.attributes.tobytes() == b.attributes.tobytes()
+        assert (a.items, a.label) == (b.items, b.label)
+        assert all(type(i) is int for i in a.items)
+
+
 def _run(work: Path, argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -108,7 +129,8 @@ def _run(work: Path, argv) -> tuple:
 def test_mutated_artifact_fails_cleanly(artifact, data):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name in ("data.jsonl", "data.meta.json", "model.json", "manifest.json"):
+        for name in ("data.jsonl", "data.records.npz", "data.meta.json", "model.json",
+                     "manifest.json"):
             shutil.copyfile(DEMO / name, work / name)
         (work / "gen.json").write_text(json.dumps(GEN_CONFIG))
         inputs = {p.name for p in work.iterdir()}
@@ -121,5 +143,9 @@ def test_mutated_artifact_fails_cleanly(artifact, data):
         if code:
             assert len(err.splitlines()) == 1 and err.startswith("attrseq: error:"), err
         else:
-            for out in sorted(p for p in work.iterdir() if p.name not in inputs):
-                assert not _non_finite_tokens(out.read_text()), out.name
+            outputs = sorted(p for p in work.iterdir() if p.name not in inputs)
+            for out in outputs:
+                if out.suffix == ".npz":  # binary: read through the reader instead
+                    _assert_companion_is_the_parse(out, outputs)
+                else:
+                    assert not _non_finite_tokens(out.read_text()), out.name

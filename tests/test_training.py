@@ -315,9 +315,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("block, key, value, match", [
         ("meta", "class_ids", ["a"], "class_ids must be integers"),
+        ("meta", "class_ids", [1, 2**63, 2**63 + 2], "class_ids must be integers"),
         ("config", "m", 10**5, "two tensors per layer, m=100000"),
         (None, "tensors", 5, "'tensors' must be an object"),
-    ], ids=["string-class-id", "m-beyond-stored-tensors", "tensors-not-object"])
+    ], ids=["string-class-id", "class-id-above-int64", "m-beyond-stored-tensors",
+            "tensors-not-object"])
     def test_malformed_envelope_is_corrupt(self, tmp_path, block, key, value, match):
         # m sizes the layout's loop, so a file with fewer tensors than m is
         # refused before the layout is built
