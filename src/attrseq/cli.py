@@ -164,7 +164,7 @@ _EVAL_ARGS = [
     ("--checkpoint", dict(required=True)),
     ("--data", dict(required=True)),
     ("--manifest", dict(required=True)),
-    ("--g", dict(type=int, default=None, help="episode way; default: all one-shot classes")),
+    ("--g", dict(type=positive_int, default=None, help="episode way; default: all one-shot classes")),
     ("--queries", dict(type=positive_int, default=2000)),
     ("--runs", dict(type=positive_int, default=10)),
     ("--seed", dict(type=int, required=True)),
@@ -261,10 +261,10 @@ def _fit(records, count, positive_fraction, meta, cfg, settings, rng):
     count: `count` triplets sampled from `records`, fresh parameters and SGD
     under `settings`, each from its own labeled child stream of `rng`.
     Returns (trained params, report)."""
+    params = init_params(cfg, meta, rng.child("init"))  # an oversized model fails before sampling
     triplets = sample_triplets(records, count, rng.child("triplets"),
                                positive_fraction=positive_fraction)
     encoded = encode_triplets(triplets, meta)
-    params = init_params(cfg, meta, rng.child("init"))
     return train(params, cfg, encoded, dataclasses.replace(settings, seed=rng.child("train").seed))
 
 

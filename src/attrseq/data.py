@@ -4,11 +4,12 @@ A record pairs a fixed-length attribute vector with a variable-length
 sequence of categorical item ids. The on-disk form is JSONL, one object per
 line: ``{"attrs": [...], "seq": [...], "label": 3}`` (label optional), with
 an optional sidecar ``<stem>.meta.json`` holding ``{"u":..,"r":..,"t_max":..}``
-overrides for the inferred dimensions. Beside a regular file it writes,
-`write_jsonl` also leaves ``<stem>.records.npz``, the parsed form of those
-records keyed by the SHA-256 of the file's bytes; a reader uses it in place
-of parsing only while the file still has those bytes, and the JSONL stays
-the one input format. Encoded sequences stay item ids.
+overrides for the inferred dimensions. `write_jsonl` refuses what the parser
+refuses, and beside a regular file of one or more records it also leaves
+``<stem>.records.npz``, their parsed form keyed by the SHA-256 of the file's
+bytes; a reader uses it in place of parsing only while the file still has
+those bytes, and the JSONL stays the one input format. Encoded sequences
+stay item ids.
 """
 
 import hashlib
@@ -185,19 +186,28 @@ def _sha256(path) -> bytes:
     return digest.digest()
 
 
-def _companion_ok(arrays) -> bool:
-    """The parser's acceptance rules, applied to a companion's arrays: at
-    least one record, one attribute width, finite attributes, sequences of
-    at least one non-negative item id, and one label slot per record."""
-    if any(arrays[key].dtype != dtype for key, dtype in COMPANION_ARRAYS.items()):
-        return False
+def _broken_rule(arrays):
+    """The first parser rule that the arrays of one or more records break, or None."""
     attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
-    return (arrays["version"].shape == () and arrays["digest"].shape == (32,)
-            and attrs.ndim == 2 and attrs.size > 0 and items.ndim == 1
-            and lengths.shape == arrays["labels"].shape == arrays["labeled"].shape == (len(attrs),)
-            and bool(np.isfinite(attrs).all()) and bool((items >= 0).all())
-            and bool(((lengths >= 1) & (lengths <= items.size)).all())
-            and int(lengths.sum()) == items.size)
+    rules = {
+        "attributes must be one non-empty vector per record": attrs.ndim == 2 and attrs.size > 0,
+        "every record needs one sequence length and one label slot":
+            lengths.shape == arrays["labels"].shape == arrays["labeled"].shape == attrs.shape[:1],
+        "attributes must be finite numbers": np.isfinite(attrs).all(),
+        "every sequence needs at least one item":
+            ((lengths >= 1) & (lengths <= items.size)).all() and int(lengths.sum()) == items.size,
+        "sequence items must be non-negative integers": items.ndim == 1 and (items >= 0).all(),
+    }
+    return next((rule for rule, ok in rules.items() if not ok), None)
+
+
+def _unpacked(arrays):
+    """(attribute row, item id list, label or None) of each record the arrays hold."""
+    start, items = 0, arrays["items"]
+    for row, n, label, labeled in zip(arrays["attributes"], arrays["lengths"].tolist(),
+                                      arrays["labels"].tolist(), arrays["labeled"].tolist()):
+        yield row, items[start:start + n].tolist(), label if labeled else None
+        start += n
 
 
 def _read_companion(path):
@@ -217,17 +227,14 @@ def _read_companion(path):
             if npz.zip.testzip() is not None:
                 return None
             arrays = {key: npz[key] for key in COMPANION_ARRAYS}
-        if (not _companion_ok(arrays) or int(arrays["version"]) != COMPANION_VERSION
+        if (any(arrays[key].dtype != dtype for key, dtype in COMPANION_ARRAYS.items())
+                or arrays["version"].shape != () or arrays["digest"].shape != (32,)
+                or int(arrays["version"]) != COMPANION_VERSION or _broken_rule(arrays)
                 or arrays["digest"].tobytes() != _sha256(path)):
             return None
     except _DAMAGED_COMPANION:
         return None
-    records, start, items = [], 0, arrays["items"]
-    for row, n, label, labeled in zip(arrays["attributes"], arrays["lengths"].tolist(),
-                                      arrays["labels"].tolist(), arrays["labeled"].tolist()):
-        records.append(AttributedSequence(row, items[start:start + n].tolist(),
-                                          label if labeled else None))
-        start += n
+    records = [AttributedSequence(*rec) for rec in _unpacked(arrays)]
     return records, list(range(1, len(records) + 1))
 
 
@@ -260,8 +267,8 @@ def _read_records(path):
             seq = obj.get("seq")
             if not isinstance(seq, list) or not seq:
                 raise DataFormatError(f"line {ln}: empty sequence")
-            if not all(is_json_int(x) and x >= 0 for x in seq):
-                raise DataFormatError(f"line {ln}: sequence items must be non-negative integers")
+            if not all(is_json_int(x) and 0 <= x < 2**63 for x in seq):
+                raise DataFormatError(f"line {ln}: sequence items must be non-negative integers below 2^63")
             label = obj.get("label")
             if label is not None and not is_class_id(label):
                 raise DataFormatError(f"line {ln}: label must be an integer")
@@ -324,45 +331,42 @@ def load_jsonl(path):
 
 
 def write_jsonl(records, path):
-    """Write records as JSONL and, when `path` is a regular file, their
-    companion ``<stem>.records.npz`` (see `_read_companion`). Records that
-    the companion cannot hold exactly, or that the parser would refuse,
-    get none. The file's bytes are hashed as they are written."""
-    encode_line = json.JSONEncoder(separators=(",", ":")).encode
-    digest = hashlib.sha256()
+    """Write records as JSONL and, to a regular file, the companion of one or
+    more (see `_read_companion`); records the parser would refuse raise
+    ValueError naming the rule before `path` is opened."""
     attrs, items, lengths, labels = [], [], [], []
+    for rec in records:
+        attrs.append(np.asarray(rec.attributes, dtype=np.float64))
+        items += rec.items
+        lengths.append(len(rec.items))
+        labels.append(rec.label)
+    if len({row.shape for row in attrs}) > 1:
+        raise ValueError("records must share one attribute width")
+    try:
+        items = np.array(items, dtype=np.int64)  # frees the list before the next array
+        arrays = {"attributes": np.array(attrs, dtype=np.float64), "items": items,
+                  "lengths": np.array(lengths, dtype=np.int64),
+                  "labels": np.array([0 if c is None else c for c in labels], dtype=np.int64),
+                  "labeled": np.array([c is not None for c in labels], dtype=np.bool_)}
+    except OverflowError:
+        raise ValueError("item ids and labels must lie within int64") from None
+    if lengths and (rule := _broken_rule(arrays)):
+        raise ValueError(rule)
+    encode_line = json.JSONEncoder(separators=(",", ":")).encode
+    digest = hashlib.sha256()  # of the bytes as they are written
     with open(path, "wb") as fh:
-        for rec in records:
-            row = np.asarray(rec.attributes, dtype=np.float64)
-            seq = [int(i) for i in rec.items]
+        for row, seq, label in _unpacked(arrays):
             obj = {"attrs": row.tolist(), "seq": seq}
-            if rec.label is not None:
-                obj["label"] = int(rec.label)
+            if label is not None:
+                obj["label"] = label
             line = (encode_line(obj) + "\n").encode()
             digest.update(line)
             fh.write(line)
-            attrs.append(row)
-            items += seq
-            lengths.append(len(seq))
-            labels.append(obj.get("label"))
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    if not regular:  # a pipe or device: nothing to keep beside it
-        return
-    try:
-        items = np.array(items, dtype=np.int64)  # frees the list before the next array
-        arrays = {
-            "version": np.array(COMPANION_VERSION, dtype=np.int64),
-            "digest": np.frombuffer(digest.digest(), dtype=np.uint8),
-            "attributes": np.array(attrs, dtype=np.float64),
-            "items": items,
-            "lengths": np.array(lengths, dtype=np.int64),
-            "labels": np.array([0 if c is None else c for c in labels], dtype=np.int64),
-            "labeled": np.array([c is not None for c in labels], dtype=np.bool_),
-        }
-    except (ValueError, OverflowError):  # ragged attributes, an id or label beyond int64
-        arrays = None
-    if arrays is not None and _companion_ok(arrays):
-        np.savez(companion_path(path), **arrays)
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or device: nothing beside it
+            return
+    if lengths:
+        np.savez(companion_path(path), version=np.array(COMPANION_VERSION, dtype=np.int64),
+                 digest=np.frombuffer(digest.digest(), dtype=np.uint8), **arrays)
     else:  # a companion of earlier bytes would never match these, but is dead weight
         companion_path(path).unlink(missing_ok=True)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attrseq import encoder
+from attrseq import cli, encoder
 from attrseq.cli import main
 from attrseq.training import TrainConfig, load_checkpoint
 
@@ -269,9 +269,14 @@ class TestTrainFailure:
         assert "epoch 1" in err and "triplet" in err
 
 
-    def test_parameter_store_above_the_bound_exits_1(self, tmp_path, capsys):
+    def test_parameter_store_above_the_bound_exits_1(self, tmp_path, capsys, monkeypatch):
         # 8 records of one item each: t_max*r = 4,000,001 passes the one-hot
-        # limit, but the default model's LSTM kernels would hold 800 million values
+        # limit, but the default model's LSTM kernels would hold 800 million
+        # values; the bound is met before any triplet is sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_triplets ran before the parameter bound")
+
+        monkeypatch.setattr(cli, "sample_triplets", refuse)
         data = tmp_path / "wide.jsonl"
         data.write_text("".join(
             '{"attrs":[%d,0.5,-1],"seq":[%d],"label":%d}\n' % (k, 4_000_000 if k == 5 else k, k % 4)
@@ -369,7 +374,8 @@ class TestEval:
         (["--sweep-triplets", "0,5"], "argument --sweep-triplets: must be >= 1, got 0"),
         (["--sweep-triplets", ""], "argument --sweep-triplets: invalid positive_ints value: ''"),
         (["--sweep-triplets", "20,20"], "argument --sweep-triplets: repeats a count: 20,20"),
-    ], ids=["zero-runs", "zero-count", "empty-counts", "repeated-count"])
+        (["--g", "0"], "argument --g: must be >= 1, got 0"),
+    ], ids=["zero-runs", "zero-count", "empty-counts", "repeated-count", "zero-g"])
     def test_bad_count_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
         # refused while parsing, before any input is read
         out = tmp_path / "out"

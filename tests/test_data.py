@@ -111,11 +111,12 @@ def test_load_jsonl_sidecar_overrides_upward(tmp_path):
     ('{"attrs":[0.1,1%s],"seq":[0],"label":0}' % ("0" * 400), "finite numbers"),
     ('{"attrs":[0.1,true],"seq":[0],"label":0}', "finite numbers"),
     ('{"attrs":[0.1,0.2],"seq":[0,true],"label":0}', "non-negative integers"),
+    ('{"attrs":[0.1,0.2],"seq":[9223372036854775808],"label":0}', "non-negative integers"),
     ('{"attrs":[0.1,0.2],"seq":[0],"label":true}', "label must be an integer"),
     ('{"attrs":[0.1,0.2],"seq":[0],"label":9223372036854775808}', "label must be an integer"),
     ('{"attrs":[0.1,0.2],"seq":[0],"label":-9223372036854775809}', "label must be an integer"),
 ], ids=["nan", "infinity", "overflowing-float", "overflowing-int", "bool-attr",
-        "bool-item", "bool-label", "label-above-int64", "label-below-int64"])
+        "bool-item", "item-above-int64", "bool-label", "label-above-int64", "label-below-int64"])
 def test_load_jsonl_rejects_non_finite_and_boolean_values(tmp_path, line, message):
     p = tmp_path / "d.jsonl"
     _write_lines(p, ['{"attrs":[0.1,0.2],"seq":[1],"label":1}', line])
@@ -396,24 +397,32 @@ class TestCompanion:
                 f"{k}.npy" for k in ("version", "digest", "attributes", "items", "lengths",
                                      "labels", "labeled"))
 
-    @pytest.mark.parametrize("records", [
-        [AttributedSequence(np.array([0.1, 0.2]), [1], 0),
-         AttributedSequence(np.array([0.1]), [1], 1)],
-        [AttributedSequence(np.array([0.1, np.inf]), [1], 0)],
-        [AttributedSequence(np.array([0.1]), [2**63], 0)],
-        [AttributedSequence(np.array([0.1]), [-1], 0)],
-        [AttributedSequence(np.array([0.1]), [], 0)],
-        [AttributedSequence(np.array([0.1]), [1], 2**63)],
-        [AttributedSequence(np.array([]), [1], 0)],
-        [],
+    @pytest.mark.parametrize("records, rule", [
+        ([AttributedSequence(np.array([0.1, 0.2]), [1], 0),
+          AttributedSequence(np.array([0.1]), [1], 1)], "records must share one attribute width"),
+        ([AttributedSequence(np.array([0.1, np.inf]), [1], 0)], "attributes must be finite numbers"),
+        ([AttributedSequence(np.array([0.1]), [2**63], 0)], "item ids and labels must lie within int64"),
+        ([AttributedSequence(np.array([0.1]), [-1], 0)], "sequence items must be non-negative integers"),
+        ([AttributedSequence(np.array([0.1]), [], 0)], "every sequence needs at least one item"),
+        ([AttributedSequence(np.array([0.1]), [1], 2**63)], "item ids and labels must lie within int64"),
+        ([AttributedSequence(np.array([]), [1], 0)], "attributes must be one non-empty vector per record"),
+        ([], None),
     ], ids=["ragged", "non-finite", "id-above-int64", "negative-id", "empty-sequence",
             "label-above-int64", "no-attributes", "no-records"])
-    def test_records_the_companion_cannot_hold_get_none(self, tmp_path, records):
+    def test_records_the_companion_cannot_hold_get_none(self, tmp_path, records, rule):
+        # records the parser would refuse are refused before the file is
+        # opened, so the earlier file and its companion stay; no records
+        # give an empty file, and the earlier companion goes
         p = tmp_path / "d.jsonl"
         write_jsonl([AttributedSequence(np.array([0.5]), [0], 0)], p)
-        assert companion_path(p).exists()
-        write_jsonl(records, p)  # the earlier companion goes too
-        assert not companion_path(p).exists()
+        earlier = p.read_bytes(), companion_path(p).read_bytes()
+        if rule is None:
+            write_jsonl(records, p)
+            assert p.read_bytes() == b"" and not companion_path(p).exists()
+            return
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            write_jsonl(records, p)
+        assert (p.read_bytes(), companion_path(p).read_bytes()) == earlier
 
     def test_pipe_gets_the_bytes_and_no_companion(self, tmp_path):
         records = generate_synthetic(classes=2, per_class=3, u=2, r=4, t_max=5, seed=3)

@@ -11,23 +11,36 @@ exactly one ``attrseq: error:`` line, and on success none of its text
 output files holds a non-finite number and every companion it wrote reads
 back as the parse of its JSONL. An exception escaping ``main`` (the
 traceback a user would see) fails the test too.
+
+`data.write_jsonl` is fuzzed with drawn record lists, odd ones included:
+what it writes reads back as those records, and what it refuses leaves the
+earlier file as it was.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from attrseq.cli import main
-from attrseq.data import _read_companion, _read_records, companion_path
+from attrseq.data import (
+    AttributedSequence,
+    _read_companion,
+    _read_records,
+    companion_path,
+    read_records,
+    write_jsonl,
+)
 
 DEMO = Path(__file__).resolve().parents[1] / "demo_run"
 
@@ -149,3 +162,65 @@ def test_mutated_artifact_fails_cleanly(artifact, data):
                     _assert_companion_is_the_parse(out, outputs)
                 else:
                     assert not _non_finite_tokens(out.read_text()), out.name
+
+
+# Item ids and labels on both sides of what the parser takes: ids in
+# [0, 2^63), labels None or within int64.
+_IDS = st.integers(-3, 20) | st.sampled_from([2**63 - 1, 2**63, 2**64])
+_LABELS = st.none() | st.integers(-3, 3) | st.sampled_from(
+    [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1e308])
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _record_lists(draw):
+    """Up to four records. In half the lists every value is one the parser
+    takes; in the others NaN and inf attributes, a record of another width,
+    empty attributes or sequences, and out-of-range ids and labels are drawn too."""
+    odd = draw(st.booleans())
+    ids, labels = (_IDS, _LABELS) if odd else (st.integers(0, 20), st.none() | st.integers(-3, 3))
+    width, records = draw(st.integers(0 if odd else 1, 3)), []
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.integers(0, 3)) if odd and draw(st.integers(0, 3)) == 0 else width
+        attrs = _NON_FINITE | _FINITE if odd and draw(st.integers(0, 3)) == 0 else _FINITE
+        records.append(AttributedSequence(np.array(draw(st.lists(attrs, min_size=w, max_size=w))),
+                                          draw(st.lists(ids, min_size=0 if odd else 1, max_size=4)),
+                                          draw(labels)))
+    return records
+
+
+def _readable(records) -> bool:
+    """The parser's rules, stated on the records themselves."""
+    return not records or (
+        len({len(rec.attributes) for rec in records}) == 1 and len(records[0].attributes) > 0
+        and all(np.isfinite(rec.attributes).all() and rec.items
+                and all(0 <= i < 2**63 for i in rec.items)
+                and (rec.label is None or -(2**63) <= rec.label < 2**63) for rec in records))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(records=_record_lists())
+def test_write_jsonl_writes_only_what_it_reads_back(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_bytes(b"earlier file\n")
+        companion_path(path).write_bytes(b"earlier companion")
+        try:
+            write_jsonl(records, path)
+        except ValueError:
+            assert not _readable(records)
+            assert path.read_bytes() == b"earlier file\n"
+            assert companion_path(path).read_bytes() == b"earlier companion"
+            return
+        assert _readable(records)
+        assert (_read_companion(path) is not None) == bool(records)
+        for source in ("companion", "parse"):
+            got = read_records(path)
+            assert len(got) == len(records), source
+            for a, b in zip(got, records):
+                assert a.attributes.view(np.uint64).tolist() == b.attributes.view(np.uint64).tolist()
+                assert a.items == b.items and all(type(i) is int for i in a.items), source
+                assert a.label == b.label and type(a.label) is type(b.label), source
+            companion_path(path).unlink(missing_ok=True)
