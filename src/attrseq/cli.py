@@ -19,14 +19,16 @@ from .data import (
     DataFormatError,
     DatasetMeta,
     encode,
-    encode_labeled,
     encode_triplets,
     generate_synthetic,
     is_class_id,
     is_number,
+    labeled_pool,
+    load_arrays,
     load_jsonl,
     read_json_object,
     read_records,
+    records_of,
     sample_triplets,
     sidecar_path,
     split_by_class,
@@ -345,7 +347,7 @@ def _load_manifest(path):
 
 def cmd_eval(args) -> int:
     params, cfg, ckpt_meta, train_info = load_checkpoint(args.checkpoint)
-    records, data_meta = load_jsonl(args.data)
+    arrays, data_meta = load_arrays(args.data)
     manifest = _load_manifest(args.manifest)
     check_meta_compatible(ckpt_meta, data_meta)
 
@@ -361,10 +363,12 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"checkpoint {args.checkpoint}: unknown training distance {kind!r}")
     g = args.g if args.g is not None else len(oneshot_classes)
 
-    pool = encode_labeled([rec for rec in records if rec.label in oneshot_classes], ckpt_meta)
+    # views into the arrays: the dataset's rules and meta and the checkpoint
+    # fit above cover every check `encode` would make
+    pool = labeled_pool(arrays, oneshot_classes)
 
     if args.sweep_triplets:
-        return _eval_sweep(args, params, cfg, ckpt_meta, train_info, records,
+        return _eval_sweep(args, params, cfg, ckpt_meta, train_info, arrays,
                            manifest, pool, kind, g)
 
     report = evaluate(params, cfg, kind, pool, g, args.queries, args.runs, args.seed)
@@ -376,10 +380,10 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _eval_sweep(args, params, cfg, ckpt_meta, train_info, records, manifest,
+def _eval_sweep(args, params, cfg, ckpt_meta, train_info, arrays, manifest,
                 pool, kind, g) -> int:
     train_classes = set(manifest["train_classes"])
-    train_records = [rec for rec in records if rec.label in train_classes]
+    train_records = [rec for rec in records_of(arrays) if rec.label in train_classes]
     # the checkpoint's training settings, checked once before any retraining;
     # a setting it lacks keeps TrainConfig's default, and eval's distance wins
     positive_fraction = train_info.get("positive_fraction", POSITIVE_FRACTION)

@@ -8,8 +8,9 @@ overrides for the inferred dimensions. `write_jsonl` refuses what the parser
 refuses, and beside a regular file of one or more records it also leaves
 ``<stem>.records.npz``, their parsed form keyed by the SHA-256 of the file's
 bytes; a reader uses it in place of parsing only while the file still has
-those bytes, and the JSONL stays the one input format. Encoded sequences
-stay item ids.
+those bytes, and the JSONL stays the one input format. Both read paths end
+in the same arrays (`load_arrays`): `eval` takes its pool from them, the
+other commands build records. Encoded sequences stay item ids.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ import stat
 import tokenize
 import zipfile
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,18 +205,33 @@ def _broken_rule(arrays):
 
 def _unpacked(arrays):
     """(attribute row, item id list, label or None) of each record the arrays hold."""
-    start, items = 0, arrays["items"]
+    start, items = 0, memoryview(arrays["items"])  # slices list their ids faster than the array's
     for row, n, label, labeled in zip(arrays["attributes"], arrays["lengths"].tolist(),
                                       arrays["labels"].tolist(), arrays["labeled"].tolist()):
         yield row, items[start:start + n].tolist(), label if labeled else None
         start += n
 
 
+def _stacked(attrs, items, lengths, labels):
+    """The arrays of records given column by column: their attribute rows,
+    all their item ids one sequence after another, each sequence's length
+    and each label or None. The one builder of the arrays, for the parser
+    and for `write_jsonl`."""
+    try:
+        return {"attributes": np.array(attrs, dtype=np.float64),
+                "items": np.array(items, dtype=np.int64),
+                "lengths": np.array(lengths, dtype=np.int64),
+                "labels": np.array([0 if c is None else c for c in labels], dtype=np.int64),
+                "labeled": np.array([c is not None for c in labels], dtype=np.bool_)}
+    except OverflowError:
+        raise ValueError("item ids and labels must lie within int64") from None
+
+
 def _read_companion(path):
-    """The (records, line_numbers) that `write_jsonl` stored beside `path`,
-    or None when the companion is missing, damaged, oversized, of another
-    version, outside the parser's rules or not of the file's current bytes;
-    the caller then parses the file."""
+    """The arrays that `write_jsonl` stored beside `path`, or None when the
+    companion is missing, damaged, oversized, of another version, outside
+    the parser's rules or not of the file's current bytes; the caller then
+    parses the file."""
     try:
         st = os.stat(path)
         if (not stat.S_ISREG(st.st_mode) or companion_path(path).stat().st_size
@@ -234,17 +251,18 @@ def _read_companion(path):
             return None
     except _DAMAGED_COMPANION:
         return None
-    records = [AttributedSequence(*rec) for rec in _unpacked(arrays)]
-    return records, list(range(1, len(records) + 1))
+    return arrays
 
 
-def _read_records(path):
-    """Parse JSONL into records, returning (records, line_numbers); the
+def _read_arrays(path):
+    """The dataset at `path` as (arrays, line numbers): the arrays of
+    `_stacked`, one row per record, and the file line of each record. The
     companion `write_jsonl` left beside `path` stands in for the parse while
     it holds the parse of the file's current bytes."""
-    if (stored := _read_companion(path)) is not None:
-        return stored
-    records, line_nos = [], []
+    if (arrays := _read_companion(path)) is not None:
+        return arrays, range(1, len(arrays["lengths"]) + 1)
+    attrs, items = array("d"), array("q")  # raw values: no Python object kept per number
+    lengths, labels, line_nos = [], [], []
     u = None
     with open(path, "rb") as fh:  # bytes, so undecodable text is reported by line
         for ln, raw in enumerate(fh, start=1):
@@ -257,13 +275,13 @@ def _read_records(path):
                 raise DataFormatError(f"line {ln}: invalid JSON: {e}") from None
             if not isinstance(obj, dict):
                 raise DataFormatError(f"line {ln}: expected a JSON object")
-            attrs = obj.get("attrs")
-            if not isinstance(attrs, list) or not attrs or not all_finite_numbers(attrs):
+            row = obj.get("attrs")
+            if not isinstance(row, list) or not row or not all_finite_numbers(row):
                 raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of finite numbers")
             if u is None:
-                u = len(attrs)
-            elif len(attrs) != u:
-                raise DataFormatError(f"line {ln}: expected {u} attributes, got {len(attrs)}")
+                u = len(row)
+            elif len(row) != u:
+                raise DataFormatError(f"line {ln}: expected {u} attributes, got {len(row)}")
             seq = obj.get("seq")
             if not isinstance(seq, list) or not seq:
                 raise DataFormatError(f"line {ln}: empty sequence")
@@ -272,62 +290,102 @@ def _read_records(path):
             label = obj.get("label")
             if label is not None and not is_class_id(label):
                 raise DataFormatError(f"line {ln}: label must be an integer")
-            records.append(
-                AttributedSequence(np.asarray(attrs, dtype=np.float64), list(seq), label)
-            )
+            attrs.extend(row)
+            items.extend(seq)
+            lengths.append(len(seq))
+            labels.append(label)
             line_nos.append(ln)
-    return records, line_nos
+    rows = np.frombuffer(attrs, dtype=np.float64).reshape(len(lengths), u or 0)
+    return _stacked(rows, items, lengths, labels), line_nos
+
+
+def records_of(arrays) -> list:
+    """The records that a dataset's arrays hold, in file order."""
+    return [AttributedSequence(*rec) for rec in _unpacked(arrays)]
 
 
 def read_records(path):
     """Parse a JSONL dataset; an empty file yields an empty list."""
-    return _read_records(path)[0]
+    return records_of(_read_arrays(path)[0])
 
 
-def load_jsonl(path):
-    """Load a dataset and infer its meta (sidecar values win, upward only).
+def load_arrays(path):
+    """Load a dataset as its arrays and infer its meta (sidecar values win,
+    upward only).
 
-    Returns ``(records, meta)``. Raises DataFormatError on malformed content,
-    naming the offending line where one exists.
+    Returns ``(arrays, meta)``, the arrays as `_stacked` builds them. Raises
+    DataFormatError on malformed content, naming the offending line where
+    one exists.
     """
-    records, line_nos = _read_records(path)
-    if not records:
+    arrays, line_nos = _read_arrays(path)
+    items, lengths = arrays["items"], arrays["lengths"]
+    if not lengths.size:
         raise DataFormatError("no records")
     sc = sidecar_path(path)
     overrides = read_json_object(sc, DataFormatError, "sidecar") if sc.exists() else {}
     if not all(is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides):
         raise DataFormatError(f"sidecar {sc} must hold integer u, r, t_max, got {overrides!r}")
 
-    u = len(records[0].attributes)
-    obs_r = max(max(rec.items) for rec in records) + 1
-    obs_t_max = max(len(rec.items) for rec in records)
+    def first_holding(item):
+        """The line and the largest id of the first record holding an id >= `item`."""
+        peaks = np.maximum.reduceat(items, np.cumsum(lengths) - lengths)  # no record is empty
+        k = int(np.argmax(peaks >= item))
+        return line_nos[k], int(peaks[k])
+
+    u = arrays["attributes"].shape[1]
+    obs_r = int(items.max()) + 1  # a Python int first, so an id of 2^63 - 1 cannot overflow
+    obs_t_max = int(lengths.max())
     if obs_t_max * obs_r > MAX_ONE_HOT_CELLS:
-        ln = line_nos[max(range(len(records)), key=lambda k: max(records[k].items))]
         raise DataFormatError(
-            f"line {ln}: item id {obs_r - 1} makes the one-hot size t_max*r = "
-            f"{obs_t_max}*{obs_r}, above the limit of {MAX_ONE_HOT_CELLS} cells"
+            f"line {first_holding(obs_r - 1)[0]}: item id {obs_r - 1} makes the one-hot size "
+            f"t_max*r = {obs_t_max}*{obs_r}, above the limit of {MAX_ONE_HOT_CELLS} cells"
         )
 
     if overrides.get("u", u) != u:
         raise DataFormatError(f"sidecar u={overrides['u']} does not match observed u={u}")
     r = overrides.get("r", obs_r)
     if r < obs_r:
-        for rec, ln in zip(records, line_nos):
-            if max(rec.items) >= r:
-                raise DataFormatError(
-                    f"line {ln}: item id {max(rec.items)} out of range for declared r={r}"
-                )
+        ln, item = first_holding(r)
+        raise DataFormatError(f"line {ln}: item id {item} out of range for declared r={r}")
     t_max = overrides.get("t_max", obs_t_max)
     if t_max < obs_t_max:
         raise DataFormatError(
             f"sidecar t_max={t_max} is below the observed maximum length {obs_t_max}"
         )
-    class_ids = frozenset(rec.label for rec in records if rec.label is not None)
+    class_ids = frozenset(arrays["labels"][arrays["labeled"]].tolist())
     try:  # the sidecar's values are the only ones that can break the meta's limits here
         meta = DatasetMeta(u=u, r=r, t_max=t_max, class_ids=class_ids)
     except ValueError as e:
         raise DataFormatError(f"sidecar {sc}: {e}") from None
-    return records, meta
+    return arrays, meta
+
+
+def load_jsonl(path):
+    """`load_arrays` with the records in place of the arrays: ``(records, meta)``."""
+    arrays, meta = load_arrays(path)
+    return records_of(arrays), meta
+
+
+def labeled_pool(arrays, classes) -> list:
+    """(instance, label) pairs of the records of a dataset's arrays whose
+    label is in `classes`, in file order, as `encode_labeled` gives them.
+    Each instance is a view into the arrays and is not checked again: the
+    arrays of `load_arrays` keep every rule `encode` checks against their
+    meta, and `training.check_meta_compatible` extends them to a
+    checkpoint's."""
+    attrs, items = arrays["attributes"], arrays["items"]
+    lengths, labels = arrays["lengths"], arrays["labels"]
+    rows = np.flatnonzero(arrays["labeled"] & np.isin(labels, list(classes)))
+    starts = (np.cumsum(lengths) - lengths)[rows].tolist()
+    return [(EncodedInstance(attrs[k], items[start:start + n], n), label) for k, start, n, label
+            in zip(rows.tolist(), starts, lengths[rows].tolist(), labels[rows].tolist())]
+
+
+def _all_integers(values) -> bool:
+    """True when every value is a Python or numpy integer, not a boolean;
+    checked once per distinct type, not per value."""
+    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
+               for t in set(map(type, values)))
 
 
 def write_jsonl(records, path):
@@ -342,14 +400,11 @@ def write_jsonl(records, path):
         labels.append(rec.label)
     if len({row.shape for row in attrs}) > 1:
         raise ValueError("records must share one attribute width")
-    try:
-        items = np.array(items, dtype=np.int64)  # frees the list before the next array
-        arrays = {"attributes": np.array(attrs, dtype=np.float64), "items": items,
-                  "lengths": np.array(lengths, dtype=np.int64),
-                  "labels": np.array([0 if c is None else c for c in labels], dtype=np.int64),
-                  "labeled": np.array([c is not None for c in labels], dtype=np.bool_)}
-    except OverflowError:
-        raise ValueError("item ids and labels must lie within int64") from None
+    if not _all_integers(items):  # numpy would truncate a float and take a boolean as 0 or 1
+        raise ValueError("sequence items must be non-negative integers")
+    if not _all_integers(c for c in labels if c is not None):
+        raise ValueError("label must be an integer")
+    arrays = _stacked(attrs, items, lengths, labels)
     if lengths and (rule := _broken_rule(arrays)):
         raise ValueError(rule)
     encode_line = json.JSONEncoder(separators=(",", ":")).encode

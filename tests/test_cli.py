@@ -581,14 +581,13 @@ class TestEmbed:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def demo_command(name):
-    """argv of the `attrseq <name>` step of demos/04_cli_pipeline.sh."""
+def demo_command(name, index=0):
+    """argv of the `index`-th `attrseq <name>` step of demos/04_cli_pipeline.sh."""
     script = (Path(__file__).resolve().parents[1] / "demos" / "04_cli_pipeline.sh").read_text()
-    for line in script.replace("\\\n", " ").splitlines():
-        argv = shlex.split(line)
-        if argv[:2] == ["attrseq", name]:
-            return argv[1:]
-    raise AssertionError(f"no attrseq {name} step in the demo")
+    steps = [argv[1:] for argv in map(shlex.split, script.replace("\\\n", " ").splitlines())
+             if argv[:2] == ["attrseq", name]]
+    assert len(steps) > index, f"no attrseq {name} step {index} in the demo"
+    return steps[index]
 
 
 def test_demo_run_train_step_reproduces(tmp_path, monkeypatch):
@@ -604,6 +603,24 @@ def test_demo_run_train_step_reproduces(tmp_path, monkeypatch):
     rows = [np.loadtxt(d / "metrics.csv", delimiter=",", skiprows=1) for d in (tmp_path, demo)]
     assert rows[0].shape == rows[1].shape and np.allclose(*rows, rtol=0, atol=1e-12)
     assert (tmp_path / "manifest.json").read_bytes() == (demo / "manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("step, outputs, companion", [
+    (0, ("eval.json", "eval.csv"), True),
+    (0, ("eval.json", "eval.csv"), False),
+    (1, ("sweep.json", "sweep.csv"), True),
+], ids=["eval-companion", "eval-parsed", "sweep-companion"])
+def test_demo_run_eval_steps_reproduce(tmp_path, monkeypatch, step, outputs, companion):
+    # the committed eval and sweep outputs are what the demo's eval steps
+    # write, whether the dataset is read through its companion or parsed
+    demo = Path(__file__).resolve().parents[1] / "demo_run"
+    inputs = ("data.jsonl", "data.meta.json", "model.json", "manifest.json")
+    for name in inputs + (("data.records.npz",) if companion else ()):
+        (tmp_path / name).write_bytes((demo / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(demo_command("eval", step)) == 0
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
 
 
 def test_unknown_command_usage_error(capsys):

@@ -3,12 +3,15 @@ import os
 import re
 import shutil
 import struct
+import tempfile
 import threading
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrseq.data import (
     COMPANION_SIZE_FACTOR,
@@ -21,18 +24,24 @@ from attrseq.data import (
     encode_labeled,
     encode_triplets,
     generate_synthetic,
+    is_json_int,
+    labeled_pool,
+    load_arrays,
     load_jsonl,
     read_json_object,
     read_records,
     sample_triplets,
+    sidecar_path,
     split_by_class,
     standardize_attributes,
     write_csv,
     write_jsonl,
     write_meta,
 )
-from attrseq.data import _read_companion, _read_records, companion_path
+from attrseq.data import _read_arrays, _read_companion, companion_path, records_of
+from attrseq.episodes import evaluate
 from attrseq.kernel import Rng
+from attrseq.training import load_checkpoint
 
 DEMO_RUN = Path(__file__).resolve().parents[1] / "demo_run"
 
@@ -226,21 +235,36 @@ def test_write_then_load_round_trip(tmp_path):
         assert a.items == b.items and a.label == b.label
 
 
-def _exact(result):
-    """(records, line numbers) in a form equal only for identical records:
-    attribute bits, the exact type of every item id and label."""
-    records, line_nos = result
+def _exact_records(records):
+    """Records in a form equal only for identical records: attribute bits,
+    the exact type of every item id and label."""
     return [(rec.attributes.dtype, rec.attributes.view(np.uint64).tolist(),
              [(type(i), i) for i in rec.items], type(rec.label), rec.label)
-            for rec in records], line_nos
+            for rec in records]
+
+
+def _exact(result):
+    """`_read_arrays`'s (arrays, line numbers) in a form equal only for
+    identical arrays and records: each array's dtype, shape and bytes, the
+    records built from them, and the line numbers."""
+    arrays, line_nos = result
+    return ({key: (arrays[key].dtype, arrays[key].shape, arrays[key].tobytes())
+             for key in ("attributes", "items", "lengths", "labels", "labeled")},
+            _exact_records(records_of(arrays)), list(line_nos))
+
+
+def _stored(path):
+    """`_read_arrays` of `path`, which reads the companion beside it."""
+    assert _read_companion(path) is not None
+    return _read_arrays(path)
 
 
 def _parsed(path, tmp_path):
-    """`_read_records` of a copy of `path` that has no companion."""
+    """`_read_arrays` of a copy of `path` that has no companion."""
     plain = tmp_path / "parsed" / "plain.jsonl"
     plain.parent.mkdir(exist_ok=True)
     shutil.copyfile(path, plain)
-    return _read_records(plain)
+    return _read_arrays(plain)
 
 
 def _companion_arrays(path):
@@ -263,24 +287,23 @@ class TestCompanion:
         return p
 
     def test_demo_run_companion_is_the_parse(self, tmp_path):
-        stored = _read_companion(DEMO_RUN / "data.jsonl")
-        assert stored is not None
+        stored = _stored(DEMO_RUN / "data.jsonl")
         assert _exact(stored) == _exact(_parsed(DEMO_RUN / "data.jsonl", tmp_path))
-        assert stored[1] == list(range(1, 601))
+        assert list(stored[1]) == list(range(1, 601))
 
     def test_odd_floats_and_missing_labels_are_the_parse(self, tmp_path):
         # -0.0, subnormals and 1e308 keep their bits; an unlabeled record reads None
         p = self.odd_values(tmp_path)
-        stored = _read_companion(p)
-        assert stored is not None and stored[0][1].label is None
+        stored = _stored(p)
+        assert records_of(stored[0])[1].label is None
         assert _exact(stored) == _exact(_parsed(p, tmp_path))
 
     def test_unlabeled_dataset_is_the_parse(self, tmp_path):
         records = generate_synthetic(classes=2, per_class=4, u=3, r=5, t_max=6, seed=2)
         p = tmp_path / "d.jsonl"
         write_jsonl([AttributedSequence(rec.attributes, rec.items) for rec in records], p)
-        stored = _read_companion(p)
-        assert stored is not None and all(rec.label is None for rec in stored[0])
+        stored = _stored(p)
+        assert all(rec.label is None for rec in records_of(stored[0]))
         assert _exact(stored) == _exact(_parsed(p, tmp_path))
 
     def test_load_jsonl_through_the_companion_is_load_jsonl_parsing(self, tmp_path):
@@ -294,7 +317,7 @@ class TestCompanion:
         shutil.copyfile(tmp_path / "d.meta.json", plain.with_name("d.meta.json"))
         (got, got_meta), (want, want_meta) = load_jsonl(p), load_jsonl(plain)
         assert _read_companion(p) is not None and got_meta == want_meta
-        assert _exact((got, [])) == _exact((want, []))
+        assert _exact_records(got) == _exact_records(want)
 
     def test_sidecar_error_names_the_same_line(self, tmp_path):
         # line numbers from the companion are the file's
@@ -323,11 +346,11 @@ class TestCompanion:
         assert _read_companion(p) is None
         if edit == "invalid-line":
             with pytest.raises(DataFormatError, match="^line 16: expected 4 attributes, got 3$"):
-                _read_records(p)
+                _read_arrays(p)
             return
-        got = _read_records(p)
+        got = _read_arrays(p)
         assert _exact(got) == _exact(_parsed(p, tmp_path))
-        assert len(got[0]) == (16 if edit == "valid-line" else 15)
+        assert len(got[1]) == (16 if edit == "valid-line" else 15)
 
     def damaged(self, kind, p):
         """Overwrite the companion of `p` with a damaged one of `kind`."""
@@ -375,15 +398,15 @@ class TestCompanion:
         want = _exact(_parsed(p, tmp_path))
         self.damaged(kind, p)
         assert _read_companion(p) is None
-        assert _exact(_read_records(p)) == want
-        assert _exact((load_jsonl(p)[0], []))[0] == want[0]
+        assert _exact(_read_arrays(p)) == want
+        assert _exact_records(load_jsonl(p)[0]) == want[1]
 
     def test_extra_member_within_the_size_limit_is_ignored(self, tmp_path):
         # the control of the oversized case: only the size refuses it
         p = self.odd_values(tmp_path)
         want = _exact(_parsed(p, tmp_path))
         np.savez(companion_path(p), **_companion_arrays(p), padding=np.zeros(4, dtype=np.int64))
-        assert _exact(_read_companion(p)) == want
+        assert _exact(_stored(p)) == want
 
     def test_two_writes_give_identical_bytes(self, tmp_path):
         records = generate_synthetic(classes=3, per_class=5, u=4, r=6, t_max=8, seed=1)
@@ -406,9 +429,22 @@ class TestCompanion:
         ([AttributedSequence(np.array([0.1]), [], 0)], "every sequence needs at least one item"),
         ([AttributedSequence(np.array([0.1]), [1], 2**63)], "item ids and labels must lie within int64"),
         ([AttributedSequence(np.array([]), [1], 0)], "attributes must be one non-empty vector per record"),
+        ([AttributedSequence([0.5], [1.7, True], 2.9)], "sequence items must be non-negative integers"),
+        ([AttributedSequence(np.array([0.1]), [1.0], 0)], "sequence items must be non-negative integers"),
+        ([AttributedSequence(np.array([0.1]), [0, True], 0)], "sequence items must be non-negative integers"),
+        ([AttributedSequence(np.array([0.1]), [np.bool_(False)], 0)],
+         "sequence items must be non-negative integers"),
+        ([AttributedSequence(np.array([0.1]), [np.float64(2)], 0)],
+         "sequence items must be non-negative integers"),
+        ([AttributedSequence(np.array([0.1]), [1], 0),
+          AttributedSequence(np.array([0.2]), [1], 1.0)], "label must be an integer"),
+        ([AttributedSequence(np.array([0.1]), [1], True)], "label must be an integer"),
+        ([AttributedSequence(np.array([0.1]), [1], np.bool_(True))], "label must be an integer"),
         ([], None),
     ], ids=["ragged", "non-finite", "id-above-int64", "negative-id", "empty-sequence",
-            "label-above-int64", "no-attributes", "no-records"])
+            "label-above-int64", "no-attributes", "float-id-and-label", "float-id-one",
+            "bool-id", "numpy-bool-id", "numpy-float-id", "float-label", "bool-label",
+            "numpy-bool-label", "no-records"])
     def test_records_the_companion_cannot_hold_get_none(self, tmp_path, records, rule):
         # records the parser would refuse are refused before the file is
         # opened, so the earlier file and its companion stay; no records
@@ -424,6 +460,19 @@ class TestCompanion:
             write_jsonl(records, p)
         assert (p.read_bytes(), companion_path(p).read_bytes()) == earlier
 
+    def test_numpy_integers_round_trip(self, tmp_path):
+        records = [AttributedSequence(np.array([0.5]), [np.int64(3), np.uint8(1), 2], np.int64(-4)),
+                   AttributedSequence(np.array([0.25]), list(np.array([0, 7], dtype=np.int32)),
+                                      np.int16(5))]
+        p = tmp_path / "d.jsonl"
+        write_jsonl(records, p)
+        assert p.read_text() == ('{"attrs":[0.5],"seq":[3,1,2],"label":-4}\n'
+                                 '{"attrs":[0.25],"seq":[0,7],"label":5}\n')
+        for got in (_exact(_stored(p)), _exact(_parsed(p, tmp_path))):
+            assert got[1] == _exact_records([
+                AttributedSequence(np.array([0.5]), [3, 1, 2], -4),
+                AttributedSequence(np.array([0.25]), [0, 7], 5)])
+
     def test_pipe_gets_the_bytes_and_no_companion(self, tmp_path):
         records = generate_synthetic(classes=2, per_class=3, u=2, r=4, t_max=5, seed=3)
         write_jsonl(records, tmp_path / "file.jsonl")
@@ -437,6 +486,131 @@ class TestCompanion:
         assert not reader.is_alive()
         assert received == [(tmp_path / "file.jsonl").read_bytes()]
         assert not companion_path(fifo).exists()
+
+
+@pytest.mark.parametrize("companion", [True, False], ids=["companion", "parsed"])
+def test_array_pool_is_encode_labeleds_pool(tmp_path, companion):
+    # eval's pool of views into the arrays is the pool encode_labeled builds
+    # from the records: the same instances, labels and order, and the same
+    # evaluation
+    for name in ("data.jsonl", "data.meta.json") + (("data.records.npz",) if companion else ()):
+        shutil.copyfile(DEMO_RUN / name, tmp_path / name)
+    p = tmp_path / "data.jsonl"
+    assert (_read_companion(p) is not None) == companion
+    params, cfg, ckpt_meta, _ = load_checkpoint(DEMO_RUN / "model.json")
+    oneshot = set(json.loads((DEMO_RUN / "manifest.json").read_text())["oneshot_classes"])
+    got = labeled_pool(load_arrays(p)[0], oneshot)
+    want = encode_labeled([rec for rec in load_jsonl(p)[0] if rec.label in oneshot], ckpt_meta)
+    assert len(got) == len(want) == 240
+    for (a, a_label), (b, b_label) in zip(got, want):
+        assert a.attributes.dtype == b.attributes.dtype == np.float64
+        assert a.attributes.tobytes() == b.attributes.tobytes()
+        assert a.seq.dtype == b.seq.dtype == np.int64 and a.seq.tolist() == b.seq.tolist()
+        assert type(a.true_len) is type(b.true_len) is int and a.true_len == b.true_len
+        assert type(a_label) is type(b_label) is int and a_label == b_label
+    reports = [evaluate(params, cfg, "euclidean", pool, 4, 200, 5, 5) for pool in (got, want)]
+    assert reports[0].per_run == reports[1].per_run
+
+
+def _reference_meta(records, line_nos, path):
+    """The meta inference of `load_jsonl` as Python loops over the records,
+    as it was before it worked on the arrays: the reference its meta and
+    every message and line number must equal."""
+    if not records:
+        raise DataFormatError("no records")
+    sc = sidecar_path(path)
+    overrides = read_json_object(sc, DataFormatError, "sidecar") if sc.exists() else {}
+    if not all(is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides):
+        raise DataFormatError(f"sidecar {sc} must hold integer u, r, t_max, got {overrides!r}")
+
+    u = len(records[0].attributes)
+    obs_r = max(max(rec.items) for rec in records) + 1
+    obs_t_max = max(len(rec.items) for rec in records)
+    if obs_t_max * obs_r > MAX_ONE_HOT_CELLS:
+        ln = line_nos[max(range(len(records)), key=lambda k: max(records[k].items))]
+        raise DataFormatError(
+            f"line {ln}: item id {obs_r - 1} makes the one-hot size t_max*r = "
+            f"{obs_t_max}*{obs_r}, above the limit of {MAX_ONE_HOT_CELLS} cells"
+        )
+
+    if overrides.get("u", u) != u:
+        raise DataFormatError(f"sidecar u={overrides['u']} does not match observed u={u}")
+    r = overrides.get("r", obs_r)
+    if r < obs_r:
+        for rec, ln in zip(records, line_nos):
+            if max(rec.items) >= r:
+                raise DataFormatError(
+                    f"line {ln}: item id {max(rec.items)} out of range for declared r={r}"
+                )
+    t_max = overrides.get("t_max", obs_t_max)
+    if t_max < obs_t_max:
+        raise DataFormatError(
+            f"sidecar t_max={t_max} is below the observed maximum length {obs_t_max}"
+        )
+    class_ids = frozenset(rec.label for rec in records if rec.label is not None)
+    try:
+        return DatasetMeta(u=u, r=r, t_max=t_max, class_ids=class_ids)
+    except ValueError as e:
+        raise DataFormatError(f"sidecar {sc}: {e}") from None
+
+
+# Ids that break the t_max*r limit at any length, only at lengths above 1,
+# or never, up to the largest id a dataset may hold.
+_BIG_IDS = st.sampled_from([MAX_ONE_HOT_CELLS - 1, MAX_ONE_HOT_CELLS // 2, 2**40, 2**63 - 1])
+
+
+@st.composite
+def _meta_cases(draw):
+    """(records, blank lines before each, sidecar or None, through the companion)."""
+    u = draw(st.integers(1, 3))
+    records = [AttributedSequence(np.array(draw(st.lists(st.floats(-2, 2), min_size=u, max_size=u))),
+                                  draw(st.lists(st.integers(0, 9), min_size=1, max_size=5)),
+                                  draw(st.none() | st.integers(-2, 4)))
+               for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # big ids, at times tied
+        rec = records[draw(st.integers(0, len(records) - 1))]
+        rec.items[draw(st.integers(0, len(rec.items) - 1))] = draw(_BIG_IDS)
+    blanks = draw(st.lists(st.integers(0, 2), min_size=len(records), max_size=len(records)))
+    sidecar = {key: draw(values) for key, values in (
+        ("u", st.sampled_from([u, u, 0, u + 1])),
+        ("r", st.integers(-1, 12) | st.sampled_from([MAX_ONE_HOT_CELLS // 4, 2**40])),
+        ("t_max", st.integers(0, 7) | st.just(2**40)),
+    ) if draw(st.booleans())}
+    return records, blanks, sidecar if draw(st.booleans()) else None, draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=_meta_cases())
+def test_meta_inference_is_the_record_loops(case):
+    records, blanks, sidecar, companion = case
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.jsonl"
+        if companion:  # one record a line, read back from the arrays stored beside it
+            write_jsonl(records, p)
+            line_nos = list(range(1, len(records) + 1))
+        else:  # blank lines, so a record's line is not its index
+            lines, line_nos = [], []
+            for rec, gap in zip(records, blanks):
+                lines += [""] * gap
+                obj = {"attrs": rec.attributes.tolist(), "seq": rec.items}
+                lines.append(json.dumps(obj if rec.label is None else obj | {"label": rec.label}))
+                line_nos.append(len(lines))
+            _write_lines(p, lines)
+        if sidecar is not None:
+            sidecar_path(p).write_text(json.dumps(sidecar))
+        assert (_read_companion(p) is not None) == companion
+        try:
+            want = _reference_meta(records, line_nos, p)
+        except DataFormatError as e:
+            want = str(e)
+        try:
+            got_records, got = load_jsonl(p)
+        except DataFormatError as e:
+            got = str(e)
+        assert got == want
+        if isinstance(got, DatasetMeta):
+            assert all(type(v) is int for v in (got.u, got.r, got.t_max, *got.class_ids))
+            assert _exact_records(got_records) == _exact_records(records)
 
 
 def test_encode_keeps_item_ids():

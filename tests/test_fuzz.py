@@ -35,10 +35,11 @@ from hypothesis import strategies as st
 from attrseq.cli import main
 from attrseq.data import (
     AttributedSequence,
+    _read_arrays,
     _read_companion,
-    _read_records,
     companion_path,
     read_records,
+    records_of,
     write_jsonl,
 )
 
@@ -110,14 +111,14 @@ def _assert_companion_is_the_parse(companion: Path, outputs) -> None:
     """`companion` is the companion of one of `outputs` and reads back, bit
     for bit, as the parse of that JSONL."""
     (jsonl,) = [p for p in outputs if companion_path(p) == companion]
-    stored = _read_companion(jsonl)
-    assert stored is not None, companion.name
+    assert _read_companion(jsonl) is not None, companion.name
+    stored = _read_arrays(jsonl)
     with tempfile.TemporaryDirectory() as tmp:
         plain = Path(tmp) / "plain.jsonl"
         shutil.copyfile(jsonl, plain)
-        parsed = _read_records(plain)
-    assert stored[1] == parsed[1]
-    for a, b in zip(stored[0], parsed[0], strict=True):
+        parsed = _read_arrays(plain)
+    assert list(stored[1]) == list(parsed[1])
+    for a, b in zip(records_of(stored[0]), records_of(parsed[0]), strict=True):
         assert a.attributes.tobytes() == b.attributes.tobytes()
         assert (a.items, a.label) == (b.items, b.label)
         assert all(type(i) is int for i in a.items)
@@ -164,11 +165,14 @@ def test_mutated_artifact_fails_cleanly(artifact, data):
                     assert not _non_finite_tokens(out.read_text()), out.name
 
 
-# Item ids and labels on both sides of what the parser takes: ids in
-# [0, 2^63), labels None or within int64.
-_IDS = st.integers(-3, 20) | st.sampled_from([2**63 - 1, 2**63, 2**64])
+# Item ids and labels on both sides of what the parser takes: integer ids
+# in [0, 2^63), labels None or integers within int64. numpy integers are
+# integers; floats, even whole ones, and Python and numpy booleans are not.
+_NOT_INTEGERS = [1.0, 2.5, np.float64(3), True, False, np.bool_(True)]
+_IDS = st.integers(-3, 20) | st.sampled_from(
+    [2**63 - 1, 2**63, 2**64, np.int64(5), np.uint8(2), *_NOT_INTEGERS])
 _LABELS = st.none() | st.integers(-3, 3) | st.sampled_from(
-    [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63])
+    [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, np.int64(-2), np.int16(1), *_NOT_INTEGERS])
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -2.5e-310, 1e308])
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -178,7 +182,8 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 def _record_lists(draw):
     """Up to four records. In half the lists every value is one the parser
     takes; in the others NaN and inf attributes, a record of another width,
-    empty attributes or sequences, and out-of-range ids and labels are drawn too."""
+    empty attributes or sequences, and out-of-range, float and boolean ids and
+    labels are drawn too."""
     odd = draw(st.booleans())
     ids, labels = (_IDS, _LABELS) if odd else (st.integers(0, 20), st.none() | st.integers(-3, 3))
     width, records = draw(st.integers(0 if odd else 1, 3)), []
@@ -191,13 +196,18 @@ def _record_lists(draw):
     return records
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _readable(records) -> bool:
     """The parser's rules, stated on the records themselves."""
     return not records or (
         len({len(rec.attributes) for rec in records}) == 1 and len(records[0].attributes) > 0
         and all(np.isfinite(rec.attributes).all() and rec.items
-                and all(0 <= i < 2**63 for i in rec.items)
-                and (rec.label is None or -(2**63) <= rec.label < 2**63) for rec in records))
+                and all(_is_integer(i) and 0 <= i < 2**63 for i in rec.items)
+                and (rec.label is None or _is_integer(rec.label) and -(2**63) <= rec.label < 2**63)
+                for rec in records))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -222,5 +232,6 @@ def test_write_jsonl_writes_only_what_it_reads_back(records):
             for a, b in zip(got, records):
                 assert a.attributes.view(np.uint64).tolist() == b.attributes.view(np.uint64).tolist()
                 assert a.items == b.items and all(type(i) is int for i in a.items), source
-                assert a.label == b.label and type(a.label) is type(b.label), source
+                assert a.label == b.label, source
+                assert type(a.label) is (type(None) if b.label is None else int), source
             companion_path(path).unlink(missing_ok=True)
