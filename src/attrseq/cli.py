@@ -368,8 +368,7 @@ def cmd_eval(args) -> int:
     pool = labeled_pool(arrays, oneshot_classes)
 
     if args.sweep_triplets:
-        return _eval_sweep(args, params, cfg, ckpt_meta, train_info, arrays,
-                           manifest, pool, kind, g)
+        return _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g)
 
     report = evaluate(params, cfg, kind, pool, g, args.queries, args.runs, args.seed)
     write_json(report.to_dict(), args.out_json)
@@ -380,8 +379,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _eval_sweep(args, params, cfg, ckpt_meta, train_info, arrays, manifest,
-                pool, kind, g) -> int:
+def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g) -> int:
     train_classes = set(manifest["train_classes"])
     train_records = [rec for rec in records_of(arrays) if rec.label in train_classes]
     # the checkpoint's training settings, checked once before any retraining;

@@ -21,7 +21,6 @@ import os
 import stat
 import tokenize
 import zipfile
-import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,12 +47,10 @@ COMPANION_ARRAYS = {
     "lengths": np.int64, "labels": np.int64, "labeled": np.bool_,
 }
 COMPANION_SIZE_FACTOR, COMPANION_SIZE_SLACK = 8, 2**16
-# What np.load raises on a damaged or hostile companion: truncated or
-# altered zip and npy structure (an npy header numpy cannot tokenize raises
-# TokenError), an unsupported compression or a header asking for more
-# memory than there is.
-_DAMAGED_COMPANION = (OSError, EOFError, ValueError, KeyError, MemoryError, NotImplementedError,
-                      RuntimeError, tokenize.TokenError, zipfile.BadZipFile, zlib.error)
+# What zipfile and the npy reader raise on a damaged companion: TokenError on an untokenizable
+# npy header, NotImplementedError (a RuntimeError) on a zip version or flag bit zipfile lacks.
+_DAMAGED_COMPANION = (OSError, EOFError, ValueError, KeyError, MemoryError, RuntimeError,
+                      tokenize.TokenError, zipfile.BadZipFile)
 
 POSITIVE_FRACTION = 0.5  # the share of same-class pairs `sample_triplets` draws by default
 
@@ -73,7 +70,7 @@ class AttributedSequence:
 class DatasetMeta:
     u: int  # attribute dimension
     r: int  # item alphabet size
-    t_max: int  # padded sequence length
+    t_max: int  # longest sequence length
     class_ids: frozenset
 
     def __post_init__(self):
@@ -233,17 +230,19 @@ def _read_companion(path):
     the parser's rules or not of the file's current bytes; the caller then
     parses the file."""
     try:
-        st = os.stat(path)
-        if (not stat.S_ISREG(st.st_mode) or companion_path(path).stat().st_size
-                > COMPANION_SIZE_FACTOR * st.st_size + COMPANION_SIZE_SLACK):
+        st, cst = os.stat(path), os.stat(companion_path(path))
+        if (not stat.S_ISREG(st.st_mode) or not stat.S_ISREG(cst.st_mode)
+                or cst.st_size > COMPANION_SIZE_FACTOR * st.st_size + COMPANION_SIZE_SLACK):
             return None
-        npz = np.load(companion_path(path), allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            return None
-        with npz:  # numpy reads no member to its end, so the CRCs are checked first
-            if npz.zip.testzip() is not None:
+        with zipfile.ZipFile(companion_path(path)) as zf:  # `np.savez` stores, never deflates
+            if any(info.compress_type != zipfile.ZIP_STORED for info in zf.infolist()):
                 return None
-            arrays = {key: npz[key] for key in COMPANION_ARRAYS}
+            arrays = {}
+            for key in COMPANION_ARRAYS:
+                with zf.open(f"{key}.npy") as member:  # zipfile checks the CRC at a member's end
+                    arrays[key] = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read(1):
+                        return None
         if (any(arrays[key].dtype != dtype for key, dtype in COMPANION_ARRAYS.items())
                 or arrays["version"].shape != () or arrays["digest"].shape != (32,)
                 or int(arrays["version"]) != COMPANION_VERSION or _broken_rule(arrays)
@@ -305,7 +304,8 @@ def records_of(arrays) -> list:
 
 
 def read_records(path):
-    """Parse a JSONL dataset; an empty file yields an empty list."""
+    """The records of a JSONL dataset, parsed or read from its companion
+    (see `_read_arrays`); an empty file yields an empty list."""
     return records_of(_read_arrays(path)[0])
 
 
@@ -384,8 +384,9 @@ def labeled_pool(arrays, classes) -> list:
 def _all_integers(values) -> bool:
     """True when every value is a Python or numpy integer, not a boolean;
     checked once per distinct type, not per value."""
-    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
-               for t in set(map(type, values)))
+    types = set(map(type, values))
+    return types <= {int} or all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
+                                 for t in types)
 
 
 def write_jsonl(records, path):
@@ -441,11 +442,15 @@ def encode(rec: AttributedSequence, meta: DatasetMeta) -> EncodedInstance:
         raise ValueError(f"sequence length {n} exceeds t_max={meta.t_max}")
     if len(rec.attributes) != meta.u:
         raise ValueError(f"attribute length {len(rec.attributes)} does not match u={meta.u}")
+    if not _all_integers(rec.items):  # numpy would truncate a float and take a boolean as 0 or 1
+        raise ValueError("sequence items must be non-negative integers")
     for item in rec.items:
         if not 0 <= item < meta.r:
             raise ValueError(f"item id {item} out of range for r={meta.r}")
-    seq = np.array(rec.items, dtype=np.int64)
-    return EncodedInstance(np.asarray(rec.attributes, dtype=np.float64), seq, n)
+    attributes = np.asarray(rec.attributes, dtype=np.float64)
+    if not all(map(math.isfinite, attributes.tolist())):
+        raise ValueError("attributes must be finite numbers")
+    return EncodedInstance(attributes, np.array(rec.items, dtype=np.int64), n)
 
 
 def encode_labeled(records, meta):

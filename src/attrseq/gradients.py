@@ -10,7 +10,7 @@ must agree to high relative precision wherever the loss is differentiable.
 
 import numpy as np
 
-from .data import DatasetMeta, encode
+from .data import AttributedSequence, DatasetMeta, encode
 from .kernel import ACTIVATIONS, Rng, activation_grad_from_output
 from .encoder import (
     BRANCH_MODES,
@@ -182,8 +182,8 @@ def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
         da_g *= dg[t]
         np.matmul(u_t, da_t, out=dh_vec)
         dc_vec *= f[t]
-    # the sequence's one-hot rows, for a dense product: a scatter-add of the
-    # rows of da by item id would sum them in another order
+    # the sequence's one-hot rows, for a dense product: at small alphabets it
+    # is faster than a scatter-add of da's rows by item id
     x = np.zeros((T, params.lstm_w.shape[1]))
     x[np.arange(T), lt.x] = 1.0
     grads.lstm_w += da.T @ x
@@ -336,8 +336,6 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
 
 
 def _random_instance(gen, meta):
-    from .data import AttributedSequence
-
     length = int(gen.integers(1, meta.t_max + 1))
     items = [int(gen.integers(meta.r)) for _ in range(length)]
     attrs = gen.uniform(-1.0, 1.0, size=meta.u)

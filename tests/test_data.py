@@ -3,6 +3,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import zipfile
@@ -20,6 +22,7 @@ from attrseq.data import (
     AttributedSequence,
     DataFormatError,
     DatasetMeta,
+    Triplet,
     encode,
     encode_labeled,
     encode_triplets,
@@ -275,9 +278,9 @@ def _companion_arrays(path):
 class TestCompanion:
     @staticmethod
     def odd_values(tmp_path):
-        # zipfile checks a member's CRC at its end, which numpy reaches on a
-        # shifted header only through zipfile's 4 KiB read-ahead; 600 more
-        # records make the attributes 14 KiB, so a damaged one shows
+        # zipfile checks a member's CRC at its end; 600 more records make the
+        # attributes 14 KiB, past zipfile's 4 KiB read-ahead, so a reader that
+        # stopped short of a member's end would miss a damaged one
         records = [AttributedSequence(np.array([-0.0, 5e-324, 1e308]), [0, 7], 3),
                    AttributedSequence(np.array([0.1, -2.5e-310, -1e308]), [2], None),
                    AttributedSequence(np.array([1 / 3, 0.0, 2.0**-1074]), [1, 1, 0], -4),
@@ -380,6 +383,12 @@ class TestCompanion:
             lengths = arrays["lengths"].copy()
             lengths[0] += 1
             np.savez(cp, **(arrays | {"lengths": lengths}))
+        elif kind in ("zip-version", "flag-bit-5"):
+            # a central-directory entry needing a zip version above 6.3, or
+            # marking compressed patched data: zipfile raises NotImplementedError
+            at = raw.index(b"PK\x01\x02") + (6 if kind == "zip-version" else 8)
+            cp.write_bytes(raw[:at] + bytes([raw[at] | (0x40 if kind == "zip-version" else 0x20)])
+                           + raw[at + 1:])
         elif kind == "not-a-zip":
             np.save(cp.with_suffix(".npy"), arrays["attributes"])
             cp.with_suffix(".npy").rename(cp)
@@ -392,7 +401,8 @@ class TestCompanion:
 
     @pytest.mark.parametrize("kind", [
         "truncated", "byte-flipped", "payload-flipped", "wrong-version", "missing-key",
-        "object-dtype", "non-finite", "lengths-mismatch", "not-a-zip", "oversized"])
+        "object-dtype", "non-finite", "lengths-mismatch", "zip-version", "flag-bit-5", "not-a-zip",
+        "oversized"])
     def test_unusable_companion_is_ignored(self, tmp_path, kind):
         p = self.odd_values(tmp_path)
         want = _exact(_parsed(p, tmp_path))
@@ -407,6 +417,39 @@ class TestCompanion:
         want = _exact(_parsed(p, tmp_path))
         np.savez(companion_path(p), **_companion_arrays(p), padding=np.zeros(4, dtype=np.int64))
         assert _exact(_stored(p)) == want
+
+    def test_fifo_companion_is_not_opened(self, tmp_path):
+        # opening a named pipe for reading waits for a writer, here forever;
+        # the read runs in a child that the timeout kills
+        p = self.odd_values(tmp_path)
+        want = _exact(_parsed(p, tmp_path))
+        companion_path(p).unlink()
+        os.mkfifo(companion_path(p))
+        code = ("import json, sys\n"
+                "from attrseq.data import read_records\n"
+                "print(json.dumps([[rec.attributes.tolist(), rec.items, rec.label]\n"
+                "                  for rec in read_records(sys.argv[1])]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, str(p)], env=env, check=True,
+                             capture_output=True, timeout=20).stdout
+        got = [AttributedSequence(np.array(attrs), items, label) for attrs, items, label in json.loads(out)]
+        assert _exact_records(got) == want[1]
+
+    def test_deflated_companion_is_ignored_unread(self, tmp_path, monkeypatch):
+        # np.savez never deflates, so no member of a deflated companion is
+        # read, however large it would inflate
+        p = self.odd_values(tmp_path)
+        want = _exact(_parsed(p, tmp_path))
+        np.savez_compressed(companion_path(p), **_companion_arrays(p))
+        opened, member_open = [], zipfile.ZipFile.open
+        monkeypatch.setattr(zipfile.ZipFile, "open",
+                            lambda zf, name, *args, **kwargs:
+                            opened.append(name) or member_open(zf, name, *args, **kwargs))
+        assert _read_companion(p) is None
+        assert _exact(_read_arrays(p)) == want
+        assert opened == []
 
     def test_two_writes_give_identical_bytes(self, tmp_path):
         records = generate_synthetic(classes=3, per_class=5, u=4, r=6, t_max=8, seed=1)
@@ -640,6 +683,32 @@ def test_encode_rejects_out_of_range_id(item):
     meta = DatasetMeta(u=1, r=3, t_max=4, class_ids=frozenset())
     with pytest.raises(ValueError, match=f"item id {item} out of range for r=3"):
         encode(AttributedSequence(np.array([0.0]), [0, item, 1], None), meta)
+
+
+@pytest.mark.parametrize("attrs, items, rule", [
+    ([0.5], [1.7, 2], "sequence items must be non-negative integers"),
+    ([0.5], [True, 3], "sequence items must be non-negative integers"),
+    ([0.5], [np.float64(2.9)], "sequence items must be non-negative integers"),
+    ([np.nan], [1], "attributes must be finite numbers"),
+], ids=["float-id", "bool-id", "numpy-float-id", "nan-attribute"])
+def test_encode_refuses_what_write_jsonl_refuses(tmp_path, attrs, items, rule):
+    meta = DatasetMeta(u=1, r=4, t_max=3, class_ids=frozenset({0, 1}))
+    good, bad = AttributedSequence(np.array([0.25]), [1], 1), AttributedSequence(np.array(attrs), items, 0)
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        encode(bad, meta)
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        encode_labeled([good, bad], meta)
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        encode_triplets([Triplet(good, bad, 1)], meta)
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        write_jsonl([bad], tmp_path / "d.jsonl")
+
+
+def test_encode_takes_numpy_integer_ids():
+    meta = DatasetMeta(u=1, r=8, t_max=4, class_ids=frozenset())
+    items = [np.int64(3), np.uint8(1), 2, *np.array([7], dtype=np.int32)]
+    inst = encode(AttributedSequence(np.array([0.5]), items, None), meta)
+    assert inst.seq.dtype == np.int64 and inst.seq.tolist() == [3, 1, 2, 7]
 
 
 def test_encode_keeps_item_ids_randomized():
