@@ -22,7 +22,6 @@ from .data import (
     encode_triplets,
     generate_synthetic,
     is_class_id,
-    is_number,
     labeled_pool,
     load_arrays,
     load_jsonl,
@@ -387,7 +386,7 @@ def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, 
     positive_fraction = train_info.get("positive_fraction", POSITIVE_FRACTION)
     stored = {field: train_info[key] for key, field in _TRAIN_SETTINGS.items() if key in train_info}
     try:
-        if not is_number(positive_fraction) or not 0 <= positive_fraction <= 1:
+        if type(positive_fraction) not in (int, float) or not 0 <= positive_fraction <= 1:
             raise ValueError(f"positive_fraction must be in [0, 1], got {positive_fraction!r}")
         settings = TrainConfig(**(stored | {"distance": kind}))
     except ValueError as e:

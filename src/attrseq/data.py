@@ -4,13 +4,14 @@ A record pairs a fixed-length attribute vector with a variable-length
 sequence of categorical item ids. The on-disk form is JSONL, one object per
 line: ``{"attrs": [...], "seq": [...], "label": 3}`` (label optional), with
 an optional sidecar ``<stem>.meta.json`` holding ``{"u":..,"r":..,"t_max":..}``
-overrides for the inferred dimensions. `write_jsonl` refuses what the parser
-refuses, and beside a regular file of one or more records it also leaves
-``<stem>.records.npz``, their parsed form keyed by the SHA-256 of the file's
-bytes; a reader uses it in place of parsing only while the file still has
-those bytes, and the JSONL stays the one input format. Both read paths end
-in the same arrays (`load_arrays`): `eval` takes its pool from them, the
-other commands build records. Encoded sequences stay item ids.
+overrides for the inferred dimensions. One table of rules over the stacked
+arrays (`_broken_rule`) says what a dataset holds, for the parser, the
+companion, `write_jsonl` and the encoders. Beside a regular file of one or
+more records `write_jsonl` also leaves ``<stem>.records.npz``, their parsed
+form keyed by the SHA-256 of the file's bytes; a reader uses it in place of
+parsing only while the file still has those bytes. Both read paths end in
+the same arrays (`load_arrays`): `eval` takes its pool from them, the other
+commands build records. Encoded instances view such arrays.
 """
 
 import hashlib
@@ -74,7 +75,7 @@ class DatasetMeta:
     class_ids: frozenset
 
     def __post_init__(self):
-        if not all(is_integer(v) for v in (self.u, self.r, self.t_max)):
+        if not all_numbers((self.u, self.r, self.t_max), int):
             raise ValueError(
                 f"meta dimensions must be integers: u={self.u!r} r={self.r!r} t_max={self.t_max!r}"
             )
@@ -111,38 +112,19 @@ def companion_path(path) -> Path:
     return Path(path).with_suffix(".records.npz")
 
 
-def is_json_int(x) -> bool:
-    """A JSON integer; booleans, although an int subclass, are not."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def is_class_id(x) -> bool:
     """A JSON integer within int64: a dataset label, or a class id in a
     manifest or checkpoint. Episodes hold class ids in numpy arrays, where a
     larger one would turn into a float64 that other ids share."""
-    return is_json_int(x) and -(2**63) <= x < 2**63
+    return type(x) is int and -(2**63) <= x < 2**63
 
 
-def is_integer(x) -> bool:
-    """A Python or numpy integer, not a boolean: checks a built dimension or
-    count (JSON values, checked in bulk, go through the faster is_json_int)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def is_number(x) -> bool:
-    """A Python or numpy real number, not a boolean."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def all_finite_numbers(values) -> bool:
-    """True when every value is a JSON number that is finite as a float64."""
-    try:
-        return all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in values
-        )
-    except OverflowError:  # an integer beyond the float range
-        return False
+def all_numbers(values, kind) -> bool:
+    """True when every value is a Python or numpy number of `kind` (`int`, or `float` for any
+    real) and not a boolean, checked once per distinct type; finiteness is the arrays' rule."""
+    plain, abc = ({int}, numbers.Integral) if kind is int else ({int, float}, numbers.Real)
+    types = set(map(type, values))  # JSON's own types skip the slower ABC check
+    return types <= plain or all(issubclass(t, abc) and t is not bool for t in types)
 
 
 def read_json_object(path, error, what):
@@ -186,18 +168,25 @@ def _sha256(path) -> bytes:
 
 
 def _broken_rule(arrays):
-    """The first parser rule that the arrays of one or more records break, or None."""
+    """(row, rule) for the first of one or more records in `arrays` that
+    breaks a rule of what a dataset holds, or None: the one statement of
+    those rules. Each is checked on the whole arrays; a row is looked up
+    only for a rule that fails, and a tie goes to the earlier rule."""
     attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
-    rules = {
-        "attributes must be one non-empty vector per record": attrs.ndim == 2 and attrs.size > 0,
-        "every record needs one sequence length and one label slot":
-            lengths.shape == arrays["labels"].shape == arrays["labeled"].shape == attrs.shape[:1],
-        "attributes must be finite numbers": np.isfinite(attrs).all(),
-        "every sequence needs at least one item":
-            ((lengths >= 1) & (lengths <= items.size)).all() and int(lengths.sum()) == items.size,
-        "sequence items must be non-negative integers": items.ndim == 1 and (items >= 0).all(),
-    }
-    return next((rule for rule, ok in rules.items() if not ok), None)
+    if not (attrs.ndim == 2 and attrs.size > 0):
+        return 0, "attributes must be one non-empty vector per record"
+    if not (lengths.shape == arrays["labels"].shape == arrays["labeled"].shape == attrs.shape[:1]
+            and items.ndim == 1 and int(lengths.sum()) == items.size):
+        return 0, "every record needs one sequence length and one label slot"
+    rules = (  # each with its whole-array check and the first row that fails it
+        ("attributes must be finite numbers", np.isfinite(attrs).all(),
+         lambda: np.argmin(np.isfinite(attrs).all(axis=1))),
+        ("every sequence needs at least one item", (lengths >= 1).all(),
+         lambda: np.argmin(lengths >= 1)),
+        ("sequence items must be non-negative integers", (items >= 0).all(),
+         lambda: np.searchsorted(np.cumsum(lengths), np.argmin(items >= 0), side="right")),
+    )
+    return min(((int(row()), rule) for rule, ok, row in rules if not ok), key=lambda b: b[0], default=None)
 
 
 def _unpacked(arrays):
@@ -213,7 +202,7 @@ def _stacked(attrs, items, lengths, labels):
     """The arrays of records given column by column: their attribute rows,
     all their item ids one sequence after another, each sequence's length
     and each label or None. The one builder of the arrays, for the parser
-    and for `write_jsonl`."""
+    and for `_arrays_of`."""
     try:
         return {"attributes": np.array(attrs, dtype=np.float64),
                 "items": np.array(items, dtype=np.int64),
@@ -253,6 +242,15 @@ def _read_companion(path):
     return arrays
 
 
+def _extended(buffer, values) -> bool:
+    """Append `values` to an `array`; False, with some appended, when one overflows its type."""
+    try:
+        buffer.extend(values)
+    except OverflowError:
+        return False
+    return True
+
+
 def _read_arrays(path):
     """The dataset at `path` as (arrays, line numbers): the arrays of
     `_stacked`, one row per record, and the file line of each record. The
@@ -262,40 +260,46 @@ def _read_arrays(path):
         return arrays, range(1, len(arrays["lengths"]) + 1)
     attrs, items = array("d"), array("q")  # raw values: no Python object kept per number
     lengths, labels, line_nos = [], [], []
-    u = None
-    with open(path, "rb") as fh:  # bytes, so undecodable text is reported by line
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as e:  # invalid JSON or invalid UTF-8
-                raise DataFormatError(f"line {ln}: invalid JSON: {e}") from None
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"line {ln}: expected a JSON object")
-            row = obj.get("attrs")
-            if not isinstance(row, list) or not row or not all_finite_numbers(row):
-                raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of finite numbers")
-            if u is None:
-                u = len(row)
-            elif len(row) != u:
-                raise DataFormatError(f"line {ln}: expected {u} attributes, got {len(row)}")
-            seq = obj.get("seq")
-            if not isinstance(seq, list) or not seq:
-                raise DataFormatError(f"line {ln}: empty sequence")
-            if not all(is_json_int(x) and 0 <= x < 2**63 for x in seq):
-                raise DataFormatError(f"line {ln}: sequence items must be non-negative integers below 2^63")
-            label = obj.get("label")
-            if label is not None and not is_class_id(label):
-                raise DataFormatError(f"line {ln}: label must be an integer")
-            attrs.extend(row)
-            items.extend(seq)
-            lengths.append(len(seq))
-            labels.append(label)
-            line_nos.append(ln)
+    u, error = None, None
+    try:
+        with open(path, "rb") as fh:  # bytes, so undecodable text is reported by line
+            for ln, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except ValueError as e:  # invalid JSON or invalid UTF-8
+                    raise DataFormatError(f"line {ln}: invalid JSON: {e}") from None
+                if not isinstance(obj, dict):
+                    raise DataFormatError(f"line {ln}: expected a JSON object")
+                row, seq, label = obj.get("attrs"), obj.get("seq"), obj.get("label")
+                if not (isinstance(row, list) and row and all_numbers(row, float)
+                        and _extended(attrs, row)):
+                    raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of finite numbers")
+                if u is None:
+                    u = len(row)
+                elif len(row) != u:
+                    raise DataFormatError(f"line {ln}: expected {u} attributes, got {len(row)}")
+                if not isinstance(seq, list) or not seq:
+                    raise DataFormatError(f"line {ln}: empty sequence")
+                if not (all_numbers(seq, int) and _extended(items, seq)):
+                    raise DataFormatError(f"line {ln}: sequence items must be non-negative integers below 2^63")
+                if label is not None and not is_class_id(label):
+                    raise DataFormatError(f"line {ln}: label must be an integer")
+                lengths.append(len(seq))
+                labels.append(label)
+                line_nos.append(ln)
+    except DataFormatError as e:  # raised once the rows above it pass the table
+        error = e
+        del attrs[len(lengths) * (u or 0):], items[sum(lengths):]  # what the bad line appended
     rows = np.frombuffer(attrs, dtype=np.float64).reshape(len(lengths), u or 0)
-    return _stacked(rows, items, lengths, labels), line_nos
+    arrays = _stacked(rows, items, lengths, labels)
+    if lengths and (broken := _broken_rule(arrays)):
+        raise DataFormatError(f"line {line_nos[broken[0]]}: {broken[1]}")
+    if error is not None:
+        raise error
+    return arrays, line_nos
 
 
 def records_of(arrays) -> list:
@@ -323,7 +327,7 @@ def load_arrays(path):
         raise DataFormatError("no records")
     sc = sidecar_path(path)
     overrides = read_json_object(sc, DataFormatError, "sidecar") if sc.exists() else {}
-    if not all(is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides):
+    if not all(type(overrides[k]) is int for k in ("u", "r", "t_max") if k in overrides):
         raise DataFormatError(f"sidecar {sc} must hold integer u, r, t_max, got {overrides!r}")
 
     def first_holding(item):
@@ -366,6 +370,14 @@ def load_jsonl(path):
     return records_of(arrays), meta
 
 
+def _views(arrays, rows) -> list:
+    """The instances of the records of `arrays` in `rows`, as views into the arrays."""
+    attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
+    starts = (np.cumsum(lengths) - lengths)[rows].tolist()
+    return [EncodedInstance(attrs[k], items[start:start + n], n)
+            for k, start, n in zip(rows.tolist(), starts, lengths[rows].tolist())]
+
+
 def labeled_pool(arrays, classes) -> list:
     """(instance, label) pairs of the records of a dataset's arrays whose
     label is in `classes`, in file order, as `encode_labeled` gives them.
@@ -373,41 +385,36 @@ def labeled_pool(arrays, classes) -> list:
     arrays of `load_arrays` keep every rule `encode` checks against their
     meta, and `training.check_meta_compatible` extends them to a
     checkpoint's."""
-    attrs, items = arrays["attributes"], arrays["items"]
-    lengths, labels = arrays["lengths"], arrays["labels"]
-    rows = np.flatnonzero(arrays["labeled"] & np.isin(labels, list(classes)))
-    starts = (np.cumsum(lengths) - lengths)[rows].tolist()
-    return [(EncodedInstance(attrs[k], items[start:start + n], n), label) for k, start, n, label
-            in zip(rows.tolist(), starts, lengths[rows].tolist(), labels[rows].tolist())]
+    rows = np.flatnonzero(arrays["labeled"] & np.isin(arrays["labels"], list(classes)))
+    return list(zip(_views(arrays, rows), arrays["labels"][rows].tolist()))
 
 
-def _all_integers(values) -> bool:
-    """True when every value is a Python or numpy integer, not a boolean;
-    checked once per distinct type, not per value."""
-    types = set(map(type, values))
-    return types <= {int} or all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
-                                 for t in types)
-
-
-def write_jsonl(records, path):
-    """Write records as JSONL and, to a regular file, the companion of one or
-    more (see `_read_companion`); records the parser would refuse raise
-    ValueError naming the rule before `path` is opened."""
+def _arrays_of(records):
+    """The arrays of `records` (see `_stacked`); ValueError names the first rule they break."""
     attrs, items, lengths, labels = [], [], [], []
     for rec in records:
         attrs.append(np.asarray(rec.attributes, dtype=np.float64))
         items += rec.items
         lengths.append(len(rec.items))
         labels.append(rec.label)
-    if len({row.shape for row in attrs}) > 1:
-        raise ValueError("records must share one attribute width")
-    if not _all_integers(items):  # numpy would truncate a float and take a boolean as 0 or 1
+    if len({row.shape for row in attrs}) > 1:  # numpy stacks rows of one shape only
+        raise ValueError("records must share one attribute width" if all(row.ndim == 1 for row in attrs)
+                         else "attributes must be one non-empty vector per record")
+    if not all_numbers(items, int):  # numpy would truncate a float and take a boolean as 0 or 1
         raise ValueError("sequence items must be non-negative integers")
-    if not _all_integers(c for c in labels if c is not None):
+    if not all_numbers((c for c in labels if c is not None), int):
         raise ValueError("label must be an integer")
     arrays = _stacked(attrs, items, lengths, labels)
-    if lengths and (rule := _broken_rule(arrays)):
-        raise ValueError(rule)
+    if lengths and (broken := _broken_rule(arrays)):
+        raise ValueError(broken[1])
+    return arrays
+
+
+def write_jsonl(records, path):
+    """Write records as JSONL and, to a regular file, the companion of one or
+    more (see `_read_companion`); records the parser would refuse raise
+    ValueError naming the rule before `path` is opened."""
+    arrays = _arrays_of(records)
     encode_line = json.JSONEncoder(separators=(",", ":")).encode
     digest = hashlib.sha256()  # of the bytes as they are written
     with open(path, "wb") as fh:
@@ -420,7 +427,7 @@ def write_jsonl(records, path):
             fh.write(line)
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or device: nothing beside it
             return
-    if lengths:
+    if arrays["lengths"].size:
         np.savez(companion_path(path), version=np.array(COMPANION_VERSION, dtype=np.int64),
                  digest=np.frombuffer(digest.digest(), dtype=np.uint8), **arrays)
     else:  # a companion of earlier bytes would never match these, but is dead weight
@@ -433,34 +440,29 @@ def write_meta(meta: DatasetMeta, path):
         fh.write("\n")
 
 
+def _encoded(records, meta) -> list:
+    """`records` checked against the dataset's rules and `meta`, as views into their arrays."""
+    arrays = _arrays_of(records)
+    attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
+    if (lengths > meta.t_max).any():
+        raise ValueError(f"sequence length {lengths[lengths > meta.t_max][0]} exceeds t_max={meta.t_max}")
+    if lengths.size and attrs.shape[1] != meta.u:
+        raise ValueError(f"attribute length {attrs.shape[1]} does not match u={meta.u}")
+    if (items >= meta.r).any():  # the LSTM gathers its input by id unchecked
+        raise ValueError(f"item id {items[items >= meta.r][0]} out of range for r={meta.r}")
+    return _views(arrays, np.arange(lengths.size))
+
+
 def encode(rec: AttributedSequence, meta: DatasetMeta) -> EncodedInstance:
-    """Check a record against meta and keep its item ids as an int64 array."""
-    n = len(rec.items)
-    if n == 0:
-        raise ValueError("cannot encode an empty sequence")
-    if n > meta.t_max:
-        raise ValueError(f"sequence length {n} exceeds t_max={meta.t_max}")
-    if len(rec.attributes) != meta.u:
-        raise ValueError(f"attribute length {len(rec.attributes)} does not match u={meta.u}")
-    if not _all_integers(rec.items):  # numpy would truncate a float and take a boolean as 0 or 1
-        raise ValueError("sequence items must be non-negative integers")
-    for item in rec.items:
-        if not 0 <= item < meta.r:
-            raise ValueError(f"item id {item} out of range for r={meta.r}")
-    attributes = np.asarray(rec.attributes, dtype=np.float64)
-    if not all(map(math.isfinite, attributes.tolist())):
-        raise ValueError("attributes must be finite numbers")
-    return EncodedInstance(attributes, np.array(rec.items, dtype=np.int64), n)
+    """Check a record against the dataset's rules and meta; the instance keeps int64 item ids."""
+    return _encoded([rec], meta)[0]
 
 
 def encode_labeled(records, meta):
-    """Encode records that must carry labels; yields (instance, label) pairs."""
-    pool = []
-    for rec in records:
-        if rec.label is None:
-            raise ValueError("record without a label cannot enter a labeled pool")
-        pool.append((encode(rec, meta), rec.label))
-    return pool
+    """Encode records that must carry labels; returns (instance, label) pairs."""
+    if any(rec.label is None for rec in records):
+        raise ValueError("record without a label cannot enter a labeled pool")
+    return [(inst, rec.label) for inst, rec in zip(_encoded(records, meta), records)]
 
 
 def split_by_class(records, train_fraction: float, rng: Rng):
@@ -529,15 +531,9 @@ def sample_triplets(records, n_triplets: int, rng: Rng, positive_fraction: float
 
 def encode_triplets(triplets, meta):
     """Encode triplet endpoints, encoding each distinct record only once."""
-    cache = {}
-
-    def enc(rec):
-        key = id(rec)
-        if key not in cache:
-            cache[key] = encode(rec, meta)
-        return cache[key]
-
-    return [Triplet(enc(t.a), enc(t.b), t.ell) for t in triplets]
+    distinct = {id(rec): rec for t in triplets for rec in (t.a, t.b)}
+    encoded = dict(zip(distinct, _encoded(list(distinct.values()), meta)))
+    return [Triplet(encoded[id(t.a)], encoded[id(t.b)], t.ell) for t in triplets]
 
 
 def generate_synthetic(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetMeta, EncodedInstance, is_integer
+from .data import DatasetMeta, EncodedInstance, all_numbers
 from .kernel import (ACTIVATIONS, Rng, activation, glorot_bound, orthogonal_init, sigmoid,
                      uniform_init)
 
@@ -54,7 +54,7 @@ class ModelConfig:
     branch_mode: str = "both"
 
     def __post_init__(self):
-        if not all(is_integer(v) for v in (self.m, self.n_m, self.n_l, self.n)):
+        if not all_numbers((self.m, self.n_m, self.n_l, self.n), int):
             raise ValueError(f"all model dimensions must be integers, got {self}")
         if min(self.m, self.n_m, self.n_l, self.n) < 1:
             raise ValueError(f"all model dimensions must be >= 1, got {self}")

@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import (DatasetMeta, all_finite_numbers, is_class_id, is_integer, is_number,
-                   read_json_object, write_csv, write_json)
+from .data import DatasetMeta, all_numbers, is_class_id, read_json_object, write_csv, write_json
 from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
 from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
 from .gradients import pair_loss  # noqa: F401  (bench/tracer.py wraps it here)
@@ -52,10 +51,10 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("max_epochs", "patience", "seed"):
-            if not is_integer(value := getattr(self, name)):
+            if not all_numbers([value := getattr(self, name)], int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("lr", "converge_eps", "margin", "l2", "val_fraction"):
-            if not (is_number(value := getattr(self, name)) and math.isfinite(value)):
+            if not (all_numbers([value := getattr(self, name)], float) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
@@ -245,7 +244,7 @@ def load_checkpoint(path):
 
     # every stored tensor is checked against the layout before the store is
     # allocated, so the store never holds more values than the file does
-    shapes = param_shapes(cfg, meta)
+    shapes, tensors = param_shapes(cfg, meta), []
     for name, shape in shapes.items():
         if name not in stored:
             raise CheckpointError(f"corrupt checkpoint {path}: missing tensor {name}")
@@ -258,7 +257,12 @@ def load_checkpoint(path):
                 f"corrupt checkpoint {path}: tensor {name} has shape "
                 f"{list(stored_shape)}, expected {list(shape)}"
             )
-        if not (isinstance(data, list) and all_finite_numbers(data)):
+        try:
+            values = (np.array(data, dtype=np.float64)
+                      if isinstance(data, list) and all_numbers(data, float) else None)
+        except OverflowError:  # an integer beyond the float range
+            values = None
+        if values is None or not np.isfinite(values).all():
             raise CheckpointError(
                 f"corrupt checkpoint {path}: tensor {name} data must be a flat list of finite numbers"
             )
@@ -267,12 +271,12 @@ def load_checkpoint(path):
                 f"corrupt checkpoint {path}: tensor {name} carries {len(data)} values "
                 f"for shape {list(shape)}"
             )
+        tensors.append(values)
     try:
         params = ModelParams(shapes)
     except ValueError as e:
         raise CheckpointError(f"checkpoint {path}: {e}") from None
-    for name, shape in shapes.items():
-        params[name] = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
+    np.concatenate(tensors, out=params.flat)  # the tensors back to back, in layout order
     return params, cfg, meta, train_info
 
 

@@ -590,10 +590,12 @@ def demo_command(name, index=0):
     return steps[index]
 
 
-def test_demo_run_train_step_reproduces(tmp_path, monkeypatch):
-    # the committed demo_run/ artifacts are what the demo's train step writes
+@pytest.mark.parametrize("companion", [True, False], ids=["companion", "parsed"])
+def test_demo_run_train_step_reproduces(tmp_path, monkeypatch, companion):
+    # the committed demo_run/ artifacts are what the demo's train step
+    # writes, whether the dataset is read through its companion or parsed
     demo = Path(__file__).resolve().parents[1] / "demo_run"
-    for name in ("data.jsonl", "data.meta.json"):
+    for name in ("data.jsonl", "data.meta.json") + (("data.records.npz",) if companion else ()):
         (tmp_path / name).write_bytes((demo / name).read_bytes())
     monkeypatch.chdir(tmp_path)
     assert main(demo_command("train")) == 0

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import shutil
@@ -27,7 +30,6 @@ from attrseq.data import (
     encode_labeled,
     encode_triplets,
     generate_synthetic,
-    is_json_int,
     labeled_pool,
     load_arrays,
     load_jsonl,
@@ -41,6 +43,7 @@ from attrseq.data import (
     write_jsonl,
     write_meta,
 )
+from attrseq.cli import main
 from attrseq.data import _read_arrays, _read_companion, companion_path, records_of
 from attrseq.episodes import evaluate
 from attrseq.kernel import Rng
@@ -555,6 +558,135 @@ def test_array_pool_is_encode_labeleds_pool(tmp_path, companion):
     assert reports[0].per_run == reports[1].per_run
 
 
+def _json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_json_number(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _reference_parse(path):
+    """The parser's checks as one loop over each line's values, as they were
+    before the value rules moved onto the stacked arrays: the reference
+    whose line number every parse error must name."""
+    u = None
+    with open(path, "rb") as fh:
+        for ln, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as e:
+                raise DataFormatError(f"line {ln}: invalid JSON: {e}") from None
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"line {ln}: expected a JSON object")
+            row = obj.get("attrs")
+            if not isinstance(row, list) or not row or not all(map(_finite_json_number, row)):
+                raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of finite numbers")
+            if u is None:
+                u = len(row)
+            elif len(row) != u:
+                raise DataFormatError(f"line {ln}: expected {u} attributes, got {len(row)}")
+            seq = obj.get("seq")
+            if not isinstance(seq, list) or not seq:
+                raise DataFormatError(f"line {ln}: empty sequence")
+            if not all(_json_int(x) and 0 <= x < 2**63 for x in seq):
+                raise DataFormatError(f"line {ln}: sequence items must be non-negative integers below 2^63")
+            label = obj.get("label")
+            if label is not None and not (_json_int(label) and -(2**63) <= label < 2**63):
+                raise DataFormatError(f"line {ln}: label must be an integer")
+
+
+# One broken rule each, as the text of a valid line's object changed to break it.
+_BREAKS = {
+    "nan-attr": lambda obj: json.dumps(obj | {"attrs": [obj["attrs"][0], math.nan]}),
+    "inf-attr": lambda obj: json.dumps(obj | {"attrs": [-math.inf, obj["attrs"][1]]}),
+    "overflowing-float": lambda obj: json.dumps(obj | {"attrs": [0.5, 0.25]}).replace("0.25", "1e999"),
+    "overflowing-int-attr":
+        lambda obj: json.dumps(obj | {"attrs": [0.5, 0.25]}).replace("0.25", "1" + "0" * 400),
+    "bool-attr": lambda obj: json.dumps(obj | {"attrs": [True, obj["attrs"][1]]}),
+    "string-attr": lambda obj: json.dumps(obj | {"attrs": ["x", obj["attrs"][1]]}),
+    "wrong-width": lambda obj: json.dumps(obj | {"attrs": obj["attrs"] + [0.5]}),
+    "empty-attrs": lambda obj: json.dumps(obj | {"attrs": []}),
+    "negative-id": lambda obj: json.dumps(obj | {"seq": obj["seq"] + [-1]}),
+    "bool-id": lambda obj: json.dumps(obj | {"seq": [True] + obj["seq"]}),
+    "float-id": lambda obj: json.dumps(obj | {"seq": obj["seq"] + [1.5]}),
+    "id-above-int64": lambda obj: json.dumps(obj | {"seq": [2**63] + obj["seq"]}),
+    "empty-seq": lambda obj: json.dumps(obj | {"seq": []}),
+    "bool-label": lambda obj: json.dumps(obj | {"label": True}),
+    "float-label": lambda obj: json.dumps(obj | {"label": 2.0}),
+    "label-above-int64": lambda obj: json.dumps(obj | {"label": 2**63}),
+    "invalid-json": lambda obj: json.dumps(obj)[:-1],
+    "not-object": lambda obj: json.dumps([obj["attrs"]]),
+}
+
+
+@st.composite
+def _malformed_files(draw, kinds, breaks):
+    """(lines, line numbers of the broken records): records of width 2 with
+    blank lines between them, `breaks` of them after the first each breaking
+    one rule drawn from `kinds`."""
+    n_broken = draw(breaks)
+    broken = set(draw(st.lists(st.integers(1, 7), min_size=n_broken, max_size=n_broken, unique=True)))
+    lines, line_nos = [], []
+    for k in range(max(broken) + 1 + draw(st.integers(0, 2))):
+        lines += [""] * draw(st.integers(0, 2))
+        obj = {"attrs": draw(st.lists(st.floats(-2, 2), min_size=2, max_size=2)),
+               "seq": draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)),
+               "label": draw(st.integers(0, 3))}
+        lines.append(_BREAKS[draw(st.sampled_from(kinds))](obj) if k in broken else json.dumps(obj))
+        if k in broken:
+            line_nos.append(len(lines))
+    return lines, line_nos
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(case=_malformed_files(["nan-attr", "negative-id", "bool-id", "wrong-width", "empty-seq"],
+                             st.just(2)))
+def test_two_broken_lines_name_the_earlier(case):
+    # value rules are checked on the stacked arrays, after the lines are
+    # read, yet the earlier of two broken lines is the one named
+    lines, broken = case
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.jsonl"
+        _write_lines(p, lines)
+        with pytest.raises(DataFormatError, match=f"^line {broken[0]}: "):
+            _read_arrays(p)
+
+
+# The wording of a rule that the arrays' table checks, and the per-line
+# checker's wording of the same rule.
+_TABLE_WORDING = {
+    "attributes must be finite numbers": "'attrs' must be a non-empty list of finite numbers",
+    "sequence items must be non-negative integers":
+        "sequence items must be non-negative integers below 2^63",
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=_malformed_files(sorted(_BREAKS), st.integers(1, 3)))
+def test_parse_errors_are_the_per_line_checkers(case):
+    # the same line and exit code as the per-line checker, and its message
+    # but for the table's wording
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.jsonl"
+        _write_lines(p, case[0])
+        with pytest.raises(DataFormatError) as want:
+            _reference_parse(p)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "--data", str(p), "--seed", "1", "--checkpoint", str(p) + ".ckpt"])
+    assert code == 2
+    ln, _, rule = err.getvalue().removeprefix("attrseq: error: ").rstrip("\n").partition(": ")
+    want_ln, _, want_rule = str(want.value).partition(": ")
+    assert (ln, _TABLE_WORDING.get(rule, rule)) == (want_ln, want_rule)
+
+
 def _reference_meta(records, line_nos, path):
     """The meta inference of `load_jsonl` as Python loops over the records,
     as it was before it worked on the arrays: the reference its meta and
@@ -563,7 +695,7 @@ def _reference_meta(records, line_nos, path):
         raise DataFormatError("no records")
     sc = sidecar_path(path)
     overrides = read_json_object(sc, DataFormatError, "sidecar") if sc.exists() else {}
-    if not all(is_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides):
+    if not all(_json_int(overrides[k]) for k in ("u", "r", "t_max") if k in overrides):
         raise DataFormatError(f"sidecar {sc} must hold integer u, r, t_max, got {overrides!r}")
 
     u = len(records[0].attributes)
@@ -677,11 +809,15 @@ def test_encode_rejects_overlong_sequence():
         encode(AttributedSequence(np.array([0.0]), [0, 1, 0], None), meta)
 
 
-@pytest.mark.parametrize("item", [pytest.param(-1, id="-1"), pytest.param(3, id="r")])
-def test_encode_rejects_out_of_range_id(item):
-    # the one item-id check: the LSTM gathers its input by id unchecked
+@pytest.mark.parametrize("item, message", [
+    pytest.param(-1, "sequence items must be non-negative integers", id="-1"),
+    pytest.param(3, "item id 3 out of range for r=3", id="r"),
+])
+def test_encode_rejects_out_of_range_id(item, message):
+    # a negative id breaks the dataset's rules, an id from r up the meta's:
+    # the LSTM gathers its input by id unchecked
     meta = DatasetMeta(u=1, r=3, t_max=4, class_ids=frozenset())
-    with pytest.raises(ValueError, match=f"item id {item} out of range for r=3"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         encode(AttributedSequence(np.array([0.0]), [0, item, 1], None), meta)
 
 
@@ -690,7 +826,10 @@ def test_encode_rejects_out_of_range_id(item):
     ([0.5], [True, 3], "sequence items must be non-negative integers"),
     ([0.5], [np.float64(2.9)], "sequence items must be non-negative integers"),
     ([np.nan], [1], "attributes must be finite numbers"),
-], ids=["float-id", "bool-id", "numpy-float-id", "nan-attribute"])
+    ([[0.5]], [1], "attributes must be one non-empty vector per record"),
+    (0.5, [1], "attributes must be one non-empty vector per record"),
+], ids=["float-id", "bool-id", "numpy-float-id", "nan-attribute", "matrix-attributes",
+        "scalar-attributes"])
 def test_encode_refuses_what_write_jsonl_refuses(tmp_path, attrs, items, rule):
     meta = DatasetMeta(u=1, r=4, t_max=3, class_ids=frozenset({0, 1}))
     good, bad = AttributedSequence(np.array([0.25]), [1], 1), AttributedSequence(np.array(attrs), items, 0)

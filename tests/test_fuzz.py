@@ -5,7 +5,10 @@ and a small --config file into a fresh directory, mutates one of them
 (truncation, a flipped byte, a swapped JSON type, an inserted 1e400, huge
 integer or NaN token, or a dropped key) and runs the command that reads it.
 The dataset's companion ``data.records.npz`` is copied too, so a mutated
-dataset meets a companion of other bytes, as it would after an edit.
+dataset meets a companion of other bytes, as it would after an edit. The
+companion is mutated in turn (truncation, a flipped byte or inserted bytes)
+beside the intact JSONL, and a damaged companion that the reader still
+accepts must read back bit for bit as the parse.
 The command must exit with a documented code (0-5); on failure it prints
 exactly one ``attrseq: error:`` line, and on success none of its text
 output files holds a non-finite number and every companion it wrote reads
@@ -59,8 +62,8 @@ _GEN = ["gen", "--seed", "0", "--classes", "3", "--per-class", "4", "--u", "2", 
 GEN_CONFIG = {"classes": 3, "per_class": 4, "u": 2, "r": 3, "t_max": 4, "attr_noise": 0.1,
               "seq_noise": 0.2, "standardize_attrs": True, "out": "out.jsonl"}
 
-COMMANDS = {"data.jsonl": _TRAIN, "data.meta.json": _TRAIN, "model.json": _EVAL,
-            "manifest.json": _EVAL, "gen.json": _GEN}
+COMMANDS = {"data.jsonl": _TRAIN, "data.meta.json": _TRAIN, "data.records.npz": _TRAIN,
+            "model.json": _EVAL, "manifest.json": _EVAL, "gen.json": _GEN}
 
 TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 30, "1" + "0" * 400,
           "-1", "0", "2.5", '"x"', "true", "null", "[]", "{}", "[[0.5]]"]
@@ -87,14 +90,19 @@ def _mutate_json(data, doc) -> str:
     return json.dumps(doc).replace(json.dumps(_HOLE), token)
 
 
-def _mutate(data, raw: bytes, jsonl: bool) -> bytes:
-    kind = data.draw(st.sampled_from(["truncate", "flip", "json", "json"]))
+def _mutate(data, raw: bytes, name: str) -> bytes:
+    binary = name.endswith(".npz")
+    kind = data.draw(st.sampled_from(["truncate", "flip", "insert"] if binary
+                                     else ["truncate", "flip", "json", "json"]))
     if kind == "truncate":
         return raw[: data.draw(st.integers(0, len(raw) - 1))]
     if kind == "flip":
         at = data.draw(st.integers(0, len(raw) - 1))
         return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
-    if jsonl:
+    if kind == "insert":
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + data.draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+    if name.endswith(".jsonl"):
         lines = raw.decode().splitlines()
         k = data.draw(st.integers(0, len(lines) - 1))
         lines[k] = _mutate_json(data, json.loads(lines[k]))
@@ -149,9 +157,11 @@ def test_mutated_artifact_fails_cleanly(artifact, data):
         (work / "gen.json").write_text(json.dumps(GEN_CONFIG))
         inputs = {p.name for p in work.iterdir()}
         path = work / artifact
-        path.write_bytes(_mutate(data, path.read_bytes(), jsonl=artifact.endswith(".jsonl")))
+        path.write_bytes(_mutate(data, path.read_bytes(), artifact))
 
         code, err = _run(work, COMMANDS[artifact])
+        if artifact == "data.records.npz" and _read_companion(work / "data.jsonl") is not None:
+            _assert_companion_is_the_parse(path, [work / "data.jsonl"])
 
         assert code in range(6), (code, err)
         if code:
