@@ -91,8 +91,7 @@ def _mutate_json(data, doc) -> str:
 
 
 def _mutate(data, raw: bytes, name: str) -> bytes:
-    binary = name.endswith(".npz")
-    kind = data.draw(st.sampled_from(["truncate", "flip", "insert"] if binary
+    kind = data.draw(st.sampled_from(["truncate", "flip", "insert"] if name.endswith(".npz")
                                      else ["truncate", "flip", "json", "json"]))
     if kind == "truncate":
         return raw[: data.draw(st.integers(0, len(raw) - 1))]
