@@ -176,7 +176,7 @@ def _broken_rule(arrays):
     if not (attrs.ndim == 2 and attrs.size > 0):
         return 0, "attributes must be one non-empty vector per record"
     if not (lengths.shape == arrays["labels"].shape == arrays["labeled"].shape == attrs.shape[:1]
-            and items.ndim == 1 and int(lengths.sum()) == items.size):
+            and items.ndim == 1 and sum(lengths.tolist()) == items.size):  # int64 sums wrap
         return 0, "every record needs one sequence length and one label slot"
     rules = (  # each with its whole-array check and the first row that fails it
         ("attributes must be finite numbers", np.isfinite(attrs).all(),
@@ -260,7 +260,7 @@ def _read_arrays(path):
         return arrays, range(1, len(arrays["lengths"]) + 1)
     attrs, items = array("d"), array("q")  # raw values: no Python object kept per number
     lengths, labels, line_nos = [], [], []
-    u, error = None, None
+    u, error = 0, None  # u: the attribute width, once a line has one
     try:
         with open(path, "rb") as fh:  # bytes, so undecodable text is reported by line
             for ln, raw in enumerate(fh, start=1):
@@ -277,10 +277,9 @@ def _read_arrays(path):
                 if not (isinstance(row, list) and row and all_numbers(row, float)
                         and _extended(attrs, row)):
                     raise DataFormatError(f"line {ln}: 'attrs' must be a non-empty list of finite numbers")
-                if u is None:
-                    u = len(row)
-                elif len(row) != u:
+                if u and len(row) != u:
                     raise DataFormatError(f"line {ln}: expected {u} attributes, got {len(row)}")
+                u = len(row)
                 if not isinstance(seq, list) or not seq:
                     raise DataFormatError(f"line {ln}: empty sequence")
                 if not (all_numbers(seq, int) and _extended(items, seq)):
@@ -291,9 +290,11 @@ def _read_arrays(path):
                 labels.append(label)
                 line_nos.append(ln)
     except DataFormatError as e:  # raised once the rows above it pass the table
-        error = e
-        del attrs[len(lengths) * (u or 0):], items[sum(lengths):]  # what the bad line appended
-    rows = np.frombuffer(attrs, dtype=np.float64).reshape(len(lengths), u or 0)
+        a, i = len(lengths) * u, sum(lengths)  # the bad line's values may break an earlier rule
+        broken = _broken_rule(_stacked([attrs[a:] or [0.0]], items[i:] or [0], [max(len(items) - i, 1)], [None]))
+        error = DataFormatError(f"line {ln}: {broken[1]}") if broken else e  # 0.0 and 0 stand in for none
+        del attrs[a:], items[i:]
+    rows = np.frombuffer(attrs, dtype=np.float64).reshape(len(lengths), u)
     arrays = _stacked(rows, items, lengths, labels)
     if lengths and (broken := _broken_rule(arrays)):
         raise DataFormatError(f"line {line_nos[broken[0]]}: {broken[1]}")
@@ -397,14 +398,14 @@ def _arrays_of(records):
         items += rec.items
         lengths.append(len(rec.items))
         labels.append(rec.label)
-    if len({row.shape for row in attrs}) > 1:  # numpy stacks rows of one shape only
-        raise ValueError("records must share one attribute width" if all(row.ndim == 1 for row in attrs)
-                         else "attributes must be one non-empty vector per record")
+    odd = next((row for row in attrs if row.shape != attrs[0].shape), None)  # numpy stacks one shape only
+    if odd is not None and attrs[0].ndim == odd.ndim == 1:
+        raise ValueError("records must share one attribute width")
     if not all_numbers(items, int):  # numpy would truncate a float and take a boolean as 0 or 1
         raise ValueError("sequence items must be non-negative integers")
     if not all_numbers((c for c in labels if c is not None), int):
         raise ValueError("label must be an integer")
-    arrays = _stacked(attrs, items, lengths, labels)
+    arrays = _stacked(attrs if odd is None else [], items, lengths, labels)  # [] fails the vector rule
     if lengths and (broken := _broken_rule(arrays)):
         raise ValueError(broken[1])
     return arrays
@@ -523,8 +524,7 @@ def sample_triplets(records, n_triplets: int, rng: Rng, positive_fraction: float
         triplets.append(Triplet(by_label[c][i], by_label[c][j], 0))
     for _ in range(n_neg):
         ci, cj = gen.choice(len(labels), size=2, replace=False)
-        a = by_label[labels[ci]]
-        b = by_label[labels[cj]]
+        a, b = by_label[labels[ci]], by_label[labels[cj]]
         triplets.append(Triplet(a[gen.integers(len(a))], b[gen.integers(len(b))], 1))
     return triplets
 

@@ -386,6 +386,14 @@ class TestCompanion:
             lengths = arrays["lengths"].copy()
             lengths[0] += 1
             np.savez(cp, **(arrays | {"lengths": lengths}))
+        elif kind == "wrapped-lengths":
+            # two lengths of 2^63 - 1, whose int64 sum wraps to the true one
+            # with the third enlarged by what the first two lose
+            lengths = arrays["lengths"].copy()
+            lengths[2] += lengths[0] + lengths[1] + 2
+            lengths[:2] = 2**63 - 1
+            assert lengths.sum() == arrays["items"].size and (lengths >= 1).all()
+            np.savez(cp, **(arrays | {"lengths": lengths}))
         elif kind in ("zip-version", "flag-bit-5"):
             # a central-directory entry needing a zip version above 6.3, or
             # marking compressed patched data: zipfile raises NotImplementedError
@@ -404,8 +412,8 @@ class TestCompanion:
 
     @pytest.mark.parametrize("kind", [
         "truncated", "byte-flipped", "payload-flipped", "wrong-version", "missing-key",
-        "object-dtype", "non-finite", "lengths-mismatch", "zip-version", "flag-bit-5", "not-a-zip",
-        "oversized"])
+        "object-dtype", "non-finite", "lengths-mismatch", "wrapped-lengths", "zip-version",
+        "flag-bit-5", "not-a-zip", "oversized"])
     def test_unusable_companion_is_ignored(self, tmp_path, kind):
         p = self.odd_values(tmp_path)
         want = _exact(_parsed(p, tmp_path))
@@ -630,7 +638,8 @@ _BREAKS = {
 def _malformed_files(draw, kinds, breaks):
     """(lines, line numbers of the broken records): records of width 2 with
     blank lines between them, `breaks` of them after the first each breaking
-    one rule drawn from `kinds`."""
+    one rule drawn from `kinds`, and some a second one, drawn from `kinds` and
+    applied to the object the first break left."""
     n_broken = draw(breaks)
     broken = set(draw(st.lists(st.integers(1, 7), min_size=n_broken, max_size=n_broken, unique=True)))
     lines, line_nos = [], []
@@ -639,9 +648,15 @@ def _malformed_files(draw, kinds, breaks):
         obj = {"attrs": draw(st.lists(st.floats(-2, 2), min_size=2, max_size=2)),
                "seq": draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)),
                "label": draw(st.integers(0, 3))}
-        lines.append(_BREAKS[draw(st.sampled_from(kinds))](obj) if k in broken else json.dumps(obj))
-        if k in broken:
-            line_nos.append(len(lines))
+        if k not in broken:
+            lines.append(json.dumps(obj))
+            continue
+        first = draw(st.sampled_from(kinds))
+        lines.append(_BREAKS[first](obj))
+        # a second break needs the first's object, with both attributes
+        if first not in ("invalid-json", "not-object", "empty-attrs") and draw(st.booleans()):
+            lines[-1] = _BREAKS[draw(st.sampled_from(kinds))](json.loads(lines[-1]))
+        line_nos.append(len(lines))
     return lines, line_nos
 
 
@@ -841,6 +856,17 @@ def test_encode_refuses_what_write_jsonl_refuses(tmp_path, attrs, items, rule):
         encode_triplets([Triplet(good, bad, 1)], meta)
     with pytest.raises(ValueError, match=f"^{rule}$"):
         write_jsonl([bad], tmp_path / "d.jsonl")
+
+
+@pytest.mark.parametrize("shapes, rule", [
+    ([(2,), (3,), (1, 1)], "records must share one attribute width"),
+    ([(1, 1), (2,)], "attributes must be one non-empty vector per record"),
+    ([(2,), (2,), ()], "attributes must be one non-empty vector per record"),
+], ids=["width-first", "matrix-first", "scalar-later"])
+def test_mixed_attribute_shapes_name_the_first_record_that_breaks_a_rule(tmp_path, shapes, rule):
+    records = [AttributedSequence(np.full(shape, 0.5), [1], 0) for shape in shapes]
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        write_jsonl(records, tmp_path / "d.jsonl")
 
 
 def test_encode_takes_numpy_integer_ids():
