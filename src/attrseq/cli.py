@@ -18,16 +18,13 @@ from .data import (
     POSITIVE_FRACTION,
     DataFormatError,
     DatasetMeta,
-    encode,
-    encode_triplets,
+    _read_arrays,
     generate_synthetic,
+    instances_of,
     is_class_id,
     labeled_pool,
     load_arrays,
-    load_jsonl,
     read_json_object,
-    read_records,
-    records_of,
     sample_triplets,
     sidecar_path,
     split_by_class,
@@ -37,6 +34,7 @@ from .data import (
     write_jsonl,
     write_meta,
 )
+from .data import encode, load_jsonl, read_records  # noqa: F401  (bench/tracer.py wraps them here)
 from .encoder import BRANCH_MODES, ModelConfig, embed_instances, init_params
 from .encoder import omega_forward  # noqa: F401  (bench/tracer.py wraps it here)
 from .episodes import evaluate
@@ -257,28 +255,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _fit(records, count, positive_fraction, meta, cfg, settings, rng):
+def _fit(instances, count, positive_fraction, meta, cfg, settings, rng):
     """The training recipe of `train` and of each `eval --sweep-triplets`
-    count: `count` triplets sampled from `records`, fresh parameters and SGD
-    under `settings`, each from its own labeled child stream of `rng`.
+    count: `count` triplets sampled from `instances`, fresh parameters and
+    SGD under `settings`, each from its own labeled child stream of `rng`.
     Returns (trained params, report)."""
     params = init_params(cfg, meta, rng.child("init"))  # an oversized model fails before sampling
-    triplets = sample_triplets(records, count, rng.child("triplets"),
+    triplets = sample_triplets(instances, count, rng.child("triplets"),
                                positive_fraction=positive_fraction)
-    encoded = encode_triplets(triplets, meta)
-    return train(params, cfg, encoded, dataclasses.replace(settings, seed=rng.child("train").seed))
+    return train(params, cfg, triplets, dataclasses.replace(settings, seed=rng.child("train").seed))
 
 
 def cmd_train(args) -> int:
-    records, meta = load_jsonl(args.data)
+    arrays, meta = load_arrays(args.data)
     rng = Rng(args.seed)
-    train_records, oneshot_records = split_by_class(records, args.train_fraction, rng.child("split"))
+    train_set, oneshot_set = split_by_class(instances_of(arrays, meta), args.train_fraction, rng.child("split"))
     cfg = ModelConfig(m=args.fc_depth, n_m=args.fc_width, n_l=args.lstm_width,
                       n=args.embed_dim, activation=args.activation,
                       branch_mode=args.branch_mode)
     stored = {key: getattr(args, key) for key in _TRAIN_SETTINGS}  # in the checkpoint too
     settings = TrainConfig(**{field: stored[key] for key, field in _TRAIN_SETTINGS.items()})
-    trained, report = _fit(train_records, args.triplets, args.positive_fraction, meta, cfg,
+    trained, report = _fit(train_set, args.triplets, args.positive_fraction, meta, cfg,
                            settings, rng)
 
     train_info = {
@@ -289,8 +286,8 @@ def cmd_train(args) -> int:
     save_checkpoint(trained, cfg, meta, args.checkpoint, train_info=train_info)
     write_metrics(report, args.metrics)
     write_json({
-        "train_classes": sorted({rec.label for rec in train_records}),
-        "oneshot_classes": sorted({rec.label for rec in oneshot_records}),
+        "train_classes": sorted({inst.label for inst in train_set}),
+        "oneshot_classes": sorted({inst.label for inst in oneshot_set}),
         "train_fraction": args.train_fraction,
         "seed": args.seed,
         "data": Path(args.data).name,
@@ -379,8 +376,7 @@ def cmd_eval(args) -> int:
 
 
 def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g) -> int:
-    train_classes = set(manifest["train_classes"])
-    train_records = [rec for rec in records_of(arrays) if rec.label in train_classes]
+    train_set = [inst for inst, _ in labeled_pool(arrays, manifest["train_classes"])]
     # the checkpoint's training settings, checked once before any retraining;
     # a setting it lacks keeps TrainConfig's default, and eval's distance wins
     positive_fraction = train_info.get("positive_fraction", POSITIVE_FRACTION)
@@ -395,7 +391,7 @@ def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, 
     rows = []
     for count in args.sweep_triplets:
         crng = rng.child(f"sweep{count}")
-        trained, _ = _fit(train_records, count, positive_fraction, ckpt_meta, cfg, settings, crng)
+        trained, _ = _fit(train_set, count, positive_fraction, ckpt_meta, cfg, settings, crng)
         report = evaluate(trained, cfg, kind, pool, g, args.queries, args.runs,
                           crng.child("eval").seed)
         rows.append((count, report))
@@ -410,15 +406,15 @@ def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, 
 
 def cmd_embed(args) -> int:
     params, cfg, ckpt_meta, _ = load_checkpoint(args.checkpoint)
-    records = read_records(args.data)
+    arrays, _ = _read_arrays(args.data)  # a DataFormatError here keeps exit 2
     try:
-        instances = [encode(rec, ckpt_meta) for rec in records]
+        instances = instances_of(arrays, ckpt_meta)
     except ValueError as e:
         raise ShapeMismatchError(f"record does not fit checkpoint encoding: {e}") from None
     write_csv(args.out, ["label", *(f"e{k}" for k in range(cfg.n))],
-              [("" if rec.label is None else rec.label, *emb)
-               for rec, emb in zip(records, embed_instances(params, cfg, instances).tolist())])
-    print(f"wrote {len(records)} embeddings of width {cfg.n} to {args.out}")
+              [("" if inst.label is None else inst.label, *emb)
+               for inst, emb in zip(instances, embed_instances(params, cfg, instances).tolist())])
+    print(f"wrote {len(instances)} embeddings of width {cfg.n} to {args.out}")
     return EXIT_OK
 
 

@@ -10,8 +10,8 @@ companion, `write_jsonl` and the encoders. Beside a regular file of one or
 more records `write_jsonl` also leaves ``<stem>.records.npz``, their parsed
 form keyed by the SHA-256 of the file's bytes; a reader uses it in place of
 parsing only while the file still has those bytes. Both read paths end in
-the same arrays (`load_arrays`): `eval` takes its pool from them, the other
-commands build records. Encoded instances view such arrays.
+the same arrays (`load_arrays`), and every command runs on instances that
+view them (`instances_of`); the record functions serve the library.
 """
 
 import hashlib
@@ -90,11 +90,12 @@ class DatasetMeta:
 
 @dataclass
 class EncodedInstance:
-    """Model-ready record: the attributes and the item ids, no padding."""
+    """Model-ready record: views of its attributes and item ids, no padding, and its label."""
 
     attributes: np.ndarray  # shape (u,)
     seq: np.ndarray  # int64 item ids in [0, r), shape (true_len,)
     true_len: int
+    label: int | None = None
 
 
 @dataclass
@@ -375,8 +376,9 @@ def _views(arrays, rows) -> list:
     """The instances of the records of `arrays` in `rows`, as views into the arrays."""
     attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
     starts = (np.cumsum(lengths) - lengths)[rows].tolist()
-    return [EncodedInstance(attrs[k], items[start:start + n], n)
-            for k, start, n in zip(rows.tolist(), starts, lengths[rows].tolist())]
+    labels = arrays["labels"][rows].tolist(), arrays["labeled"][rows].tolist()
+    return [EncodedInstance(attrs[k], items[start:start + n], n, label if labeled else None)
+            for k, start, n, label, labeled in zip(rows.tolist(), starts, lengths[rows].tolist(), *labels)]
 
 
 def labeled_pool(arrays, classes) -> list:
@@ -387,7 +389,7 @@ def labeled_pool(arrays, classes) -> list:
     meta, and `training.check_meta_compatible` extends them to a
     checkpoint's."""
     rows = np.flatnonzero(arrays["labeled"] & np.isin(arrays["labels"], list(classes)))
-    return list(zip(_views(arrays, rows), arrays["labels"][rows].tolist()))
+    return [(inst, inst.label) for inst in _views(arrays, rows)]
 
 
 def _arrays_of(records):
@@ -441,9 +443,10 @@ def write_meta(meta: DatasetMeta, path):
         fh.write("\n")
 
 
-def _encoded(records, meta) -> list:
-    """`records` checked against the dataset's rules and `meta`, as views into their arrays."""
-    arrays = _arrays_of(records)
+def instances_of(arrays, meta) -> list:
+    """The instances of a dataset's arrays, in file order, as views into them, once
+    they fit `meta`: ValueError names the first of t_max, u and r they break. The
+    arrays of `_read_arrays` and `_arrays_of` already keep the dataset's rules."""
     attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
     if (lengths > meta.t_max).any():
         raise ValueError(f"sequence length {lengths[lengths > meta.t_max][0]} exceeds t_max={meta.t_max}")
@@ -456,18 +459,18 @@ def _encoded(records, meta) -> list:
 
 def encode(rec: AttributedSequence, meta: DatasetMeta) -> EncodedInstance:
     """Check a record against the dataset's rules and meta; the instance keeps int64 item ids."""
-    return _encoded([rec], meta)[0]
+    return instances_of(_arrays_of([rec]), meta)[0]
 
 
 def encode_labeled(records, meta):
     """Encode records that must carry labels; returns (instance, label) pairs."""
     if any(rec.label is None for rec in records):
         raise ValueError("record without a label cannot enter a labeled pool")
-    return [(inst, rec.label) for inst, rec in zip(_encoded(records, meta), records)]
+    return [(inst, inst.label) for inst in instances_of(_arrays_of(records), meta)]
 
 
 def split_by_class(records, train_fraction: float, rng: Rng):
-    """Partition records into class-disjoint train and one-shot sets.
+    """Partition records or instances into class-disjoint train and one-shot sets.
 
     ceil(train_fraction * n_classes) classes go to the train side; every
     record follows its class.
@@ -532,7 +535,7 @@ def sample_triplets(records, n_triplets: int, rng: Rng, positive_fraction: float
 def encode_triplets(triplets, meta):
     """Encode triplet endpoints, encoding each distinct record only once."""
     distinct = {id(rec): rec for t in triplets for rec in (t.a, t.b)}
-    encoded = dict(zip(distinct, _encoded(list(distinct.values()), meta)))
+    encoded = dict(zip(distinct, instances_of(_arrays_of(list(distinct.values())), meta)))
     return [Triplet(encoded[id(t.a)], encoded[id(t.b)], t.ell) for t in triplets]
 
 

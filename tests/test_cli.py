@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from attrseq import cli, encoder
 from attrseq.cli import main
+from attrseq.data import _broken_rule, companion_path, read_records, write_jsonl
 from attrseq.training import TrainConfig, load_checkpoint
 
 
@@ -518,6 +522,38 @@ class TestEmbed:
         assert run("embed", "--checkpoint", ckpt, "--data", empty, "--out", out) == 0
         assert out.read_text() == "label,e0,e1,e2,e3\n"
 
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys):
+        # a format error is exit 2, not the exit 5 of a record that does not fit
+        data = gen_dataset(tmp_path)
+        ckpt, _, _ = train_small(tmp_path, data)
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["attrs"][0] = float("nan")
+        lines[1] = json.dumps(rec)
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "emb.csv"
+        assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out) == 2
+        assert capsys.readouterr().err == "attrseq: error: line 2: attributes must be finite numbers\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("companion", [True, False], ids=["companion", "parsed"])
+    def test_unlabeled_rows_get_an_empty_label(self, tmp_path, companion):
+        data = gen_dataset(tmp_path)
+        ckpt, _, _ = train_small(tmp_path, data)
+        records = read_records(data)
+        unlabeled = {0, 3, 9, 47}  # record 0 has label 0, the labels array's placeholder
+        assert records[0].label == 0
+        for k in unlabeled:
+            records[k].label = None
+        mixed = tmp_path / "mixed.jsonl"
+        write_jsonl(records, mixed)
+        if not companion:
+            companion_path(mixed).unlink()
+        out = tmp_path / "emb.csv"
+        assert run("embed", "--checkpoint", ckpt, "--data", mixed, "--out", out) == 0
+        got = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+        assert got == ["" if k in unlabeled else str(rec.label) for k, rec in enumerate(records)]
+
     def test_shape_mismatch_exit_5(self, tmp_path):
         data = gen_dataset(tmp_path)
         ckpt, _, _ = train_small(tmp_path, data)
@@ -560,10 +596,13 @@ class TestEmbed:
         assert "expected [10000000, 4]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_demo_run_embeddings_reproduce(self, tmp_path):
+    @pytest.mark.parametrize("companion", [True, False], ids=["companion", "parsed"])
+    def test_demo_run_embeddings_reproduce(self, tmp_path, companion):
         demo = Path(__file__).resolve().parents[1] / "demo_run"
+        for name in ("data.jsonl",) + (("data.records.npz",) if companion else ()):
+            (tmp_path / name).write_bytes((demo / name).read_bytes())
         out = tmp_path / "emb.csv"
-        assert run("embed", "--checkpoint", demo / "model.json", "--data", demo / "data.jsonl",
+        assert run("embed", "--checkpoint", demo / "model.json", "--data", tmp_path / "data.jsonl",
                    "--out", out) == 0
         got, want = out.read_text().splitlines(), (demo / "embeddings.csv").read_text().splitlines()
         assert got[0] == want[0] and len(got) == len(want) == 601
@@ -590,15 +629,25 @@ def demo_command(name, index=0):
     return steps[index]
 
 
-@pytest.mark.parametrize("companion", [True, False], ids=["companion", "parsed"])
-def test_demo_run_train_step_reproduces(tmp_path, monkeypatch, companion):
+@pytest.mark.parametrize("companion, coretype", [(True, None), (False, None), (True, "Haswell")],
+                         ids=["companion", "parsed", "haswell"])
+def test_demo_run_train_step_reproduces(tmp_path, monkeypatch, companion, coretype):
     # the committed demo_run/ artifacts are what the demo's train step
-    # writes, whether the dataset is read through its companion or parsed
+    # writes, whether the dataset is read through its companion or parsed;
+    # under a second OpenBLAS kernel, which a process picks when it loads
+    # numpy, the parameters and losses drift only in the last bits
     demo = Path(__file__).resolve().parents[1] / "demo_run"
     for name in ("data.jsonl", "data.meta.json") + (("data.records.npz",) if companion else ()):
         (tmp_path / name).write_bytes((demo / name).read_bytes())
     monkeypatch.chdir(tmp_path)
-    assert main(demo_command("train")) == 0
+    if coretype is None:
+        assert main(demo_command("train")) == 0
+    else:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "attrseq.cli", *demo_command("train")],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
     got, want = load_checkpoint(tmp_path / "model.json"), load_checkpoint(demo / "model.json")
     assert got[0].shapes == want[0].shapes and got[1:] == want[1:]
     assert np.allclose(got[0].flat, want[0].flat, rtol=0, atol=1e-12)
@@ -623,6 +672,27 @@ def test_demo_run_eval_steps_reproduce(tmp_path, monkeypatch, step, outputs, com
     assert main(demo_command("eval", step)) == 0
     for name in outputs:
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("companion", [True, False], ids=["companion", "parsed"])
+@pytest.mark.parametrize("command", ["train", "embed", "sweep"])
+def test_each_command_checks_the_dataset_rules_once(tmp_path, monkeypatch, command, companion):
+    # the reader checks the arrays once; no command runs records through the rules again
+    data = gen_dataset(tmp_path)
+    ckpt, _, manifest = train_small(tmp_path, data)
+    if not companion:
+        companion_path(data).unlink()
+    calls = []
+    monkeypatch.setattr("attrseq.data._broken_rule", lambda arrays: calls.append(1) or _broken_rule(arrays))
+    if command == "train":
+        train_small(tmp_path, data)
+    elif command == "embed":
+        assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "emb.csv") == 0
+    else:
+        assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,
+                   "--g", 2, "--queries", 4, "--runs", 1, "--seed", 5, "--sweep-triplets", "4,8",
+                   "--out-csv", tmp_path / "s.csv", "--out-json", tmp_path / "s.json") == 0
+    assert len(calls) == 1
 
 
 def test_unknown_command_usage_error(capsys):
