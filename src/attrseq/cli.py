@@ -267,14 +267,14 @@ def _fit(instances, count, positive_fraction, meta, cfg, settings, rng):
 
 
 def cmd_train(args) -> int:
+    cfg = ModelConfig(m=args.fc_depth, n_m=args.fc_width, n_l=args.lstm_width,
+                      n=args.embed_dim, activation=args.activation,
+                      branch_mode=args.branch_mode)  # bad flags fail before any input is read
+    stored = {key: getattr(args, key) for key in _TRAIN_SETTINGS}  # in the checkpoint too
+    settings = TrainConfig(**{field: stored[key] for key, field in _TRAIN_SETTINGS.items()})
     arrays, meta = load_arrays(args.data)
     rng = Rng(args.seed)
     train_set, oneshot_set = split_by_class(instances_of(arrays, meta), args.train_fraction, rng.child("split"))
-    cfg = ModelConfig(m=args.fc_depth, n_m=args.fc_width, n_l=args.lstm_width,
-                      n=args.embed_dim, activation=args.activation,
-                      branch_mode=args.branch_mode)
-    stored = {key: getattr(args, key) for key in _TRAIN_SETTINGS}  # in the checkpoint too
-    settings = TrainConfig(**{field: stored[key] for key, field in _TRAIN_SETTINGS.items()})
     trained, report = _fit(train_set, args.triplets, args.positive_fraction, meta, cfg,
                            settings, rng)
 
@@ -376,7 +376,7 @@ def cmd_eval(args) -> int:
 
 
 def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g) -> int:
-    train_set = [inst for inst, _ in labeled_pool(arrays, manifest["train_classes"])]
+    train_set = labeled_pool(arrays, manifest["train_classes"])
     # the checkpoint's training settings, checked once before any retraining;
     # a setting it lacks keeps TrainConfig's default, and eval's distance wins
     positive_fraction = train_info.get("positive_fraction", POSITIVE_FRACTION)

@@ -31,9 +31,9 @@ import numpy as np
 from .kernel import Rng
 
 
-# The largest one-hot input the model reads: t_max * r cells, 32 MiB of
-# float64, though sequences are stored as ids. r sizes the LSTM kernels and
-# the one-hot block backpropagation builds, t_max what `gen` writes. Far
+# The largest one-hot block the model builds: t_max * r cells, 32 MiB of
+# float64. The forward pass gathers kernel columns by id; backpropagation
+# builds a (T, r) block per sequence, and r also sizes the LSTM kernels. Far
 # beyond any alphabet this model trains on, and small enough that an absurd
 # item id or dimension is a format error, not an attempt to allocate terabytes.
 MAX_ONE_HOT_CELLS = 2**22
@@ -382,14 +382,13 @@ def _views(arrays, rows) -> list:
 
 
 def labeled_pool(arrays, classes) -> list:
-    """(instance, label) pairs of the records of a dataset's arrays whose
-    label is in `classes`, in file order, as `encode_labeled` gives them.
-    Each instance is a view into the arrays and is not checked again: the
-    arrays of `load_arrays` keep every rule `encode` checks against their
-    meta, and `training.check_meta_compatible` extends them to a
-    checkpoint's."""
+    """The instances of the records of a dataset's arrays whose label is in
+    `classes`, in file order, as `encode_labeled` gives them. Each is a view
+    into the arrays and is not checked again: the arrays of `load_arrays`
+    keep every rule `encode` checks against their meta, and
+    `training.check_meta_compatible` extends them to a checkpoint's."""
     rows = np.flatnonzero(arrays["labeled"] & np.isin(arrays["labels"], list(classes)))
-    return [(inst, inst.label) for inst in _views(arrays, rows)]
+    return _views(arrays, rows)
 
 
 def _arrays_of(records):
@@ -462,11 +461,11 @@ def encode(rec: AttributedSequence, meta: DatasetMeta) -> EncodedInstance:
     return instances_of(_arrays_of([rec]), meta)[0]
 
 
-def encode_labeled(records, meta):
-    """Encode records that must carry labels; returns (instance, label) pairs."""
+def encode_labeled(records, meta) -> list:
+    """Encode records that must carry labels: a pool of labeled instances."""
     if any(rec.label is None for rec in records):
         raise ValueError("record without a label cannot enter a labeled pool")
-    return [(inst, inst.label) for inst in instances_of(_arrays_of(records), meta)]
+    return instances_of(_arrays_of(records), meta)
 
 
 def split_by_class(records, train_fraction: float, rng: Rng):

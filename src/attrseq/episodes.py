@@ -1,7 +1,7 @@
 """G-way one-shot episodes over classes the model never trained on.
 
-An episode holds one support exemplar per class plus a batch of queries
-drawn (without replacement) from the remaining instances of those classes.
+An episode is the pool indices of one support exemplar per class and of
+queries drawn (without replacement) from the other instances of those classes.
 A query takes the class of its nearest support embedding; exact distance
 ties go to the smaller class id so evaluation is order-independent.
 
@@ -25,9 +25,7 @@ from .kernel import Rng
 
 @dataclass
 class Episode:
-    support: list  # (EncodedInstance, class_id), one entry per class
-    queries: list  # (EncodedInstance, true class_id)
-    support_idx: list  # pool index of each support entry
+    support_idx: list  # pool index of each support instance, one per class
     query_idx: list  # pool index of each query
 
 
@@ -47,15 +45,18 @@ class EvalReport:
 
 
 def group_by_class(pool) -> dict:
-    """Class id -> pool indices of its instances, in pool order."""
+    """Class id -> pool indices of its instances, in pool order; ValueError
+    names the first pool index whose instance has no label."""
     by_class = {}
-    for idx, (_, label) in enumerate(pool):
-        by_class.setdefault(label, []).append(idx)
+    for idx, inst in enumerate(pool):
+        if inst.label is None:
+            raise ValueError(f"pool instance {idx} has no label")
+        by_class.setdefault(inst.label, []).append(idx)
     return by_class
 
 
 def build_episode(pool, g: int, n_queries: int, rng: Rng, by_class=None) -> Episode:
-    """Draw a G-way episode from (instance, label) pairs.
+    """Draw a G-way episode from a pool of labeled instances.
 
     Support exemplars are excluded from the query pool, and queries only come
     from the G chosen classes. ``by_class`` is the pool's
@@ -81,8 +82,7 @@ def build_episode(pool, g: int, n_queries: int, rng: Rng, by_class=None) -> Epis
             f"outside the support set"
         )
     query_idx = [remaining[i] for i in gen.choice(len(remaining), size=n_queries, replace=False)]
-    return Episode([pool[i] for i in support_idx], [pool[i] for i in query_idx],
-                   support_idx, query_idx)
+    return Episode(support_idx, query_idx)
 
 
 def classify(kind, support_embeddings, support_classes, query_embeddings) -> np.ndarray:
@@ -114,14 +114,14 @@ def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:
     episodes = [build_episode(pool, g, n_queries, root.child(f"run{run}"), by_class)
                 for run in range(n_runs)]
     drawn = sorted({i for ep in episodes for i in ep.support_idx + ep.query_idx})
-    rows = embed_instances(params, cfg, [pool[i][0] for i in drawn])
+    rows = embed_instances(params, cfg, [pool[i] for i in drawn])
     row_of = {i: k for k, i in enumerate(drawn)}
     per_run = []
     for ep in episodes:
         predicted = classify(kind, rows[[row_of[i] for i in ep.support_idx]],
-                             [c for _, c in ep.support],
+                             [pool[i].label for i in ep.support_idx],
                              rows[[row_of[i] for i in ep.query_idx]])
-        correct = int(np.count_nonzero(predicted == [truth for _, truth in ep.queries]))
+        correct = int(np.count_nonzero(predicted == [pool[i].label for i in ep.query_idx]))
         per_run.append(correct / n_queries)
     p25, median, p75 = (float(x) for x in np.percentile(per_run, [25, 50, 75]))
     return EvalReport(

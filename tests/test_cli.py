@@ -124,6 +124,21 @@ class TestTrain:
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         assert run("train", "--data", tmp_path / "nope.jsonl", "--seed", 1) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "0"], "max_epochs must be >= 1, got 0"),
+        (["--fc-width", "0"], "all model dimensions must be >= 1, got ModelConfig(m=3, n_m=0, "
+                              "n_l=50, n=50, activation='tanh', branch_mode='both')"),
+        (["--lr", "-1"], "lr must be >= 0, got -1.0"),
+        (["--patience", "0"], "patience must be >= 1, got 0"),
+    ], ids=["zero-epochs", "zero-fc-width", "negative-lr", "zero-patience"])
+    def test_bad_model_or_trainer_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
+        # refused before any input is read: the dataset does not exist
+        out = tmp_path / "out"
+        assert run("train", "--data", tmp_path / "missing.jsonl", "--seed", 1, *flags,
+                   "--checkpoint", out, "--metrics", out, "--manifest", out) == 1
+        assert capsys.readouterr() == ("", f"attrseq: error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", ["nan-attr", "bool-label", "label-above-int64",
                                       "bad-sidecar"])
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, edit):
@@ -436,6 +451,19 @@ class TestEval:
                    "--t-max", 5, "--seed", 7, "--out", wide) == 0
         assert run("eval", "--checkpoint", ckpt, "--data", wide,
                    "--manifest", manifest, "--queries", 4, "--runs", 2, "--seed", 5) == 5
+
+    def test_dataset_alphabet_beyond_checkpoint_exit_5(self, tmp_path, capsys):
+        demo = Path(__file__).resolve().parents[1] / "demo_run"
+        wide = tmp_path / "r13.jsonl"
+        assert run("gen", "--classes", 2, "--per-class", 3, "--r", 13, "--seed", 1, "--out", wide) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("eval", "--checkpoint", demo / "model.json", "--data", wide,
+                   "--manifest", demo / "manifest.json", "--seed", 5,
+                   "--out-json", out, "--out-csv", out) == 5
+        assert capsys.readouterr() == (
+            "", "attrseq: error: dataset uses 13 items but checkpoint supports r=12\n")
+        assert not out.exists()
 
     def test_sweep_writes_curve(self, tmp_path):
         data, ckpt, manifest = self.setup_artifacts(tmp_path)
@@ -761,6 +789,20 @@ def test_missing_checkpoint_header_key_is_named(tmp_path, capsys):
     out = tmp_path / "emb.csv"
     assert run("embed", "--checkpoint", ckpt, "--data", demo / "data.jsonl", "--out", out) == 5
     assert capsys.readouterr().err == f"attrseq: error: corrupt checkpoint {ckpt}: meta lacks t_max\n"
+    assert not out.exists()
+
+
+def test_missing_tensor_is_named(tmp_path, capsys):
+    demo = Path(__file__).resolve().parents[1] / "demo_run"
+    envelope = json.loads((demo / "model.json").read_text())
+    del envelope["tensors"]["w_c"]
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(envelope))
+    out = tmp_path / "out"
+    assert run("eval", "--checkpoint", ckpt, "--data", demo / "data.jsonl",
+               "--manifest", demo / "manifest.json", "--seed", 5,
+               "--out-json", out, "--out-csv", out) == 5
+    assert capsys.readouterr() == ("", f"attrseq: error: corrupt checkpoint {ckpt}: missing tensor w_c\n")
     assert not out.exists()
 
 

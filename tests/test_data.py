@@ -25,6 +25,7 @@ from attrseq.data import (
     AttributedSequence,
     DataFormatError,
     DatasetMeta,
+    EncodedInstance,
     Triplet,
     encode,
     encode_labeled,
@@ -400,6 +401,14 @@ class TestCompanion:
             at = raw.index(b"PK\x01\x02") + (6 if kind == "zip-version" else 8)
             cp.write_bytes(raw[:at] + bytes([raw[at] | (0x40 if kind == "zip-version" else 0x20)])
                            + raw[at + 1:])
+        elif kind == "trailing-bytes":
+            # a stored member whose bytes go on past its array; its CRC covers
+            # them, so only the reader's check for leftover bytes refuses it
+            with zipfile.ZipFile(cp, "w") as zf:
+                for key, value in arrays.items():
+                    buf = io.BytesIO()
+                    np.lib.format.write_array(buf, value, allow_pickle=False)
+                    zf.writestr(f"{key}.npy", buf.getvalue() + (b"\0" * 8 if key == "labels" else b""))
         elif kind == "not-a-zip":
             np.save(cp.with_suffix(".npy"), arrays["attributes"])
             cp.with_suffix(".npy").rename(cp)
@@ -413,7 +422,7 @@ class TestCompanion:
     @pytest.mark.parametrize("kind", [
         "truncated", "byte-flipped", "payload-flipped", "wrong-version", "missing-key",
         "object-dtype", "non-finite", "lengths-mismatch", "wrapped-lengths", "zip-version",
-        "flag-bit-5", "not-a-zip", "oversized"])
+        "flag-bit-5", "trailing-bytes", "not-a-zip", "oversized"])
     def test_unusable_companion_is_ignored(self, tmp_path, kind):
         p = self.odd_values(tmp_path)
         want = _exact(_parsed(p, tmp_path))
@@ -556,12 +565,13 @@ def test_array_pool_is_encode_labeleds_pool(tmp_path, companion):
     got = labeled_pool(load_arrays(p)[0], oneshot)
     want = encode_labeled([rec for rec in load_jsonl(p)[0] if rec.label in oneshot], ckpt_meta)
     assert len(got) == len(want) == 240
-    for (a, a_label), (b, b_label) in zip(got, want):
+    for a, b in zip(got, want):
+        assert type(a) is type(b) is EncodedInstance
         assert a.attributes.dtype == b.attributes.dtype == np.float64
         assert a.attributes.tobytes() == b.attributes.tobytes()
         assert a.seq.dtype == b.seq.dtype == np.int64 and a.seq.tolist() == b.seq.tolist()
         assert type(a.true_len) is type(b.true_len) is int and a.true_len == b.true_len
-        assert type(a_label) is type(b_label) is int and a_label == b_label
+        assert type(a.label) is type(b.label) is int and a.label == b.label
     reports = [evaluate(params, cfg, "euclidean", pool, 4, 200, 5, 5) for pool in (got, want)]
     assert reports[0].per_run == reports[1].per_run
 

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from attrseq import episodes
-from attrseq.data import DatasetMeta, encode_labeled, generate_synthetic
+from attrseq.data import (AttributedSequence, DatasetMeta, encode_labeled, generate_synthetic,
+                          instances_of, load_arrays, write_jsonl)
 from attrseq.encoder import embed_instances, init_params, omega_forward
-from attrseq.episodes import build_episode, classify, evaluate, group_by_class
+from attrseq.episodes import Episode, build_episode, classify, evaluate, group_by_class
 from attrseq.gradients import distance
 from attrseq.kernel import Rng
 
@@ -18,9 +21,10 @@ def make_pool(classes=5, per_class=8, seed=0, u=3, r=4, t_max=5):
     return encode_labeled(records, meta), meta
 
 
-def embed_pairs(params, cfg, pairs):
-    """(instance, class_id) pairs -> (embedding, class_id) pairs."""
-    return [(omega_forward(params, cfg, inst)[0], c) for inst, c in pairs]
+def embed_drawn(params, cfg, pool, idx):
+    """(embedding, class_id) of the pool instance at each index of `idx`,
+    one single-instance forward each."""
+    return [(omega_forward(params, cfg, pool[i])[0], pool[i].label) for i in idx]
 
 
 def nearest_class(kind, support, q_emb):
@@ -43,41 +47,39 @@ def reference_per_run(params, cfg, kind, pool, g, n_queries, n_runs, seed):
     per_run = []
     for run in range(n_runs):
         ep = build_episode(pool, g, n_queries, root.child(f"run{run}"))
-        support = embed_pairs(params, cfg, ep.support)
+        support = embed_drawn(params, cfg, pool, ep.support_idx)
         correct = 0
-        for q, truth in ep.queries:
-            correct += nearest_class(kind, support, omega_forward(params, cfg, q)[0]) == truth
+        for q_emb, truth in embed_drawn(params, cfg, pool, ep.query_idx):
+            correct += nearest_class(kind, support, q_emb) == truth
         per_run.append(correct / n_queries)
     return per_run
 
 
 def duplicated_pool(classes=4, copies=4, seed=0):
     """Every class holds the same instances, so supports of different classes
-    can embed identically and queries meet exact distance ties."""
+    can embed identically and queries meet exact distance ties. Each copy is
+    relabeled and shares its arrays with the original."""
     base, meta = make_pool(classes=2, per_class=copies, seed=seed)
-    return [(inst, c) for c in range(classes) for inst, _ in base[:copies]], meta
+    return [dataclasses.replace(inst, label=c) for c in range(classes) for inst in base[:copies]], meta
 
 
 class TestBuildEpisode:
     def test_structure(self):
         pool, _ = make_pool()
         ep = build_episode(pool, g=4, n_queries=10, rng=Rng(3))
-        support_classes = [c for _, c in ep.support]
+        assert [field.name for field in dataclasses.fields(Episode)] == ["support_idx", "query_idx"]
+        support_classes = [pool[i].label for i in ep.support_idx]
         assert len(support_classes) == len(set(support_classes)) == 4
-        support_ids = {id(inst) for inst, _ in ep.support}
-        for inst, truth in ep.queries:
-            assert truth in support_classes
-            assert id(inst) not in support_ids
-        assert len(ep.queries) == 10
-        for idx, pairs in ((ep.support_idx, ep.support), (ep.query_idx, ep.queries)):
-            assert all(pool[i][0] is inst for i, (inst, _) in zip(idx, pairs))
+        assert len(ep.query_idx) == len(set(ep.query_idx)) == 10
+        assert not set(ep.query_idx) & set(ep.support_idx)
+        assert all(pool[i].label in support_classes for i in ep.query_idx)
 
     def test_deterministic(self):
         pool, _ = make_pool()
         a = build_episode(pool, 3, 6, Rng(9))
         b = build_episode(pool, 3, 6, Rng(9))
-        assert [c for _, c in a.support] == [c for _, c in b.support]
-        assert [(id(i), c) for i, c in a.queries] == [(id(i), c) for i, c in b.queries]
+        assert (a.support_idx, a.query_idx) == (b.support_idx, b.query_idx)
+        assert len(a.support_idx) == 3 and len(a.query_idx) == 6
 
     def test_insufficient_classes(self):
         pool, _ = make_pool(classes=3)
@@ -94,8 +96,8 @@ class TestBuildEpisode:
         # one-shot side of the smallest tabled layout: 4 ways, 2000 queries
         pool, _ = make_pool(classes=4, per_class=510, seed=1)
         ep = build_episode(pool, 4, 2000, Rng(2))
-        assert len(ep.queries) == 2000
-        assert len(ep.support) == 4
+        assert len(set(ep.query_idx)) == 2000
+        assert len({pool[i].label for i in ep.support_idx}) == 4
 
 
 class TestClassify:
@@ -111,9 +113,9 @@ class TestClassify:
         cfg = tiny_cfg()
         params = random_params(cfg, meta, seed=4)
         ep = build_episode(pool, 4, 12, Rng(5))
-        support = embed_pairs(params, cfg, ep.support)
-        support_classes = {c for _, c in ep.support}
-        q_embs = [q_emb for q_emb, _ in embed_pairs(params, cfg, ep.queries)]
+        support = embed_drawn(params, cfg, pool, ep.support_idx)
+        support_classes = {c for _, c in support}
+        q_embs = [q_emb for q_emb, _ in embed_drawn(params, cfg, pool, ep.query_idx)]
         assert set(classify_pairs("euclidean", support, q_embs)) <= support_classes
 
     def test_query_identical_to_support(self):
@@ -121,7 +123,7 @@ class TestClassify:
         cfg = tiny_cfg()
         params = random_params(cfg, meta, seed=4)
         ep = build_episode(pool, 4, 6, Rng(6))
-        support = embed_pairs(params, cfg, ep.support)
+        support = embed_drawn(params, cfg, pool, ep.support_idx)
         emb, truth = support[2]
         assert classify_pairs("euclidean", support, [emb]) == [truth]
 
@@ -137,8 +139,8 @@ class TestClassify:
         cfg = tiny_cfg()
         params = random_params(cfg, meta, seed=4)
         ep = build_episode(pool, 5, 10, Rng(7))
-        support = embed_pairs(params, cfg, ep.support)
-        q_embs = [q_emb for q_emb, _ in embed_pairs(params, cfg, ep.queries)]
+        support = embed_drawn(params, cfg, pool, ep.support_idx)
+        q_embs = [q_emb for q_emb, _ in embed_drawn(params, cfg, pool, ep.query_idx)]
         assert (classify_pairs("euclidean", support, q_embs)
                 == classify_pairs("euclidean", support[::-1], q_embs))
 
@@ -249,8 +251,8 @@ class TestEvaluate:
         root, deciding_ties = Rng(0), 0
         for run in range(20):
             ep = build_episode(pool, 4, 5, root.child(f"run{run}"))
-            support = embed_pairs(params, cfg, ep.support)
-            for q_emb, truth in embed_pairs(params, cfg, ep.queries):
+            support = embed_drawn(params, cfg, pool, ep.support_idx)
+            for q_emb, truth in embed_drawn(params, cfg, pool, ep.query_idx):
                 d = [distance(kind, q_emb, emb) for emb, _ in support]
                 nearest = [c for dist, (_, c) in zip(d, support) if dist == min(d)]
                 deciding_ties += len(nearest) > 1 and truth in nearest
@@ -276,7 +278,7 @@ class TestEvaluate:
         for run in range(4):
             ep = build_episode(pool, 3, 5, root.child(f"run{run}"))
             drawn.update(ep.support_idx + ep.query_idx)
-        assert sorted(embedded) == sorted(id(pool[i][0]) for i in drawn)
+        assert sorted(embedded) == sorted(id(pool[i]) for i in drawn)
         assert len(drawn) < len(pool)  # undrawn instances are never embedded
 
     def test_scores_each_run_in_one_classify_call(self, monkeypatch):
@@ -311,3 +313,32 @@ class TestEvaluate:
         monkeypatch.setattr(episodes, "group_by_class", counting_group)
         assert evaluate(params, cfg, "euclidean", pool, 3, 7, 5, seed=4).per_run == want
         assert calls == [len(pool)]
+
+
+class TestUnlabeledPool:
+    @staticmethod
+    def pool_of(tmp_path, unlabeled):
+        """The instances of a written dataset, as `instances_of` gives them,
+        with the records at `unlabeled` (or every record) written without a label."""
+        records = generate_synthetic(classes=3, per_class=4, u=3, r=4, t_max=5, seed=2)
+        records = [AttributedSequence(rec.attributes, rec.items,
+                                      None if unlabeled is None or k in unlabeled else rec.label)
+                   for k, rec in enumerate(records)]
+        write_jsonl(records, tmp_path / "d.jsonl")
+        return instances_of(*load_arrays(tmp_path / "d.jsonl"))
+
+    @pytest.mark.parametrize("unlabeled, g, first", [({5, 9}, 2, 5), (None, 1, 0)],
+                             ids=["mixed", "all-unlabeled"])
+    def test_is_refused_naming_its_first_index(self, tmp_path, unlabeled, g, first):
+        # unrefused, a mixed pool dies sorting None among the class ids, and
+        # an all-unlabeled pool scores a None class at g=1
+        pool = self.pool_of(tmp_path, unlabeled)
+        cfg = tiny_cfg()
+        params = random_params(cfg, DatasetMeta(u=3, r=4, t_max=5, class_ids=frozenset()), seed=1)
+        message = f"^pool instance {first} has no label$"
+        with pytest.raises(ValueError, match=message):
+            group_by_class(pool)
+        with pytest.raises(ValueError, match=message):
+            build_episode(pool, g, 2, Rng(0))
+        with pytest.raises(ValueError, match=message):
+            evaluate(params, cfg, "euclidean", pool, g, 2, 1, seed=0)

@@ -189,6 +189,18 @@ def test_divergence_aborts_with_location():
             train(params, cfg, triplets, TrainConfig(seed=0))
 
 
+def test_non_finite_loss_from_finite_embeddings_aborts_with_location():
+    # both embeddings are finite (near 1e200), but a similar pair's 0.5*d^2 is not
+    cfg, meta = tiny_cfg(activation="relu"), tiny_meta()
+    params = random_params(cfg, meta, seed=3)
+    params.tensors()["w_p"][...] = 1e200
+    a, b = random_instance(meta, seed=1), random_instance(meta, seed=2)
+    with np.errstate(all="ignore"):
+        assert all(np.isfinite(omega_forward(params, cfg, inst)[0]).all() for inst in (a, b))
+        with pytest.raises(TrainingDiverged, match=r"^non-finite loss inf at epoch 1, triplet 0$"):
+            train(params, cfg, [Triplet(a, b, 0)], TrainConfig(lr=0.0, seed=0))
+
+
 def test_train_rejects_empty_triplets():
     cfg, meta = tiny_cfg(), tiny_meta()
     params = random_params(cfg, meta)
