@@ -19,10 +19,10 @@ from .data import (
     DataFormatError,
     DatasetMeta,
     _read_arrays,
+    check_sampling,
     generate_synthetic,
     instances_of,
     is_class_id,
-    labeled_pool,
     load_arrays,
     read_json_object,
     sample_triplets,
@@ -45,7 +45,6 @@ from .training import (
     ShapeMismatchError,
     TrainConfig,
     TrainingDiverged,
-    check_meta_compatible,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -272,8 +271,9 @@ def cmd_train(args) -> int:
                       branch_mode=args.branch_mode)  # bad flags fail before any input is read
     stored = {key: getattr(args, key) for key in _TRAIN_SETTINGS}  # in the checkpoint too
     settings = TrainConfig(**{field: stored[key] for key, field in _TRAIN_SETTINGS.items()})
-    arrays, meta = load_arrays(args.data)
+    check_sampling(args.triplets, args.positive_fraction, args.train_fraction)
     rng = Rng(args.seed)
+    arrays, meta = load_arrays(args.data)
     train_set, oneshot_set = split_by_class(instances_of(arrays, meta), args.train_fraction, rng.child("split"))
     trained, report = _fit(train_set, args.triplets, args.positive_fraction, meta, cfg,
                            settings, rng)
@@ -345,7 +345,8 @@ def cmd_eval(args) -> int:
     params, cfg, ckpt_meta, train_info = load_checkpoint(args.checkpoint)
     arrays, data_meta = load_arrays(args.data)
     manifest = _load_manifest(args.manifest)
-    check_meta_compatible(ckpt_meta, data_meta)
+    oneshot_classes = set(manifest["oneshot_classes"])
+    pool = _fitting(arrays, ckpt_meta, oneshot_classes)  # views into the arrays
 
     manifest_classes = set(manifest["train_classes"]) | set(manifest["oneshot_classes"])
     if manifest_classes != set(data_meta.class_ids):
@@ -353,16 +354,10 @@ def cmd_eval(args) -> int:
             f"manifest classes {sorted(manifest_classes)} do not match dataset "
             f"classes {sorted(data_meta.class_ids)}"
         )
-    oneshot_classes = set(manifest["oneshot_classes"])
     kind = args.distance or train_info.get("distance", TrainConfig.distance)
     if kind not in DISTANCE_KINDS:  # a flag is checked by argparse, so this came from the file
         raise CheckpointError(f"checkpoint {args.checkpoint}: unknown training distance {kind!r}")
     g = args.g if args.g is not None else len(oneshot_classes)
-
-    # views into the arrays: the dataset's rules and meta and the checkpoint
-    # fit above cover every check `encode` would make
-    pool = labeled_pool(arrays, oneshot_classes)
-
     if args.sweep_triplets:
         return _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g)
 
@@ -376,14 +371,15 @@ def cmd_eval(args) -> int:
 
 
 def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g) -> int:
-    train_set = labeled_pool(arrays, manifest["train_classes"])
+    train_set = _fitting(arrays, ckpt_meta, manifest["train_classes"])
     # the checkpoint's training settings, checked once before any retraining;
     # a setting it lacks keeps TrainConfig's default, and eval's distance wins
     positive_fraction = train_info.get("positive_fraction", POSITIVE_FRACTION)
     stored = {field: train_info[key] for key, field in _TRAIN_SETTINGS.items() if key in train_info}
     try:
-        if type(positive_fraction) not in (int, float) or not 0 <= positive_fraction <= 1:
-            raise ValueError(f"positive_fraction must be in [0, 1], got {positive_fraction!r}")
+        if type(positive_fraction) not in (int, float):
+            raise ValueError(f"positive_fraction must be a number, got {positive_fraction!r}")
+        check_sampling(positive_fraction=positive_fraction)
         settings = TrainConfig(**(stored | {"distance": kind}))
     except ValueError as e:
         raise CheckpointError(f"checkpoint {args.checkpoint}: unusable train settings: {e}") from None
@@ -404,13 +400,18 @@ def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, 
     return EXIT_OK
 
 
+def _fitting(arrays, ckpt_meta, classes=None) -> list:
+    """`instances_of` against a checkpoint's meta; a record that does not fit it is a mismatch (exit 5)."""
+    try:
+        return instances_of(arrays, ckpt_meta, classes)
+    except ValueError as e:
+        raise ShapeMismatchError(f"record does not fit checkpoint encoding: {e}") from None
+
+
 def cmd_embed(args) -> int:
     params, cfg, ckpt_meta, _ = load_checkpoint(args.checkpoint)
     arrays, _ = _read_arrays(args.data)  # a DataFormatError here keeps exit 2
-    try:
-        instances = instances_of(arrays, ckpt_meta)
-    except ValueError as e:
-        raise ShapeMismatchError(f"record does not fit checkpoint encoding: {e}") from None
+    instances = _fitting(arrays, ckpt_meta)
     write_csv(args.out, ["label", *(f"e{k}" for k in range(cfg.n))],
               [("" if inst.label is None else inst.label, *emb)
                for inst, emb in zip(instances, embed_instances(params, cfg, instances).tolist())])

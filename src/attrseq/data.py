@@ -6,12 +6,14 @@ line: ``{"attrs": [...], "seq": [...], "label": 3}`` (label optional), with
 an optional sidecar ``<stem>.meta.json`` holding ``{"u":..,"r":..,"t_max":..}``
 overrides for the inferred dimensions. One table of rules over the stacked
 arrays (`_broken_rule`) says what a dataset holds, for the parser, the
-companion, `write_jsonl` and the encoders. Beside a regular file of one or
-more records `write_jsonl` also leaves ``<stem>.records.npz``, their parsed
-form keyed by the SHA-256 of the file's bytes; a reader uses it in place of
-parsing only while the file still has those bytes. Both read paths end in
-the same arrays (`load_arrays`), and every command runs on instances that
-view them (`instances_of`); the record functions serve the library.
+companion, `write_jsonl` and the encoders; one rule (`_misfit`) says which
+records fit a model's t_max, u and r, be it the sidecar's, a checkpoint's
+or an encoder's. Beside a regular file of one or more records `write_jsonl`
+also leaves ``<stem>.records.npz``, their parsed form keyed by the SHA-256
+of the file's bytes; a reader uses it in place of parsing only while the
+file still has those bytes. Both read paths end in the same arrays
+(`load_arrays`), and every command runs on instances that view them
+(`instances_of`); the record functions serve the library.
 """
 
 import hashlib
@@ -185,9 +187,30 @@ def _broken_rule(arrays):
         ("every sequence needs at least one item", (lengths >= 1).all(),
          lambda: np.argmin(lengths >= 1)),
         ("sequence items must be non-negative integers", (items >= 0).all(),
-         lambda: np.searchsorted(np.cumsum(lengths), np.argmin(items >= 0), side="right")),
+         lambda: _row_holding(lengths, np.argmin(items >= 0))),
     )
     return min(((int(row()), rule) for rule, ok, row in rules if not ok), key=lambda b: b[0], default=None)
+
+
+def _row_holding(lengths, k) -> int:
+    """The row of the record that holds item id `k` of the arrays' items."""
+    return int(np.searchsorted(np.cumsum(lengths), k, side="right"))
+
+
+def _misfit(arrays, meta):
+    """(row, message) for the first of t_max, u and r that the records of
+    `arrays` break, at the first row that breaks it, or None: the one
+    statement of what fits a model of `meta`."""
+    attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
+    if (lengths > meta.t_max).any():
+        row = int(np.argmax(lengths > meta.t_max))
+        return row, f"sequence length {lengths[row]} exceeds t_max={meta.t_max}"
+    if lengths.size and attrs.shape[1] != meta.u:
+        return 0, f"attribute length {attrs.shape[1]} does not match u={meta.u}"
+    if (items >= meta.r).any():  # the LSTM gathers its input by id unchecked
+        k = int(np.argmax(items >= meta.r))
+        return _row_holding(lengths, k), f"item id {items[k]} out of range for r={meta.r}"
+    return None
 
 
 def _unpacked(arrays):
@@ -316,8 +339,8 @@ def read_records(path):
 
 
 def load_arrays(path):
-    """Load a dataset as its arrays and infer its meta (sidecar values win,
-    upward only).
+    """Load a dataset as its arrays and its meta: the observed dimensions, each
+    replaced by the sidecar's value where it gives one, which every record must fit.
 
     Returns ``(arrays, meta)``, the arrays as `_stacked` builds them. Raises
     DataFormatError on malformed content, naming the offending line where
@@ -332,37 +355,22 @@ def load_arrays(path):
     if not all(type(overrides[k]) is int for k in ("u", "r", "t_max") if k in overrides):
         raise DataFormatError(f"sidecar {sc} must hold integer u, r, t_max, got {overrides!r}")
 
-    def first_holding(item):
-        """The line and the largest id of the first record holding an id >= `item`."""
-        peaks = np.maximum.reduceat(items, np.cumsum(lengths) - lengths)  # no record is empty
-        k = int(np.argmax(peaks >= item))
-        return line_nos[k], int(peaks[k])
-
-    u = arrays["attributes"].shape[1]
-    obs_r = int(items.max()) + 1  # a Python int first, so an id of 2^63 - 1 cannot overflow
+    top = int(np.argmax(items))  # the first of the largest ids
+    obs_r = int(items[top]) + 1  # a Python int first, so an id of 2^63 - 1 cannot overflow
     obs_t_max = int(lengths.max())
     if obs_t_max * obs_r > MAX_ONE_HOT_CELLS:
         raise DataFormatError(
-            f"line {first_holding(obs_r - 1)[0]}: item id {obs_r - 1} makes the one-hot size "
+            f"line {line_nos[_row_holding(lengths, top)]}: item id {obs_r - 1} makes the one-hot size "
             f"t_max*r = {obs_t_max}*{obs_r}, above the limit of {MAX_ONE_HOT_CELLS} cells"
         )
-
-    if overrides.get("u", u) != u:
-        raise DataFormatError(f"sidecar u={overrides['u']} does not match observed u={u}")
-    r = overrides.get("r", obs_r)
-    if r < obs_r:
-        ln, item = first_holding(r)
-        raise DataFormatError(f"line {ln}: item id {item} out of range for declared r={r}")
-    t_max = overrides.get("t_max", obs_t_max)
-    if t_max < obs_t_max:
-        raise DataFormatError(
-            f"sidecar t_max={t_max} is below the observed maximum length {obs_t_max}"
-        )
-    class_ids = frozenset(arrays["labels"][arrays["labeled"]].tolist())
+    dims = {"u": arrays["attributes"].shape[1], "r": obs_r, "t_max": obs_t_max}
     try:  # the sidecar's values are the only ones that can break the meta's limits here
-        meta = DatasetMeta(u=u, r=r, t_max=t_max, class_ids=class_ids)
+        meta = DatasetMeta(**{key: overrides.get(key, n) for key, n in dims.items()},
+                           class_ids=frozenset(arrays["labels"][arrays["labeled"]].tolist()))
     except ValueError as e:
         raise DataFormatError(f"sidecar {sc}: {e}") from None
+    if misfit := _misfit(arrays, meta):
+        raise DataFormatError(f"sidecar {sc}: line {line_nos[misfit[0]]}: {misfit[1]}")
     return arrays, meta
 
 
@@ -379,16 +387,6 @@ def _views(arrays, rows) -> list:
     labels = arrays["labels"][rows].tolist(), arrays["labeled"][rows].tolist()
     return [EncodedInstance(attrs[k], items[start:start + n], n, label if labeled else None)
             for k, start, n, label, labeled in zip(rows.tolist(), starts, lengths[rows].tolist(), *labels)]
-
-
-def labeled_pool(arrays, classes) -> list:
-    """The instances of the records of a dataset's arrays whose label is in
-    `classes`, in file order, as `encode_labeled` gives them. Each is a view
-    into the arrays and is not checked again: the arrays of `load_arrays`
-    keep every rule `encode` checks against their meta, and
-    `training.check_meta_compatible` extends them to a checkpoint's."""
-    rows = np.flatnonzero(arrays["labeled"] & np.isin(arrays["labels"], list(classes)))
-    return _views(arrays, rows)
 
 
 def _arrays_of(records):
@@ -442,18 +440,17 @@ def write_meta(meta: DatasetMeta, path):
         fh.write("\n")
 
 
-def instances_of(arrays, meta) -> list:
-    """The instances of a dataset's arrays, in file order, as views into them, once
-    they fit `meta`: ValueError names the first of t_max, u and r they break. The
-    arrays of `_read_arrays` and `_arrays_of` already keep the dataset's rules."""
-    attrs, items, lengths = arrays["attributes"], arrays["items"], arrays["lengths"]
-    if (lengths > meta.t_max).any():
-        raise ValueError(f"sequence length {lengths[lengths > meta.t_max][0]} exceeds t_max={meta.t_max}")
-    if lengths.size and attrs.shape[1] != meta.u:
-        raise ValueError(f"attribute length {attrs.shape[1]} does not match u={meta.u}")
-    if (items >= meta.r).any():  # the LSTM gathers its input by id unchecked
-        raise ValueError(f"item id {items[items >= meta.r][0]} out of range for r={meta.r}")
-    return _views(arrays, np.arange(lengths.size))
+def instances_of(arrays, meta, classes=None) -> list:
+    """The instances of a dataset's arrays, in file order, as views into them,
+    once every record fits `meta`: ValueError names the first of t_max, u and
+    r they break (see `_misfit`). With `classes`, only the labeled records of
+    those classes. The arrays of `_read_arrays` and `_arrays_of` already keep
+    the dataset's rules."""
+    if misfit := _misfit(arrays, meta):
+        raise ValueError(misfit[1])
+    if classes is None:
+        return _views(arrays, np.arange(arrays["lengths"].size))
+    return _views(arrays, np.flatnonzero(arrays["labeled"] & np.isin(arrays["labels"], list(classes))))
 
 
 def encode(rec: AttributedSequence, meta: DatasetMeta) -> EncodedInstance:
@@ -468,17 +465,36 @@ def encode_labeled(records, meta) -> list:
     return instances_of(_arrays_of(records), meta)
 
 
+def check_sampling(n_triplets=1, positive_fraction=POSITIVE_FRACTION, train_fraction=0.5):
+    """ValueError naming the first sampling setting out of its range: the ranges
+    of `split_by_class` and `sample_triplets`, which a caller may check early."""
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if n_triplets <= 0:
+        raise ValueError(f"n_triplets must be positive, got {n_triplets}")
+    if not 0 <= positive_fraction <= 1:
+        raise ValueError(f"positive_fraction must be in [0, 1], got {positive_fraction}")
+
+
+def group_by_class(pool) -> dict:
+    """Class id -> indices of its records or instances in `pool`, in pool
+    order; ValueError names the first pool index whose entry has no label."""
+    by_class = {}
+    for idx, inst in enumerate(pool):
+        if inst.label is None:
+            raise ValueError(f"pool instance {idx} has no label")
+        by_class.setdefault(inst.label, []).append(idx)
+    return by_class
+
+
 def split_by_class(records, train_fraction: float, rng: Rng):
     """Partition records or instances into class-disjoint train and one-shot sets.
 
     ceil(train_fraction * n_classes) classes go to the train side; every
     record follows its class.
     """
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    labels = sorted({rec.label for rec in records if rec.label is not None})
-    if any(rec.label is None for rec in records):
-        raise ValueError("cannot split records without class labels")
+    check_sampling(train_fraction=train_fraction)
+    labels = sorted(group_by_class(records))
     if len(labels) < 2:
         raise ValueError(f"need at least 2 classes to split, got {len(labels)}")
     n_train = math.ceil(train_fraction * len(labels))
@@ -499,15 +515,8 @@ def sample_triplets(records, n_triplets: int, rng: Rng, positive_fraction: float
     Positives and negatives are balanced to within one triplet by default;
     no instance is ever paired with itself.
     """
-    if n_triplets <= 0:
-        raise ValueError(f"n_triplets must be positive, got {n_triplets}")
-    if not 0 <= positive_fraction <= 1:
-        raise ValueError(f"positive_fraction must be in [0, 1], got {positive_fraction}")
-    by_label = {}
-    for rec in records:
-        if rec.label is None:
-            raise ValueError("cannot sample triplets from unlabeled records")
-        by_label.setdefault(rec.label, []).append(rec)
+    check_sampling(n_triplets, positive_fraction)
+    by_label = {c: [records[i] for i in idx] for c, idx in group_by_class(records).items()}
     labels = sorted(by_label)
     if len(labels) < 2:
         raise ValueError(f"need at least 2 classes to sample triplets, got {len(labels)}")

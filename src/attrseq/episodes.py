@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import group_by_class
 from .encoder import embed_instances
 from .encoder import omega_forward  # noqa: F401  (bench/tracer.py wraps it here)
 from .gradients import distance
@@ -42,17 +43,6 @@ class EvalReport:
 
     def to_dict(self):
         return {("G" if key == "g" else key): value for key, value in asdict(self).items()}
-
-
-def group_by_class(pool) -> dict:
-    """Class id -> pool indices of its instances, in pool order; ValueError
-    names the first pool index whose instance has no label."""
-    by_class = {}
-    for idx, inst in enumerate(pool):
-        if inst.label is None:
-            raise ValueError(f"pool instance {idx} has no label")
-        by_class.setdefault(inst.label, []).append(idx)
-    return by_class
 
 
 def build_episode(pool, g: int, n_queries: int, rng: Rng, by_class=None) -> Episode:

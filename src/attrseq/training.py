@@ -279,19 +279,3 @@ def load_checkpoint(path):
     np.concatenate(tensors, out=params.flat)  # the tensors back to back, in layout order
     return params, cfg, meta, train_info
 
-
-def check_meta_compatible(ckpt_meta: DatasetMeta, data_meta: DatasetMeta):
-    """Dataset must fit the checkpoint: equal u, and capacity within r/t_max."""
-    if data_meta.u != ckpt_meta.u:
-        raise ShapeMismatchError(
-            f"dataset has u={data_meta.u} attributes but checkpoint expects u={ckpt_meta.u}"
-        )
-    if data_meta.r > ckpt_meta.r:
-        raise ShapeMismatchError(
-            f"dataset uses {data_meta.r} items but checkpoint supports r={ckpt_meta.r}"
-        )
-    if data_meta.t_max > ckpt_meta.t_max:
-        raise ShapeMismatchError(
-            f"dataset sequences reach length {data_meta.t_max} but checkpoint "
-            f"supports t_max={ckpt_meta.t_max}"
-        )

@@ -11,7 +11,7 @@ import pytest
 
 from attrseq import cli, encoder
 from attrseq.cli import main
-from attrseq.data import _broken_rule, companion_path, read_records, write_jsonl
+from attrseq.data import _broken_rule, companion_path, read_records, sidecar_path, write_jsonl
 from attrseq.training import TrainConfig, load_checkpoint
 
 
@@ -130,7 +130,12 @@ class TestTrain:
                               "n_l=50, n=50, activation='tanh', branch_mode='both')"),
         (["--lr", "-1"], "lr must be >= 0, got -1.0"),
         (["--patience", "0"], "patience must be >= 1, got 0"),
-    ], ids=["zero-epochs", "zero-fc-width", "negative-lr", "zero-patience"])
+        (["--triplets", "0"], "n_triplets must be positive, got 0"),
+        (["--train-fraction", "1.5"], "train_fraction must be in (0, 1), got 1.5"),
+        (["--positive-fraction", "2"], "positive_fraction must be in [0, 1], got 2.0"),
+        (["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
+    ], ids=["zero-epochs", "zero-fc-width", "negative-lr", "zero-patience", "zero-triplets",
+            "train-fraction-above-1", "positive-fraction-above-1", "negative-seed"])
     def test_bad_model_or_trainer_flag_is_one_line_usage_error(self, tmp_path, capsys, flags, message):
         # refused before any input is read: the dataset does not exist
         out = tmp_path / "out"
@@ -462,7 +467,7 @@ class TestEval:
                    "--manifest", demo / "manifest.json", "--seed", 5,
                    "--out-json", out, "--out-csv", out) == 5
         assert capsys.readouterr() == (
-            "", "attrseq: error: dataset uses 13 items but checkpoint supports r=12\n")
+            "", "attrseq: error: record does not fit checkpoint encoding: item id 12 out of range for r=12\n")
         assert not out.exists()
 
     def test_sweep_writes_curve(self, tmp_path):
@@ -721,6 +726,52 @@ def test_each_command_checks_the_dataset_rules_once(tmp_path, monkeypatch, comma
                    "--g", 2, "--queries", 4, "--runs", 1, "--seed", 5, "--sweep-triplets", "4,8",
                    "--out-csv", tmp_path / "s.csv", "--out-json", tmp_path / "s.json") == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("misfit, sidecar, message", [
+    (None, None, None),
+    ("t_max", None, "sequence length 16 exceeds t_max=15"),
+    ("narrow", None, "attribute length 9 does not match u=10"),
+    ("wide", None, "attribute length 11 does not match u=10"),
+    ("r-train", None, "item id 12 out of range for r=12"),
+    ("r-oneshot", None, "item id 13 out of range for r=12"),
+    (None, {"u": 10, "r": 20, "t_max": 15}, None),
+    (None, {"u": 10, "r": 12, "t_max": 40}, None),
+    ("r-oneshot", {"u": 10, "r": 20, "t_max": 15}, "item id 13 out of range for r=12"),
+    ("t_max", {"u": 10, "r": 12, "t_max": 40}, "sequence length 16 exceeds t_max=15"),
+], ids=["fits", "t_max", "narrow", "wide", "r-train", "r-oneshot", "sidecar-r-above",
+        "sidecar-t_max-above", "sidecar-r-above-misfit", "sidecar-t_max-above-misfit"])
+def test_eval_fits_the_checkpoint_as_embed_does(tmp_path, capsys, misfit, sidecar, message):
+    # eval refuses exactly the records embed refuses, with embed's message,
+    # whatever class they are in; a sidecar declaring more than the
+    # checkpoint holds is no misfit while every record fits it
+    demo = Path(__file__).resolve().parents[1] / "demo_run"
+    records = read_records(demo / "data.jsonl")  # rows 0-59 hold train class 0, 180-239 one-shot class 3
+    if misfit == "t_max":
+        records[10].items = (records[10].items * 2)[:16]
+    elif misfit in ("narrow", "wide"):
+        for rec in records:
+            rec.attributes = rec.attributes[:9] if misfit == "narrow" else np.append(rec.attributes, 0.0)
+    elif misfit == "r-train":
+        records[20].items[-1] = 12
+    elif misfit == "r-oneshot":
+        records[200].items[0] = 13
+    data = tmp_path / "data.jsonl"
+    write_jsonl(records, data)
+    if sidecar is not None:
+        sidecar_path(data).write_text(json.dumps(sidecar))
+    out = tmp_path / "out"
+    got = []
+    for argv in (["eval", "--manifest", demo / "manifest.json", "--g", 2, "--queries", 4,
+                  "--runs", 1, "--seed", 5, "--out-json", out, "--out-csv", out],
+                 ["embed", "--out", out]):
+        got.append((run(*argv, "--checkpoint", demo / "model.json", "--data", data),
+                    capsys.readouterr().err))
+        assert out.exists() == (message is None)
+        out.unlink(missing_ok=True)
+    want = (0, "") if message is None else (
+        5, f"attrseq: error: record does not fit checkpoint encoding: {message}\n")
+    assert got == [want, want]
 
 
 def test_unknown_command_usage_error(capsys):

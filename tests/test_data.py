@@ -31,7 +31,7 @@ from attrseq.data import (
     encode_labeled,
     encode_triplets,
     generate_synthetic,
-    labeled_pool,
+    instances_of,
     load_arrays,
     load_jsonl,
     read_json_object,
@@ -112,11 +112,13 @@ def test_load_jsonl_sidecar_overrides_upward(tmp_path):
     (tmp_path / "d.meta.json").write_text('{"u":1,"r":9,"t_max":7}')
     _, meta = load_jsonl(p)
     assert meta.r == 9 and meta.t_max == 7
+    # a declared value below what a record holds is a misfit of that record
+    sc = re.escape(str(tmp_path / "d.meta.json"))
     (tmp_path / "d.meta.json").write_text('{"t_max":1}')
-    with pytest.raises(DataFormatError, match="t_max"):
+    with pytest.raises(DataFormatError, match=f"^sidecar {sc}: line 1: sequence length 2 exceeds t_max=1$"):
         load_jsonl(p)
     (tmp_path / "d.meta.json").write_text('{"u":4}')
-    with pytest.raises(DataFormatError, match="sidecar u"):
+    with pytest.raises(DataFormatError, match=f"^sidecar {sc}: line 1: attribute length 1 does not match u=4$"):
         load_jsonl(p)
 
 
@@ -334,8 +336,33 @@ class TestCompanion:
         write_jsonl(records, p)
         (tmp_path / "d.meta.json").write_text('{"r":5}')
         assert _read_companion(p) is not None
-        with pytest.raises(DataFormatError, match="^line 4: item id 8 out of range for declared r=5$"):
+        sc = re.escape(str(tmp_path / "d.meta.json"))
+        with pytest.raises(DataFormatError, match=f"^sidecar {sc}: line 4: item id 8 out of range for r=5$"):
             load_jsonl(p)
+
+    @pytest.mark.parametrize("sidecar, message", [
+        ({"u": 2}, "line 1: attribute length 1 does not match u=2"),
+        ({"r": 5}, "line 4: item id 8 out of range for r=5"),
+        ({"t_max": 2}, "line 4: sequence length 3 exceeds t_max=2"),
+        ({"u": 2, "r": 5}, "line 1: attribute length 1 does not match u=2"),
+        ({"u": 2, "t_max": 2}, "line 4: sequence length 3 exceeds t_max=2"),
+    ], ids=["u", "r", "t_max", "u-before-r", "t_max-before-u"])
+    def test_sidecar_misfit_names_the_sidecar_and_line(self, tmp_path, sidecar, message):
+        # a record that does not fit what the sidecar declares is named by the
+        # sidecar and its line, the same through the companion and the parse
+        records = [AttributedSequence(np.array([0.5]), [k % 3], k) for k in range(5)]
+        records[3].items = [1, 8, 0]
+        for where in ("companion", "parsed"):
+            p = tmp_path / where / "d.jsonl"
+            p.parent.mkdir()
+            write_jsonl(records, p)
+            if where == "parsed":
+                companion_path(p).unlink()
+            sidecar_path(p).write_text(json.dumps(sidecar))
+            assert (_read_companion(p) is not None) == (where == "companion")
+            with pytest.raises(DataFormatError) as e:
+                load_arrays(p)
+            assert str(e.value) == f"sidecar {sidecar_path(p)}: {message}"
 
     @pytest.mark.parametrize("edit", ["byte", "valid-line", "invalid-line"])
     def test_edited_jsonl_is_parsed(self, tmp_path, edit):
@@ -562,7 +589,7 @@ def test_array_pool_is_encode_labeleds_pool(tmp_path, companion):
     assert (_read_companion(p) is not None) == companion
     params, cfg, ckpt_meta, _ = load_checkpoint(DEMO_RUN / "model.json")
     oneshot = set(json.loads((DEMO_RUN / "manifest.json").read_text())["oneshot_classes"])
-    got = labeled_pool(load_arrays(p)[0], oneshot)
+    got = instances_of(load_arrays(p)[0], ckpt_meta, oneshot)
     want = encode_labeled([rec for rec in load_jsonl(p)[0] if rec.label in oneshot], ckpt_meta)
     assert len(got) == len(want) == 240
     for a, b in zip(got, want):
@@ -713,9 +740,8 @@ def test_parse_errors_are_the_per_line_checkers(case):
 
 
 def _reference_meta(records, line_nos, path):
-    """The meta inference of `load_jsonl` as Python loops over the records,
-    as it was before it worked on the arrays: the reference its meta and
-    every message and line number must equal."""
+    """The meta inference of `load_jsonl` as Python loops over the records:
+    the reference its meta and every message and line number must equal."""
     if not records:
         raise DataFormatError("no records")
     sc = sidecar_path(path)
@@ -733,25 +759,26 @@ def _reference_meta(records, line_nos, path):
             f"{obs_t_max}*{obs_r}, above the limit of {MAX_ONE_HOT_CELLS} cells"
         )
 
-    if overrides.get("u", u) != u:
-        raise DataFormatError(f"sidecar u={overrides['u']} does not match observed u={u}")
-    r = overrides.get("r", obs_r)
-    if r < obs_r:
-        for rec, ln in zip(records, line_nos):
-            if max(rec.items) >= r:
-                raise DataFormatError(
-                    f"line {ln}: item id {max(rec.items)} out of range for declared r={r}"
-                )
-    t_max = overrides.get("t_max", obs_t_max)
-    if t_max < obs_t_max:
-        raise DataFormatError(
-            f"sidecar t_max={t_max} is below the observed maximum length {obs_t_max}"
-        )
+    dims = {"u": u, "r": obs_r, "t_max": obs_t_max}
     class_ids = frozenset(rec.label for rec in records if rec.label is not None)
     try:
-        return DatasetMeta(u=u, r=r, t_max=t_max, class_ids=class_ids)
+        meta = DatasetMeta(**{key: overrides.get(key, n) for key, n in dims.items()}, class_ids=class_ids)
     except ValueError as e:
         raise DataFormatError(f"sidecar {sc}: {e}") from None
+    # every record must fit the meta: t_max, then u, then r, each at the first record breaking it
+    for rec, ln in zip(records, line_nos):
+        if len(rec.items) > meta.t_max:
+            raise DataFormatError(
+                f"sidecar {sc}: line {ln}: sequence length {len(rec.items)} exceeds t_max={meta.t_max}")
+    for rec, ln in zip(records, line_nos):
+        if len(rec.attributes) != meta.u:
+            raise DataFormatError(
+                f"sidecar {sc}: line {ln}: attribute length {len(rec.attributes)} does not match u={meta.u}")
+    for rec, ln in zip(records, line_nos):
+        for item in rec.items:
+            if item >= meta.r:
+                raise DataFormatError(f"sidecar {sc}: line {ln}: item id {item} out of range for r={meta.r}")
+    return meta
 
 
 # Ids that break the t_max*r limit at any length, only at lengths above 1,

@@ -20,11 +20,9 @@ from attrseq.gradients import distance, pair_loss
 from attrseq.kernel import Rng
 from attrseq.training import (
     CheckpointError,
-    ShapeMismatchError,
     TrainConfig,
     TrainReport,
     TrainingDiverged,
-    check_meta_compatible,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -373,16 +371,6 @@ class TestCheckpoint:
         subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "018c568e593bffb6ad3d9f5b8d881b36ede3507ac708049d5c5747d1fad41716"
-
-    def test_meta_guard_rejects_wrong_u(self):
-        ckpt_meta = DatasetMeta(u=5, r=4, t_max=6, class_ids=frozenset())
-        data_meta = DatasetMeta(u=6, r=4, t_max=6, class_ids=frozenset())
-        with pytest.raises(ShapeMismatchError, match="u=6"):
-            check_meta_compatible(ckpt_meta, data_meta)
-        # smaller datasets fit a bigger checkpoint
-        check_meta_compatible(ckpt_meta, DatasetMeta(u=5, r=3, t_max=2, class_ids=frozenset()))
-        with pytest.raises(ShapeMismatchError, match="t_max"):
-            check_meta_compatible(ckpt_meta, DatasetMeta(u=5, r=4, t_max=9, class_ids=frozenset()))
 
 
 def test_write_metrics(tmp_path):
