@@ -342,6 +342,7 @@ def _load_manifest(path):
 
 
 def cmd_eval(args) -> int:
+    rng = Rng(args.seed)  # a bad seed fails before any input is read
     params, cfg, ckpt_meta, train_info = load_checkpoint(args.checkpoint)
     arrays, data_meta = load_arrays(args.data)
     manifest = _load_manifest(args.manifest)
@@ -359,7 +360,7 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"checkpoint {args.checkpoint}: unknown training distance {kind!r}")
     g = args.g if args.g is not None else len(oneshot_classes)
     if args.sweep_triplets:
-        return _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g)
+        return _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g, rng)
 
     report = evaluate(params, cfg, kind, pool, g, args.queries, args.runs, args.seed)
     write_json(report.to_dict(), args.out_json)
@@ -370,7 +371,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g) -> int:
+def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, g, rng) -> int:
     train_set = _fitting(arrays, ckpt_meta, manifest["train_classes"])
     # the checkpoint's training settings, checked once before any retraining;
     # a setting it lacks keeps TrainConfig's default, and eval's distance wins
@@ -383,7 +384,6 @@ def _eval_sweep(args, cfg, ckpt_meta, train_info, arrays, manifest, pool, kind, 
         settings = TrainConfig(**(stored | {"distance": kind}))
     except ValueError as e:
         raise CheckpointError(f"checkpoint {args.checkpoint}: unusable train settings: {e}") from None
-    rng = Rng(args.seed)
     rows = []
     for count in args.sweep_triplets:
         crng = rng.child(f"sweep{count}")

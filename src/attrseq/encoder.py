@@ -14,11 +14,12 @@ steps, then one recurrent product per step. A step's input is its item's
 one-hot row, so its projection is that item's kernel column, gathered by id.
 
 There is one forward kernel, written for a batch of N instances
-(`lstm_batch`; `fc_forward` and the fusion layer take a batch too).
-Training runs it at N=1 through `omega_forward`, which keeps the trace for
-backpropagation; inference (`embed_instances`: evaluation, the `embed`
-command, the validation loss) runs it over EMBED_CHUNK instances at a time
-and keeps only the embeddings.
+(`lstm_batch`; `fc_forward` and the fusion layer take a batch too), with a
+gate-major trace. Training runs a pair's two sides as two lockstep rows
+(`rows_forward`) whose products are per row, each row bitwise a
+one-instance pass (`omega_forward`); inference (`embed_instances`:
+evaluation, the `embed` command, the validation loss) runs EMBED_CHUNK
+instances at a time with one product per step and keeps only the embeddings.
 """
 
 import math
@@ -153,15 +154,17 @@ class ModelParams(Mapping):
 class LstmTrace:
     """Per-step values, (T, .) for one instance or (T, N, .) for a batch."""
 
-    x: np.ndarray  # item ids read at each step, int64 (T,)
-    gates: np.ndarray  # (T, 4*n_l): i, f, o (sigmoid) then g (tanh) per step
-    c: np.ndarray  # cell states, (T, n_l)
+    x: np.ndarray  # item ids read at each step, int64 (T,) or (T, N)
+    gates: np.ndarray  # i, f, o (sigmoid), g (tanh): (T, 4*n_l), or gate-major (T, 4, N, n_l)
+    c: np.ndarray  # cell states, (T, n_l) or (T, N, n_l)
     tanh_c: np.ndarray
-    h: np.ndarray  # hidden states, (T, n_l)
+    h: np.ndarray  # hidden states, (T, n_l) or (T, N, n_l)
+    lengths: np.ndarray  # true length of each instance, (N,); steps past it are padding
 
 
 @dataclass
 class ForwardTrace:
+    """One instance's pass, or R lockstep rows' with every array (R, 1, .)."""
     alphas: list  # fully connected activations [input, a_1, .., a_m]
     lstm: LstmTrace
     concat: np.ndarray  # gated (a_m ++ h_last), length n_m + n_l
@@ -185,10 +188,11 @@ def init_params(cfg: ModelConfig, meta: DatasetMeta, rng: Rng) -> ModelParams:
 
 
 def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
-    """Run the attribute branch over one vector (u,) or a batch (N, u);
-    returns (final activation, all activations)."""
+    """Run the attribute branch over one vector (u,), a batch (N, u) or
+    rows (R, 1, u), each row its own product; returns (final activation,
+    all activations)."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[-1] != params.fc_w[0].shape[1]:
+    if v.ndim not in (1, 2, 3) or v.shape[-1] != params.fc_w[0].shape[1]:
         raise ValueError(
             f"attribute vector shape {v.shape} does not match layer-1 input "
             f"dimension {params.fc_w[0].shape[1]}"
@@ -202,7 +206,7 @@ def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
 
 class LstmBuffers:
     """Every array `lstm_batch` writes, for batches of N sequences of at
-    most T steps: the trace arrays gates (T, N, 4*n_l), c, tanh_c and h
+    most T steps: the trace arrays gates (T, 4, N, n_l), c, tanh_c and h
     (T, N, n_l), and the per-step buffers z (N, 4*n_l) and ig (N, n_l).
 
     A caller that runs many batches of one size passes the same buffers to
@@ -210,7 +214,7 @@ class LstmBuffers:
     """
 
     def __init__(self, T: int, N: int, n_l: int):
-        self.gates = np.empty((T, N, 4 * n_l))
+        self.gates = np.empty((T, 4, N, n_l))
         self.c = np.empty((T, N, n_l))
         self.tanh_c = np.empty((T, N, n_l))
         self.h = np.empty((T, N, n_l))
@@ -218,7 +222,8 @@ class LstmBuffers:
         self.ig = np.empty((N, n_l))
 
 
-def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None):
+def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None,
+               per_row=False):
     """The LSTM kernel: N sequences at once, time-major.
 
     ids is a (T, N) block of item ids in [0, r) with T the longest length
@@ -226,50 +231,54 @@ def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffer
     are padding and may hold any valid id. Every sequence runs all T steps,
     so there are no per-step masks: the states past a sequence's length are
     computed but never used, and each sequence's state is picked at its own
-    length after the loop. Returns (h at each length (N, n_l), trace of
-    (T, N, .) arrays). States start at zero. The trace is written into the
+    length after the loop. Returns (h at each length (N, n_l), trace with
+    gate-major gates). States start at zero. The trace is written into the
     first T steps of `buffers` (an `LstmBuffers`) when given, else into new
-    arrays.
+    arrays. With `per_row`, each step's recurrent product is N stacked row
+    products, each numpy's N=1 matrix-vector call, so every row is bitwise
+    its own N=1 run; else one (N, n_l) matrix product, which sums in
+    another order.
     """
     T, N = ids.shape
     n_l = params.lstm_b.shape[0] // 4
     if buffers is None:
         buffers = LstmBuffers(T, N, n_l)
-    elif buffers.gates.shape[0] < T or buffers.gates.shape[1:] != (N, 4 * n_l):
+    elif buffers.gates.shape[0] < T or buffers.gates.shape[1:] != (4, N, n_l):
         raise ValueError(
             f"buffers of gate shape {buffers.gates.shape} cannot hold {T} steps "
             f"of {N} sequences of width {n_l}"
         )
     gates, c, tanh_c, h = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
-    # input-side projections of every step, gathered into the gate buffer
-    # ("clip" writes into out, where "raise" would buffer a copy of it);
-    # each step reads its row before overwriting it with the activations
-    np.take(params.lstm_w.T, ids.reshape(T * N), axis=0, out=gates.reshape(T * N, 4 * n_l),
-            mode="clip")
-    gates += params.lstm_b
+    # input-side projections of every step, gathered gate-major into the
+    # gate buffer: row k * r + id of the table is gate k's kernel column for
+    # item id ("clip" writes into out, where "raise" would buffer a copy of it)
+    r = params.lstm_w.shape[1]
+    table = params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1).reshape(4 * r, n_l)  # copied
+    np.take(table, (ids[:, None] + r * np.arange(4)[:, None]).reshape(-1), axis=0,
+            out=gates.reshape(-1, n_l), mode="clip")
+    gates += params.lstm_b.reshape(4, 1, n_l)
     u_t = params.lstm_u.T
-    h_prev = np.zeros((N, n_l))
     c_prev = np.zeros((N, n_l))
     # per-step buffers, reused by every step
     z, ig = buffers.z, buffers.ig
-    s3 = 3 * n_l
-    z_sig, z_g = z[:, :s3], z[:, s3:]
-    sig = gates[:, :, :s3]  # i, f, o
-    gi, gf, go, gg = (gates[:, :, k * n_l:(k + 1) * n_l] for k in range(4))
-    for gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t in zip(
-            gates, sig, gi, gf, go, gg, c, tanh_c, h):
-        np.matmul(h_prev, u_t, out=z)
-        z += gates_t
-        sigmoid(z_sig, out=sig_t)
-        np.tanh(z_g, out=g_t)
+    z_gm = z.reshape(N, 4, n_l).transpose(1, 0, 2)  # z's gate blocks, as the trace holds them
+    z_in, h_in = (z[:, None], h[:, :, None]) if per_row else (z, h)  # product operands
+    h_prev = np.zeros(h_in.shape[1:])
+    sig, gi, gf, go, gg = gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+    for gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t, h_next in zip(
+            gates, sig, gi, gf, go, gg, c, tanh_c, h, h_in):
+        np.matmul(h_prev, u_t, out=z_in)
+        gates_t += z_gm
+        sigmoid(sig_t, out=sig_t)  # i, f, o
+        np.tanh(g_t, out=g_t)
         # c = f * c_prev + i * g and h = o * tanh(c), written into the trace
         np.multiply(f_t, c_prev, out=c_t)
         c_t += np.multiply(i_t, g_t, out=ig)
         np.tanh(c_t, out=tc_t)
         np.multiply(o_t, tc_t, out=h_t)
-        h_prev, c_prev = h_t, c_t
+        h_prev, c_prev = h_next, c_t
     h_last = h[np.asarray(lengths) - 1, np.arange(N)]
-    return h_last, LstmTrace(ids, gates, c, tanh_c, h)
+    return h_last, LstmTrace(ids, gates, c, tanh_c, h, lengths)
 
 
 def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
@@ -283,12 +292,12 @@ def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
         raise ValueError(f"true_len {true_len} exceeds the {len(seq)} item ids given")
     T = int(true_len)
     h_last, trace = lstm_batch(params, seq[:T, None], np.array([T]))
-    return h_last[0], LstmTrace(*(a[:, 0] for a in (trace.x, trace.gates, trace.c,
-                                                     trace.tanh_c, trace.h)))
+    return h_last[0], LstmTrace(trace.x[:, 0], *(a.reshape(T, -1) for a in (
+        trace.gates, trace.c, trace.tanh_c, trace.h)), trace.lengths)
 
 
 def _fuse(params: ModelParams, cfg: ModelConfig, a_m, h_last):
-    """Fusion layer over one instance or a batch; returns
+    """Fusion layer over one instance, a batch or rows; returns
     (concat, embedding). A disabled branch (branch_mode) is
     zeroed in the fusion input, so the embedding shape never changes."""
     ga, gs = branch_gates(cfg.branch_mode)
@@ -301,6 +310,30 @@ def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):
     a_m, alphas = fc_forward(params, inst.attributes, cfg.activation)
     h_last, lstm = lstm_forward(params, inst.seq, inst.true_len)
     concat, embedding = _fuse(params, cfg, a_m, h_last)
+    return embedding, ForwardTrace(alphas, lstm, concat, embedding)
+
+
+def _batch_inputs(instances, size):
+    """Attributes (size, u), item ids (T, size) and lengths of instances;
+    padding rows and slots hold item 0, a padding row for one step."""
+    lengths = np.ones(size, dtype=np.int64)
+    lengths[:len(instances)] = [inst.true_len for inst in instances]
+    attrs = np.zeros((size, instances[0].attributes.shape[0]))
+    ids = np.zeros((lengths.max(), size), dtype=np.int64)
+    for k, inst in enumerate(instances):
+        attrs[k] = inst.attributes
+        ids[:inst.true_len, k] = inst.seq[:inst.true_len]
+    return attrs, ids, lengths
+
+
+def rows_forward(params: ModelParams, cfg: ModelConfig, instances, buffers=None):
+    """Full encoder pass over R instances as R lockstep rows, each product
+    per row, so row k is bitwise `omega_forward` of instance k. Returns
+    (embeddings (R, 1, n), trace); the LSTM trace goes into `buffers`."""
+    attrs, ids, lengths = _batch_inputs(instances, len(instances))
+    a_m, alphas = fc_forward(params, attrs[:, None], cfg.activation)
+    h_last, lstm = lstm_batch(params, ids, lengths, buffers, per_row=True)
+    concat, embedding = _fuse(params, cfg, a_m, h_last[:, None])
     return embedding, ForwardTrace(alphas, lstm, concat, embedding)
 
 
@@ -335,14 +368,7 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
     buffers = LstmBuffers(lengths.max(), size, params.lstm_b.shape[0] // 4)
     for start in range(0, n_inst, size):
         rows = order[start:start + size]
-        chunk_lengths = np.ones(size, dtype=np.int64)  # padding rows: item 0, one step
-        chunk_lengths[:len(rows)] = lengths[rows]
-        attrs = np.zeros((size, params.fc_w[0].shape[1]))
-        ids = np.zeros((chunk_lengths.max(), size), dtype=np.int64)  # padding slots: item 0
-        for k, row in enumerate(rows):
-            inst = instances[row]
-            attrs[k] = inst.attributes
-            ids[:inst.true_len, k] = inst.seq[:inst.true_len]
+        attrs, ids, chunk_lengths = _batch_inputs([instances[row] for row in rows], size)
         a_m = fc_forward(params, attrs, cfg.activation)[0]
         h_last = lstm_batch(params, ids, chunk_lengths, buffers)[0]
         out[rows] = _fuse(params, cfg, a_m, h_last)[1][:len(rows)]

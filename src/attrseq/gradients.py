@@ -3,6 +3,8 @@
 The analytic path is reverse-mode: the pair loss is differentiated through
 the fusion layer, the fully connected stack, and the LSTM (backward through
 time), with the two siamese sides sharing weights so their contributions sum.
+The two sides run as two lockstep rows of one BPTT loop, every product per
+row, so each side's gradient is bitwise a one-instance pass.
 `finite_diff_grads` is the independent oracle: central differences around
 every scalar parameter, recomputing the whole forward pass each time. The two
 must agree to high relative precision wherever the loss is differentiable.
@@ -14,6 +16,8 @@ from .data import AttributedSequence, DatasetMeta, encode
 from .kernel import ACTIVATIONS, Rng, activation_grad_from_output
 from .encoder import (
     BRANCH_MODES,
+    ForwardTrace,
+    LstmTrace,
     ModelConfig,
     ModelParams,
     branch_gates,
@@ -89,22 +93,26 @@ def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact"
     """
     _check_trace(params, trace_i)
     _check_trace(params, trace_j)
-    p_i, p_j = trace_i.embedding, trace_j.embedding
+    grads = ModelParams(params.shapes) if out is None else out
+    if grads.shapes != params.shapes:
+        raise ValueError(f"gradient store layout {out.shapes} does not match params {params.shapes}")
+    loss, _ = backward_rows(params, cfg, _as_rows(trace_i, trace_j), ell, margin, kind, mode, grads)
+    return loss, grads
+
+
+def backward_rows(params, cfg, rows, ell, margin, kind, mode, grads):
+    """Loss and distance of the pair whose two sides are the rows of
+    `rows` (a `rows_forward` trace), and its gradients written into the
+    store `grads`, zeroed first. Returns (loss, distance)."""
+    p_i, p_j = rows.embedding[:, 0]
     d = distance(kind, p_i, p_j)
     loss = contrastive_loss(d, ell, margin)
     scale = dloss_ddistance(d, ell, margin)
     direction = distance_grad(kind, mode, p_i, p_j, d)
-    if out is None:
-        grads = ModelParams(params.shapes)
-    elif out.shapes != params.shapes:
-        raise ValueError(f"gradient store layout {out.shapes} does not match params {params.shapes}")
-    else:
-        grads = out
-        grads.flat.fill(0.0)
+    grads.flat.fill(0.0)
     if scale != 0.0:
-        _accumulate_encoder_grads(params, cfg, trace_i, scale * direction, grads)
-        _accumulate_encoder_grads(params, cfg, trace_j, -scale * direction, grads)
-    return loss, grads
+        _encoder_grads(params, cfg, rows, np.multiply.outer([scale, -scale], direction), grads)
+    return loss, d
 
 
 def _check_trace(params, trace):
@@ -120,75 +128,102 @@ def _check_trace(params, trace):
         )
 
 
-def _accumulate_encoder_grads(params, cfg, trace, dp, grads):
-    """Backpropagate d(loss)/d(embedding) through one encoder pass."""
-    act = cfg.activation
+def _as_rows(*traces):
+    """One-instance traces as the lockstep rows of `rows_forward`; a shorter
+    sequence's steps are zero-padded to the longest."""
+    lengths = np.array([trace.lstm.x.shape[0] for trace in traces])
+    T, R, n_l = lengths.max(), len(traces), traces[0].lstm.h.shape[-1]
+    lstm = LstmTrace(np.zeros((T, R), dtype=np.int64), np.zeros((T, 4, R, n_l)),
+                     *(np.zeros((T, R, n_l)) for _ in range(3)), lengths)
+    for k, (trace, L) in enumerate(zip(traces, lengths)):
+        lstm.gates[:L, :, k] = trace.lstm.gates.reshape(L, 4, n_l)
+        for name in ("x", "c", "tanh_c", "h"):
+            getattr(lstm, name)[:L, k] = getattr(trace.lstm, name)
+    # alphas, concat and embedding, each stacked (R, 1, .) over the traces
+    stacked = [np.stack(arrays)[:, None] for arrays in zip(
+        *([*trace.alphas, trace.concat, trace.embedding] for trace in traces))]
+    return ForwardTrace(stacked[:-2], lstm, *stacked[-2:])
+
+
+def _encoder_grads(params, cfg, rows, dp, grads):
+    """Backpropagate each row's d(loss)/d(embedding), dp (R, n), through the
+    rows' encoder pass. Every product is the row's own, on (R, d, 1) columns,
+    and a tensor's contributions are added in row order, so each row's
+    gradient is bitwise a one-instance pass."""
     ga, gs = branch_gates(cfg.branch_mode)
+    n_m = rows.alphas[-1].shape[-1]
 
-    # fusion layer
-    delta = dp * activation_grad_from_output(act, trace.embedding)
-    grads.w_p += np.outer(delta, trace.concat)
-    grads.b_p += delta
-    dq = params.w_p.T @ delta
-    n_m = trace.alphas[-1].shape[0]
-    d_alpha = ga * dq[:n_m]
-    dh = gs * dq[n_m:]
-
-    # fully connected stack
-    for k in range(len(params.fc_w) - 1, -1, -1):
-        delta_k = d_alpha * activation_grad_from_output(act, trace.alphas[k + 1])
-        grads.fc_w[k] += np.outer(delta_k, trace.alphas[k])
-        grads.fc_b[k] += delta_k
-        if k > 0:
-            d_alpha = params.fc_w[k].T @ delta_k
+    # the fusion layer, then the fully connected stack top down; each outer
+    # product is a broadcast multiply, bitwise np.outer
+    layers = [(params.w_p, grads.w_p, grads.b_p, rows.concat, rows.embedding)]
+    layers += [(params.fc_w[k], grads.fc_w[k], grads.fc_b[k], rows.alphas[k], rows.alphas[k + 1])
+               for k in range(len(params.fc_w) - 1, -1, -1)]
+    d_out = dp[:, :, None]
+    for k, (w, grad_w, grad_b, a_in, a_out) in enumerate(layers):
+        delta = d_out * activation_grad_from_output(cfg.activation, a_out.transpose(0, 2, 1))
+        for delta_w, delta_b in zip(delta * a_in, delta[:, :, 0]):  # row by row
+            grad_w += delta_w
+            grad_b += delta_b
+        if k + 1 < len(layers):  # no gradient for the attribute input
+            d_out = w.T @ delta
+        if k == 0:  # the fusion input splits into the two branches
+            d_out, dh = ga * d_out[:, :n_m], gs * d_out[:, n_m:, 0]
 
     # LSTM, backward through time (a disabled sequence branch leaves zeros)
     if gs == 0.0:
         return
-    lt = trace.lstm
-    T = lt.x.shape[0]
-    n_l = params.b_i.shape[0]
-    s3 = 3 * n_l
-    h_prev = np.zeros_like(lt.h)  # states shifted one step, zero at t=0
-    h_prev[1:] = lt.h[:-1]
-    c_prev = np.zeros_like(lt.c)
+    lt = rows.lstm
+    T, R, n_l = lt.c.shape
+    c_prev = np.zeros_like(lt.c)  # cell states shifted one step, zero at t=0
     c_prev[1:] = lt.c[:-1]
-    sig = lt.gates[:, :s3]  # i, f, o
-    i, f, o, g = (lt.gates[:, k * n_l:(k + 1) * n_l] for k in range(4))
+    sig, (i, f, o, g) = lt.gates[:, :3], lt.gates.transpose(1, 0, 2, 3)  # sig: i, f, o
     # the step-independent factors, for all steps at once
     dtanh_c = 1.0 - lt.tanh_c ** 2
     dsig = 1.0 - sig
     dg = 1.0 - g ** 2
-    da = np.empty((T, 4 * n_l))  # d(loss)/d(gate pre-activations), gates stacked
+    # d(loss)/d(gate pre-activations), a (T, 4*n_l) block per row; da_gm views it gate-major
+    da = np.empty((R, T, 4 * n_l))
+    da_gm = da.reshape(R, T, 4, n_l).transpose(1, 2, 0, 3)
+    da_col = da.transpose(1, 0, 2)[..., None]
     u_t = params.lstm_u.T
-    dh_vec = dh
-    dc_vec = np.zeros(n_l)
-    tmp = np.empty(n_l)
-    # every product is formed in the order of dc += dh*o*(1-tanh(c)^2),
-    # da[:3n_l] = [dc*g, dc*c_prev, dh*tanh(c)] * sig * (1-sig),
-    # da[3n_l:] = dc*i*(1-g^2), dh = U^T da, dc *= f; nothing is allocated per step
-    for t in range(T - 1, -1, -1):
-        da_t = da[t]
-        da_sig, da_g = da_t[:s3], da_t[s3:]
-        np.multiply(dh_vec, o[t], out=tmp)
-        tmp *= dtanh_c[t]
+    dh_vec, dc_vec = np.zeros((R, n_l)), np.zeros((R, n_l))
+    tmp, buf = np.empty((R, n_l)), np.empty((4, R, n_l))
+    dh_col = dh_vec[:, :, None]
+    buf_sig, buf_i, buf_f, buf_o, buf_g = buf[:3], *buf
+    lengths = lt.lengths.tolist()
+    # a row joins at its own last step; before, its dh and dc are zero, so
+    # its padded steps add nothing. Every product is formed in the order of
+    # dc += dh*o*(1-tanh(c)^2), da[:3n_l] = [dc*g, dc*c_prev, dh*tanh(c)] *
+    # sig * (1-sig), da[3n_l:] = dc*i*(1-g^2), dh = U^T da, dc *= f
+    for t, sig_t, i_t, f_t, o_t, g_t, cp_t, tc_t, dtc_t, dsig_t, dg_t, da_t, da_col_t in zip(
+            range(T - 1, -1, -1), *(a[::-1] for a in (
+                sig, i, f, o, g, c_prev, lt.tanh_c, dtanh_c, dsig, dg, da_gm, da_col))):
+        for r in [r for r, length in enumerate(lengths) if length == t + 1]:
+            dh_vec[r] = dh[r]
+            dc_vec[r] = 0.0
+        np.multiply(dh_vec, o_t, out=tmp)
+        tmp *= dtc_t
         dc_vec += tmp
-        np.multiply(dc_vec, g[t], out=da_t[:n_l])
-        np.multiply(dc_vec, c_prev[t], out=da_t[n_l:2 * n_l])
-        np.multiply(dh_vec, lt.tanh_c[t], out=da_t[2 * n_l:s3])
-        da_sig *= sig[t]
-        da_sig *= dsig[t]
-        np.multiply(dc_vec, i[t], out=da_g)
-        da_g *= dg[t]
-        np.matmul(u_t, da_t, out=dh_vec)
-        dc_vec *= f[t]
-    # the sequence's one-hot rows, for a dense product: at small alphabets it
-    # is faster than a scatter-add of da's rows by item id
-    x = np.zeros((T, params.lstm_w.shape[1]))
-    x[np.arange(T), lt.x] = 1.0
-    grads.lstm_w += da.T @ x
-    grads.lstm_u += da.T @ h_prev
-    grads.lstm_b += da.sum(axis=0)
+        np.multiply(dc_vec, g_t, out=buf_i)
+        np.multiply(dc_vec, cp_t, out=buf_f)
+        np.multiply(dh_vec, tc_t, out=buf_o)
+        buf_sig *= sig_t
+        np.multiply(buf_sig, dsig_t, out=da_t[:3])
+        np.multiply(dc_vec, i_t, out=buf_g)
+        np.multiply(buf_g, dg_t, out=da_t[3])
+        np.matmul(u_t, da_col_t, out=dh_col)
+        dc_vec *= f_t
+    for r, length in enumerate(lengths):
+        da_r = da[r, :length]
+        # the sequence's one-hot rows, for a dense product: at small
+        # alphabets it is faster than a scatter-add of da's rows by item id
+        x = np.zeros((length, params.lstm_w.shape[1]))
+        x[np.arange(length), lt.x[:length, r]] = 1.0
+        h_prev = np.zeros((length, n_l))  # states shifted one step, zero at t=0
+        h_prev[1:] = lt.h[:length - 1, r]
+        grads.lstm_w += da_r.T @ x
+        grads.lstm_u += da_r.T @ h_prev
+        grads.lstm_b += da_r.sum(axis=0)
 
 
 def pair_loss(params, cfg, inst_i, inst_j, ell, margin, kind) -> float:

@@ -1,10 +1,10 @@
 """Per-triplet SGD with validation-based early stopping and checkpointing.
 
-The loop follows the contrastive objective: for every triplet it runs both
-encoder passes, backpropagates the pair loss, and immediately applies
-theta <- theta - lr * (grad + decay * theta) as one update of the flat
-parameter buffer, where decay is l2 on weight matrices and 0 on bias vectors.
-The gradient store and the update buffer are allocated once per `train`.
+The loop follows the contrastive objective: for every triplet it runs the
+pair's two sides as two lockstep rows, forward and back, and immediately
+applies theta <- theta - lr * (grad + decay * theta) to the flat parameter
+buffer, where decay is l2 on weight matrices and 0 on bias vectors. The
+gradient store, the update buffer and the rows' buffers live per `train`.
 Early stopping watches the mean validation loss per epoch, and the
 parameters returned are those of the best validation epoch.
 """
@@ -16,9 +16,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import DatasetMeta, all_numbers, is_class_id, read_json_object, write_csv, write_json
-from .encoder import ModelConfig, ModelParams, embed_instances, omega_forward, param_shapes
-from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_pair, contrastive_loss, distance
-from .gradients import pair_loss  # noqa: F401  (bench/tracer.py wraps it here)
+from .encoder import LstmBuffers, ModelConfig, ModelParams, embed_instances, param_shapes, rows_forward
+from .encoder import omega_forward  # noqa: F401  (bench/tracer.py wraps it here)
+from .gradients import DISTANCE_KINDS, GRAD_MODES, backward_rows, contrastive_loss, distance
+from .gradients import backward_pair, pair_loss  # noqa: F401  (bench/tracer.py wraps them here)
 from .kernel import Rng
 
 CHECKPOINT_VERSION = 1
@@ -110,8 +111,9 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
     for w in decay.values():
         if w.ndim == 2:  # weight matrices; bias vectors do not decay
             w[...] = train_cfg.l2
-    grads = ModelParams(params.shapes)  # refilled by every backward_pair
+    grads = ModelParams(params.shapes)  # refilled by every backward_rows
     step = np.empty_like(params.flat)
+    buffers = LstmBuffers(max(inst.true_len for t in triplets for inst in (t.a, t.b)), 2, params.b_i.size)
     report = TrainReport(n_train=len(train_idx), n_val=n_val)
     best_val = np.inf
     best_params = params.copy()
@@ -123,21 +125,18 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
         epoch_losses = np.empty(len(order))
         for pos, o in enumerate(order):
             t = triplets[train_idx[o]]
-            emb_i, trace_i = omega_forward(params, cfg, t.a)
-            emb_j, trace_j = omega_forward(params, cfg, t.b)
-            if not (np.isfinite(emb_i).all() and np.isfinite(emb_j).all()):
+            embeddings, rows = rows_forward(params, cfg, (t.a, t.b), buffers)
+            if not np.isfinite(embeddings).all():
                 raise TrainingDiverged(
                     f"non-finite embedding at epoch {epoch}, triplet {pos}"
                 )
-            loss, _ = backward_pair(
-                params, cfg, trace_i, trace_j, t.ell, train_cfg.margin,
-                train_cfg.distance, train_cfg.grad_mode, out=grads,
-            )
+            loss, d = backward_rows(params, cfg, rows, t.ell, train_cfg.margin,
+                                    train_cfg.distance, train_cfg.grad_mode, grads)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, triplet {pos}"
                 )
-            if t.ell == 1 and distance(train_cfg.distance, emb_i, emb_j) == 0.0:
+            if t.ell == 1 and d == 0.0:
                 report.zero_distance_dissimilar += 1
             if train_cfg.lr != 0.0:
                 # flat -= lr * (g + decay * flat), one product at a time

@@ -409,6 +409,16 @@ class TestEval:
         assert capsys.readouterr().err == f"attrseq: error: {message}\n"
         assert not out.exists()
 
+    def test_bad_seed_is_one_line_usage_error_before_any_read(self, tmp_path, capsys):
+        # the checkpoint, dataset and manifest do not exist
+        out = tmp_path / "out"
+        assert run("eval", "--checkpoint", tmp_path / "c.json", "--data", tmp_path / "d.jsonl",
+                   "--manifest", tmp_path / "m.json", "--seed", -1,
+                   "--out-json", out, "--out-csv", out) == 1
+        assert capsys.readouterr() == (
+            "", "attrseq: error: seed must be a 64-bit unsigned integer, got -1\n")
+        assert not out.exists()
+
     def test_zero_queries_usage_error(self, tmp_path):
         data, ckpt, manifest = self.setup_artifacts(tmp_path)
         assert run("eval", "--checkpoint", ckpt, "--data", data, "--manifest", manifest,

@@ -20,6 +20,7 @@ from attrseq.encoder import (
     lstm_forward,
     omega_forward,
     param_shapes,
+    rows_forward,
 )
 from attrseq.kernel import Rng
 
@@ -364,7 +365,8 @@ class TestBatchedForward:
         for k, inst in enumerate(insts):
             h, single = lstm_forward(params, inst.seq, inst.true_len)
             np.testing.assert_allclose(h_last[k], h, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(trace.gates[:inst.true_len, k], single.gates,
+            gates_k = trace.gates[:inst.true_len, :, k]  # gate-major: (T, 4, n_l)
+            np.testing.assert_allclose(gates_k.reshape(inst.true_len, -1), single.gates,
                                        rtol=0, atol=1e-12)
         # whatever the padding slots hold is never read
         h_other, _ = lstm_batch(params, self.id_block(insts, meta.t_max, pad=meta.r - 1), lengths)
@@ -394,6 +396,32 @@ class TestBatchedForward:
                         LstmBuffers(3, 2, cfg.n_l + 1)):
             with pytest.raises(ValueError, match="cannot hold"):
                 lstm_batch(params, ids, lengths, buffers)
+
+    @pytest.mark.parametrize("lengths", [(1, 7), (7, 1), (7, 7), (1, 7, 4), (7, 7, 1)],
+                             ids=["1-T", "T-1", "T-T", "1-T-4", "T-T-1"])
+    def test_lockstep_rows_are_bitwise_single_runs(self, lengths):
+        cfg, meta, params = self.setup_model(t_max=7)
+        insts = [random_instance(meta, seed=40 + k, length=n) for k, n in enumerate(lengths)]
+        buffers = LstmBuffers(meta.t_max, len(insts), cfg.n_l)
+        for a in vars(buffers).values():
+            a.fill(np.nan)  # stale values must never reach a result
+        ids = self.id_block(insts, max(lengths), pad=meta.r - 1)
+        h_last, trace = lstm_batch(params, ids, np.array(lengths), buffers, per_row=True)
+        embeddings, rows = rows_forward(params, cfg, insts)
+        assert embeddings.shape == (len(insts), 1, cfg.n)
+        for k, inst in enumerate(insts):
+            T = inst.true_len
+            h, single = lstm_forward(params, inst.seq, T)
+            assert np.array_equal(_bits(h_last[k]), _bits(h))
+            assert np.array_equal(_bits(trace.gates[:T, :, k].reshape(T, -1)), _bits(single.gates))
+            for name in ("c", "tanh_c", "h"):
+                assert np.array_equal(_bits(getattr(trace, name)[:T, k]),
+                                      _bits(getattr(single, name))), name
+            emb, fwd = omega_forward(params, cfg, inst)
+            assert np.array_equal(_bits(embeddings[k, 0]), _bits(emb))
+            assert np.array_equal(_bits(rows.concat[k, 0]), _bits(fwd.concat))
+            for got, want in zip(rows.alphas, fwd.alphas):
+                assert np.array_equal(_bits(got[k, 0]), _bits(want))
 
 
 def test_branch_gates_table():

@@ -7,15 +7,18 @@ from attrseq.data import AttributedSequence, DatasetMeta, Triplet, encode
 from attrseq import gradients
 from attrseq.encoder import (
     BRANCH_MODES,
+    LstmBuffers,
     ModelConfig,
     ModelParams,
     branch_gates,
     init_params,
     omega_forward,
+    rows_forward,
 )
 from attrseq.gradients import (
     DISTANCE_KINDS,
     backward_pair,
+    backward_rows,
     contrastive_loss,
     distance,
     distance_grad,
@@ -603,7 +606,7 @@ def _allocating_backward(params, cfg, fwd, dp, grads):
 def _allocating_train_epoch(params, cfg, triplets, tc):
     """One epoch of `train`'s SGD as the allocating step: a fresh gradient
     container per pair and flat -= lr * (g + decay * flat). Returns
-    (params, pair losses, pairs whose hinge was active)."""
+    (params, pair losses, pairs whose hinge was active, triplets trained)."""
     rng = Rng(tc.seed)
     n = len(triplets)
     n_val = min(n - 1, max(1, round(tc.val_fraction * n)))
@@ -615,8 +618,8 @@ def _allocating_train_epoch(params, cfg, triplets, tc):
         if w.ndim == 2:
             w[...] = tc.l2
     losses, active = np.empty(len(order)), 0
-    for pos, o in enumerate(order):
-        t = triplets[train_idx[o]]
+    trained = [triplets[train_idx[o]] for o in order]
+    for pos, t in enumerate(trained):
         fwd_i = _allocating_forward(params, cfg, t.a)
         fwd_j = _allocating_forward(params, cfg, t.b)
         d = distance(tc.distance, fwd_i[0], fwd_j[0])
@@ -629,7 +632,7 @@ def _allocating_train_epoch(params, cfg, triplets, tc):
             _allocating_backward(params, cfg, fwd_i, scale * direction, grads)
             _allocating_backward(params, cfg, fwd_j, -scale * direction, grads)
         params.flat -= tc.lr * (grads.flat + decay.flat * params.flat)
-    return params, losses, active
+    return params, losses, active, trained
 
 
 @pytest.mark.parametrize("ell", [0, 1])
@@ -645,11 +648,74 @@ def test_training_epoch_is_bitwise_the_allocating_step(activation_name, mode, ki
     params = random_params(cfg, meta, seed=seed, scale=0.5)
     triplets = [Triplet(random_instance(meta, seed=1000 + seed * 50 + k),
                         random_instance(meta, seed=2000 + seed * 50 + k), ell) for k in range(24)]
-    tc = TrainConfig(lr=0.05, max_epochs=1, margin=2.0, val_fraction=0.05, distance=kind,
-                     seed=seed)
-    want, losses, active = _allocating_train_epoch(params, cfg, triplets, tc)
-    assert len(losses) >= 20 and active >= 10
-    got, report = train(params, cfg, triplets, tc)
-    assert np.array_equal(got.flat, want.flat)
-    assert report.train_losses == [float(losses.mean())]
-    assert not np.array_equal(got.flat, params.flat)
+    for grad_mode in gradients.GRAD_MODES:  # in each case, so the case ids stay as they were
+        tc = TrainConfig(lr=0.05, max_epochs=1, margin=2.0, val_fraction=0.05, distance=kind,
+                         grad_mode=grad_mode, seed=seed)
+        want, losses, active, trained = _allocating_train_epoch(params, cfg, triplets, tc)
+        assert len(losses) >= 20 and active >= 10
+        # the lockstep rows meet a one-step side, equal lengths and a longer side in each position
+        lengths = [(t.a.true_len, t.b.true_len) for t in trained]
+        assert any(1 in pair for pair in lengths)
+        assert any(a == b for a, b in lengths)
+        assert any(a > b for a, b in lengths) and any(a < b for a, b in lengths)
+        got, report = train(params, cfg, triplets, tc)
+        assert np.array_equal(got.flat.view(np.uint64), want.flat.view(np.uint64)), grad_mode
+        assert report.train_losses == [float(losses.mean())]
+        assert not np.array_equal(got.flat, params.flat)
+
+
+@pytest.mark.parametrize("lengths", [(1, 6), (6, 1), (6, 6), (3, 5)], ids=["1-T", "T-1", "T-T", "3-5"])
+@pytest.mark.parametrize("mode", BRANCH_MODES)
+def test_lockstep_backward_is_bitwise_backward_pair(mode, lengths):
+    """train's row backward, backward_pair on two one-instance traces and
+    the allocating per-side backward give the same bits."""
+    meta = tiny_meta(u=3, r=5, t_max=6)
+    buffers = LstmBuffers(meta.t_max, 2, 6)
+    for k, (activation_name, kind, grad_mode) in enumerate(
+            [("tanh", "euclidean", "exact"), ("relu", "manhattan", "paper-literal")]):
+        cfg = tiny_cfg(m=2, n_m=5, n_l=6, n=4, activation=activation_name, branch_mode=mode)
+        seed = 70 + 10 * k + BRANCH_MODES.index(mode)
+        params = random_params(cfg, meta, seed=seed, scale=0.5)
+        inst_i = random_instance(meta, seed=seed + 100, length=lengths[0])
+        inst_j = random_instance(meta, seed=seed + 200, length=lengths[1])
+        _, trace_i = omega_forward(params, cfg, inst_i)
+        _, trace_j = omega_forward(params, cfg, inst_j)
+        d = distance(kind, trace_i.embedding, trace_j.embedding)
+        for ell in (0, 1):
+            margin = d + 1.0  # keep the hinge active
+            loss, want = backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, grad_mode)
+            fwd_i = _allocating_forward(params, cfg, inst_i)
+            fwd_j = _allocating_forward(params, cfg, inst_j)
+            scale = dloss_ddistance(d, ell, margin)
+            direction = distance_grad(kind, grad_mode, fwd_i[0], fwd_j[0], d)
+            sides = ModelParams(params.shapes)
+            _allocating_backward(params, cfg, fwd_i, scale * direction, sides)
+            _allocating_backward(params, cfg, fwd_j, -scale * direction, sides)
+            store = ModelParams(params.shapes)
+            store.flat[...] = np.nan  # zeroed by the backward
+            _, rows = rows_forward(params, cfg, (inst_i, inst_j), buffers)
+            assert backward_rows(params, cfg, rows, ell, margin, kind, grad_mode, store) == (loss, d)
+            assert want.flat.any()
+            assert np.array_equal(store.flat.view(np.uint64), want.flat.view(np.uint64))
+            assert np.array_equal(sides.flat.view(np.uint64), want.flat.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_lockstep_clipped_pair_leaves_every_bit_of_the_store_zero(kind):
+    cfg, meta = tiny_cfg(), tiny_meta()
+    buffers = LstmBuffers(meta.t_max, 2, cfg.n_l)
+    for seed in range(6):
+        params = random_params(cfg, meta, seed=seed)
+        inst_i = random_instance(meta, seed=seed + 100)
+        inst_j = random_instance(meta, seed=seed + 200)
+        pairs = [(inst_i, inst_j, 1), (inst_i, inst_i, 0)]  # hinge clipped; zero distance, similar
+        for a, b, ell in pairs:
+            embeddings, rows = rows_forward(params, cfg, (a, b), buffers)
+            d = distance(kind, embeddings[0, 0], embeddings[1, 0])
+            store = ModelParams(params.shapes)
+            store.flat[...] = -0.0
+            store.flat[::3] = np.nan
+            margin = d / 2 if ell else 1.0
+            loss, _ = backward_rows(params, cfg, rows, ell, margin, kind, "exact", store)
+            assert loss == 0.0
+            assert not store.flat.view(np.uint64).any(), (seed, ell)
