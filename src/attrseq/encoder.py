@@ -4,22 +4,25 @@ Maps (attribute vector, item-id sequence) to an n-dimensional embedding:
 an m-layer fully connected stack reads the attributes, an LSTM reads the
 sequence up to its true length, the last hidden state is concatenated with
 the final attribute activation, and one fused fully connected layer produces
-the embedding. The forward pass records every intermediate value the
-backward pass needs.
+the embedding. The traced forward pass records every intermediate value
+the backward pass needs.
 
 All parameters live in one contiguous float64 buffer (`ModelParams.flat`);
 every named tensor is a view of it, laid out by `param_shapes`. The LSTM
-runs its four gates as one stacked block: one input projection for all
-steps, then one recurrent product per step. A step's input is its item's
-one-hot row, so its projection is that item's kernel column, gathered by id.
+runs its four gates as one stacked block: a step's input is its item's
+one-hot row, so its input projection plus bias is one row per gate of a
+gate table (`_gate_table`), gathered by id, and one recurrent product per
+step adds the rest.
 
-There is one forward kernel, written for a batch of N instances
-(`lstm_batch`; `fc_forward` and the fusion layer take a batch too), with a
-gate-major trace. Training runs a pair's two sides as two lockstep rows
-(`rows_forward`) whose products are per row, each row bitwise a
-one-instance pass (`omega_forward`); inference (`embed_instances`:
-evaluation, the `embed` command, the validation loss) runs EMBED_CHUNK
-instances at a time with one product per step and keeps only the embeddings.
+The gate equations of one step are stated once (`_lstm_cell`) and serve
+two passes. The traced pass (`lstm_batch`) keeps a gate-major trace for
+backpropagation, and its products are per row: training runs a pair's two
+sides as two lockstep rows (`rows_forward`), each bitwise a one-instance
+pass (`omega_forward`). The trace-free pass (`embed_instances`: evaluation,
+the `embed` command, the validation loss) runs blocks of EMBED_BLOCK chunks
+of EMBED_CHUNK rows with one stacked product per step (one matrix product
+per chunk), keeps no per-step values, and holds only one block's arrays
+and the embeddings.
 """
 
 import math
@@ -34,11 +37,16 @@ from .kernel import (ACTIVATIONS, Rng, activation, glorot_bound, orthogonal_init
 
 BRANCH_MODES = ("both", "attributes_only", "sequence_only")
 GATES = "ifoc"  # LSTM input, forget, output gates and cell candidate
-# Instances per batched forward. The per-step products are matrix-matrix from
-# a few rows on; at the default widths a chunk of 32 holds about 1.3 MiB of
-# traces. On a 2-vCPU Xeon with one BLAS thread, evaluation ran no faster at
-# 48 or 64, and its peak memory grew by 0.8 or 1.4 MiB.
+# Rows per chunk of the trace-free pass; every chunk runs the same product
+# shapes. The per-step products are matrix-matrix from a few rows on. On a
+# 2-vCPU Xeon with one BLAS thread, chunks of 48 or 64 (each then with its
+# own per-step trace) evaluated no faster and took 0.8 or 1.4 MiB more.
 EMBED_CHUNK = 32
+# Chunks per block of the trace-free pass: a step runs its block's chunks as
+# one stacked product and one set of elementwise calls. With one BLAS thread
+# on a 2-vCPU Xeon, 480 instances embedded faster in blocks of 4 than in
+# blocks of 1, 2 or 8 chunks or all 15 at once.
+EMBED_BLOCK = 4
 # The most values one parameter store holds, 128 MiB of float64. Training
 # keeps at least five stores of one layout, so a layout beyond this (an item
 # alphabet of millions sizes the LSTM kernels) is refused before allocation.
@@ -222,9 +230,32 @@ class LstmBuffers:
         self.ig = np.empty((N, n_l))
 
 
-def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None,
-               per_row=False):
-    """The LSTM kernel: N sequences at once, time-major.
+def _gate_table(params: ModelParams) -> np.ndarray:
+    """The input projections with the bias, (4*r, n_l): row k * r + id is
+    gate k's kernel column for item id plus gate k's bias. A step's input is
+    its item's one-hot row, so its projection is this table's row."""
+    n_l, r = params.lstm_u.shape[1], params.lstm_w.shape[1]
+    return (params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1)
+            + params.lstm_b.reshape(4, 1, n_l)).reshape(4 * r, n_l)
+
+
+def _lstm_cell(sig, i, f, o, g, c_prev, c, tanh_c, h, ig):
+    """The gate equations of one LSTM step, on gate pre-activations (input
+    projection, bias and recurrent product summed) that become the gates in
+    place: i, f, o = sigmoid (`sig` views the three), g = tanh, then
+    c = f * c_prev + i * g and h = o * tanh(c), written into c, tanh_c and
+    h. c may be c_prev itself; ig is scratch, and may be tanh_c."""
+    sigmoid(sig, out=sig)
+    np.tanh(g, out=g)
+    np.multiply(f, c_prev, out=c)
+    c += np.multiply(i, g, out=ig)
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+
+
+def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None):
+    """The traced LSTM pass: N sequences at once, time-major, each row with
+    its own products.
 
     ids is a (T, N) block of item ids in [0, r) with T the longest length
     (`encode` checks the range); slots of sequence k at and past lengths[k]
@@ -234,10 +265,8 @@ def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffer
     length after the loop. Returns (h at each length (N, n_l), trace with
     gate-major gates). States start at zero. The trace is written into the
     first T steps of `buffers` (an `LstmBuffers`) when given, else into new
-    arrays. With `per_row`, each step's recurrent product is N stacked row
-    products, each numpy's N=1 matrix-vector call, so every row is bitwise
-    its own N=1 run; else one (N, n_l) matrix product, which sums in
-    another order.
+    arrays. Each step's recurrent product is N stacked row products, each
+    numpy's N=1 matrix-vector call, so every row is bitwise its own N=1 run.
     """
     T, N = ids.shape
     n_l = params.lstm_b.shape[0] // 4
@@ -249,33 +278,23 @@ def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffer
             f"of {N} sequences of width {n_l}"
         )
     gates, c, tanh_c, h = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
-    # input-side projections of every step, gathered gate-major into the
-    # gate buffer: row k * r + id of the table is gate k's kernel column for
-    # item id ("clip" writes into out, where "raise" would buffer a copy of it)
+    # input-side projections of every step, gathered gate-major into the gate
+    # buffer ("clip" writes into out, where "raise" would buffer a copy of it)
     r = params.lstm_w.shape[1]
-    table = params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1).reshape(4 * r, n_l)  # copied
-    np.take(table, (ids[:, None] + r * np.arange(4)[:, None]).reshape(-1), axis=0,
+    np.take(_gate_table(params), (ids[:, None] + r * np.arange(4)[:, None]).reshape(-1), axis=0,
             out=gates.reshape(-1, n_l), mode="clip")
-    gates += params.lstm_b.reshape(4, 1, n_l)
     u_t = params.lstm_u.T
-    c_prev = np.zeros((N, n_l))
     # per-step buffers, reused by every step
     z, ig = buffers.z, buffers.ig
     z_gm = z.reshape(N, 4, n_l).transpose(1, 0, 2)  # z's gate blocks, as the trace holds them
-    z_in, h_in = (z[:, None], h[:, :, None]) if per_row else (z, h)  # product operands
-    h_prev = np.zeros(h_in.shape[1:])
+    z_rows, h_rows = z[:, None], h[:, :, None]  # (N, 1, .): one product per row
+    h_prev, c_prev = np.zeros((N, 1, n_l)), np.zeros((N, n_l))
     sig, gi, gf, go, gg = gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
     for gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t, h_next in zip(
-            gates, sig, gi, gf, go, gg, c, tanh_c, h, h_in):
-        np.matmul(h_prev, u_t, out=z_in)
+            gates, sig, gi, gf, go, gg, c, tanh_c, h, h_rows):
+        np.matmul(h_prev, u_t, out=z_rows)
         gates_t += z_gm
-        sigmoid(sig_t, out=sig_t)  # i, f, o
-        np.tanh(g_t, out=g_t)
-        # c = f * c_prev + i * g and h = o * tanh(c), written into the trace
-        np.multiply(f_t, c_prev, out=c_t)
-        c_t += np.multiply(i_t, g_t, out=ig)
-        np.tanh(c_t, out=tc_t)
-        np.multiply(o_t, tc_t, out=h_t)
+        _lstm_cell(sig_t, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t, h_t, ig)
         h_prev, c_prev = h_next, c_t
     h_last = h[np.asarray(lengths) - 1, np.arange(N)]
     return h_last, LstmTrace(ids, gates, c, tanh_c, h, lengths)
@@ -313,48 +332,90 @@ def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):
     return embedding, ForwardTrace(alphas, lstm, concat, embedding)
 
 
-def _batch_inputs(instances, size):
-    """Attributes (size, u), item ids (T, size) and lengths of instances;
-    padding rows and slots hold item 0, a padding row for one step."""
-    lengths = np.ones(size, dtype=np.int64)
-    lengths[:len(instances)] = [inst.true_len for inst in instances]
-    attrs = np.zeros((size, instances[0].attributes.shape[0]))
-    ids = np.zeros((lengths.max(), size), dtype=np.int64)
-    for k, inst in enumerate(instances):
-        attrs[k] = inst.attributes
-        ids[:inst.true_len, k] = inst.seq[:inst.true_len]
-    return attrs, ids, lengths
-
-
 def rows_forward(params: ModelParams, cfg: ModelConfig, instances, buffers=None):
     """Full encoder pass over R instances as R lockstep rows, each product
     per row, so row k is bitwise `omega_forward` of instance k. Returns
     (embeddings (R, 1, n), trace); the LSTM trace goes into `buffers`."""
-    attrs, ids, lengths = _batch_inputs(instances, len(instances))
-    a_m, alphas = fc_forward(params, attrs[:, None], cfg.activation)
-    h_last, lstm = lstm_batch(params, ids, lengths, buffers, per_row=True)
+    lengths = np.array([inst.true_len for inst in instances], dtype=np.int64)
+    ids = np.zeros((lengths.max(), len(instances)), dtype=np.int64)
+    for k, inst in enumerate(instances):
+        ids[:inst.true_len, k] = inst.seq[:inst.true_len]
+    attrs = np.array([inst.attributes for inst in instances])[:, None]
+    a_m, alphas = fc_forward(params, attrs, cfg.activation)
+    h_last, lstm = lstm_batch(params, ids, lengths, buffers)
     concat, embedding = _fuse(params, cfg, a_m, h_last[:, None])
     return embedding, ForwardTrace(alphas, lstm, concat, embedding)
+
+
+def _block_inputs(instances, lengths, size, r):
+    """Attributes (k, size, u) and gate-table rows (T, k*4*size) of the
+    instances of one block, taken in order as k chunks of `size` rows, with
+    `lengths` (ascending) their lengths. Padding rows and slots hold zero
+    attributes and item 0."""
+    n, T = len(instances), lengths[-1]
+    k = -(-n // size)
+    attrs = np.zeros((k * size, instances[0].attributes.shape[0]))
+    attrs[:n] = np.array([inst.attributes for inst in instances])  # one shape, or ValueError
+    ids = np.zeros((k * size, T), dtype=np.int64)
+    ids[:n][np.arange(T) < lengths[:, None]] = np.concatenate([inst.seq for inst in instances])
+    # gate g of row j at step t reads table row g * r + id, held gate-major per chunk
+    rows = ids.T.reshape(T, k, 1, size) + r * np.arange(4)[:, None]
+    return attrs.reshape(k, size, -1), rows.reshape(T, -1)
+
+
+def _lstm_last_states(params, table, rows, lengths, work):
+    """h at its own last step of each row of a block, trace-free: a step
+    computes the block's (k, size, 4*n_l) recurrent products as one stacked
+    product, gathers its input projections (bias included) from `table` by
+    `rows` (see `_block_inputs`), and updates h and c in place. `work` holds
+    the arrays of the largest block (h_last, h, c, ig, z, gates), of which
+    the first k chunks are used. Rows are sorted by length, so the rows
+    ending at a step are one contiguous range; padding rows are never read.
+    Returns h_last (k, size, n_l)."""
+    k = rows.shape[1] // (4 * work[0].shape[1])
+    h_last, h, c, ig, z, gates = (a[:k] for a in work)
+    h.fill(0.0)
+    c.fill(0.0)
+    n_l = h.shape[-1]
+    # the operand stays the transposed view, so numpy runs each chunk as the
+    # GEMM of a lone 2-D chunk product; a C-contiguous copy of lstm_u.T sums
+    # in another order (with 32 rows it changed bits at odd n_l from 17, 31
+    # among them, under the SkylakeX kernel, and with one row under
+    # SkylakeX, Haswell and Nehalem)
+    u_t = params.lstm_u.T
+    z_gm = z.reshape(k, -1, 4, n_l).transpose(0, 2, 1, 3)  # z's gate blocks, as gates holds them
+    sig, gi, gf, go, gg = gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+    flat_gates, h_flat, last_flat = gates.reshape(-1, n_l), h.reshape(-1, n_l), h_last.reshape(-1, n_l)
+    ends = np.searchsorted(lengths, np.arange(1, lengths[-1] + 1), side="right").tolist()
+    done = 0
+    for rows_t, end in zip(rows, ends):
+        np.matmul(h, u_t, out=z)
+        np.take(table, rows_t, axis=0, out=flat_gates, mode="clip")
+        gates += z_gm
+        _lstm_cell(sig, gi, gf, go, gg, c, c, ig, h, ig)  # tanh(c) goes into the scratch
+        if end > done:
+            last_flat[done:end] = h_flat[done:end]
+            done = end
+    return h_last
 
 
 def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndarray:
     """Embeddings (N, n) of many instances, row k for instance k.
 
-    The instances go through in a stable order by length, EMBED_CHUNK at a
-    time, so each chunk runs only as many LSTM steps as its longest member;
-    only one chunk's traces are alive at any time. Every chunk has exactly
-    EMBED_CHUNK rows, a short last one padded with empty rows, so every
-    chunk runs the same product shapes and a row's bits depend only on its
-    instance, never on its position or its neighbours. A one-instance call
-    runs at N=1, bitwise `omega_forward`; a batched row can differ from
-    that in the last bits, because a matrix product sums in another order
-    than a matrix-vector product.
-
-    Every chunk writes its trace into one `LstmBuffers`: a fresh trace of
-    about 1.3 MiB per chunk comes from the C allocator either as resident
-    memory or as new pages to fault in, depending on what the process
-    allocated before, and the faults make evaluation up to a third slower
-    in some processes than in others.
+    The instances go through in a stable order by length, in chunks of
+    EMBED_CHUNK rows, EMBED_BLOCK chunks to a block. A block runs as many
+    LSTM steps as its longest member, each step one stacked product with a
+    matrix product per chunk, and keeps no per-step values: besides the
+    embeddings, only one block's arrays are alive at any time (about
+    1.1 MiB at the default widths). They are allocated once per call and
+    reused by every block, since fresh arrays can come from the C allocator
+    as new pages to fault in. Every chunk has exactly EMBED_CHUNK rows, a
+    short last one padded with empty rows, so every chunk runs the same
+    product shapes and a row's bits depend only on its instance, never on
+    its position or its neighbours. A one-instance call runs at N=1,
+    bitwise `omega_forward`; a batched row can differ from that in the last
+    bits, because a matrix product sums in another order than a
+    matrix-vector product.
     """
     n_inst = len(instances)
     out = np.empty((n_inst, cfg.n))
@@ -365,11 +426,15 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
         raise ValueError(f"true_len must be >= 1, got {lengths.min()}")
     order = np.argsort(lengths, kind="stable")
     size = 1 if n_inst == 1 else EMBED_CHUNK
-    buffers = LstmBuffers(lengths.max(), size, params.lstm_b.shape[0] // 4)
-    for start in range(0, n_inst, size):
-        rows = order[start:start + size]
-        attrs, ids, chunk_lengths = _batch_inputs([instances[row] for row in rows], size)
+    chunks = min(EMBED_BLOCK, -(-n_inst // size))
+    n_l, r = params.lstm_u.shape[1], params.lstm_w.shape[1]
+    table = _gate_table(params)
+    work = (*(np.zeros((chunks, size, n_l)) for _ in range(4)),
+            np.empty((chunks, size, 4 * n_l)), np.empty((chunks, 4, size, n_l)))
+    for start in range(0, n_inst, chunks * size):
+        rows = order[start:start + chunks * size]
+        attrs, table_rows = _block_inputs([instances[k] for k in rows], lengths[rows], size, r)
         a_m = fc_forward(params, attrs, cfg.activation)[0]
-        h_last = lstm_batch(params, ids, chunk_lengths, buffers)[0]
-        out[rows] = _fuse(params, cfg, a_m, h_last)[1][:len(rows)]
+        h_last = _lstm_last_states(params, table, table_rows, lengths[rows], work)
+        out[rows] = _fuse(params, cfg, a_m, h_last)[1].reshape(-1, cfg.n)[:len(rows)]
     return out

@@ -7,10 +7,11 @@ ties go to the smaller class id so evaluation is order-independent.
 
 An embedding depends only on its instance, so `evaluate` draws every run's
 episode first and embeds each distinct pool instance the episodes touch
-exactly once, in chunks through the batched encoder kernel. Instances no
+exactly once, in blocks through the trace-free encoder pass. Instances no
 episode draws are never embedded. Each run is then scored in one vectorized
 pass over its query x support distance block, with values bitwise equal to
-`gradients.distance` pair by pair.
+`gradients.distance` pair by pair; its rows and labels are looked up in two
+index arrays, by pool index.
 """
 
 from dataclasses import asdict, dataclass
@@ -71,7 +72,8 @@ def build_episode(pool, g: int, n_queries: int, rng: Rng, by_class=None) -> Epis
             f"need {n_queries} queries but only {len(remaining)} instances remain "
             f"outside the support set"
         )
-    query_idx = [remaining[i] for i in gen.choice(len(remaining), size=n_queries, replace=False)]
+    picks = gen.choice(len(remaining), size=n_queries, replace=False).tolist()
+    query_idx = [remaining[i] for i in picks]
     return Episode(support_idx, query_idx)
 
 
@@ -103,16 +105,17 @@ def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:
     by_class = group_by_class(pool)
     episodes = [build_episode(pool, g, n_queries, root.child(f"run{run}"), by_class)
                 for run in range(n_runs)]
-    drawn = sorted({i for ep in episodes for i in ep.support_idx + ep.query_idx})
-    rows = embed_instances(params, cfg, [pool[i] for i in drawn])
-    row_of = {i: k for k, i in enumerate(drawn)}
+    drawn = np.unique(np.concatenate([ep.support_idx + ep.query_idx for ep in episodes]))
+    rows = embed_instances(params, cfg, [pool[i] for i in drawn.tolist()])
+    # a pool index's embedding row, and every pool instance's label
+    row_of = np.zeros(len(pool), dtype=np.intp)
+    row_of[drawn] = np.arange(drawn.size)
+    labels = np.array([inst.label for inst in pool], dtype=np.int64)
     per_run = []
     for ep in episodes:
-        predicted = classify(kind, rows[[row_of[i] for i in ep.support_idx]],
-                             [pool[i].label for i in ep.support_idx],
-                             rows[[row_of[i] for i in ep.query_idx]])
-        correct = int(np.count_nonzero(predicted == [pool[i].label for i in ep.query_idx]))
-        per_run.append(correct / n_queries)
+        support, queries = np.array(ep.support_idx), np.array(ep.query_idx)
+        predicted = classify(kind, rows[row_of[support]], labels[support], rows[row_of[queries]])
+        per_run.append(int(np.count_nonzero(predicted == labels[queries])) / n_queries)
     p25, median, p75 = (float(x) for x in np.percentile(per_run, [25, 50, 75]))
     return EvalReport(
         g=g, n_queries=n_queries, n_runs=n_runs, distance=kind,

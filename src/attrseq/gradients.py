@@ -153,15 +153,19 @@ def _encoder_grads(params, cfg, rows, dp, grads):
     ga, gs = branch_gates(cfg.branch_mode)
     n_m = rows.alphas[-1].shape[-1]
 
-    # the fusion layer, then the fully connected stack top down; each outer
-    # product is a broadcast multiply, bitwise np.outer
+    # the fusion layer, then the fully connected stack top down; each layer's
+    # outer products are one broadcast multiply, bitwise np.outer, into the
+    # front of one buffer that every layer reuses
     layers = [(params.w_p, grads.w_p, grads.b_p, rows.concat, rows.embedding)]
     layers += [(params.fc_w[k], grads.fc_w[k], grads.fc_b[k], rows.alphas[k], rows.alphas[k + 1])
                for k in range(len(params.fc_w) - 1, -1, -1)]
+    R = len(dp)
+    outer = np.empty(R * max(w.size for w, *_ in layers))
     d_out = dp[:, :, None]
     for k, (w, grad_w, grad_b, a_in, a_out) in enumerate(layers):
         delta = d_out * activation_grad_from_output(cfg.activation, a_out.transpose(0, 2, 1))
-        for delta_w, delta_b in zip(delta * a_in, delta[:, :, 0]):  # row by row
+        delta_a = np.multiply(delta, a_in, out=outer[:R * w.size].reshape(R, *w.shape))
+        for delta_w, delta_b in zip(delta_a, delta[:, :, 0]):  # row by row
             grad_w += delta_w
             grad_b += delta_b
         if k + 1 < len(layers):  # no gradient for the attribute input

@@ -44,8 +44,14 @@ def sigmoid(z, out=None):
     """
     z = np.asarray(z, dtype=np.float64)
     num, ez = np.empty_like(z), np.empty_like(z)
+    # the numerator's sign stays a copysign: np.greater_equal into float64,
+    # bitwise the same, took 0.6 us more per call at a training step's 300
+    # values (its cast has a fixed cost) and saved only 2 us at an inference
+    # block's 19,200 (2-vCPU Xeon)
     np.copysign(1.0, z, out=num)
-    np.exp(np.copysign(z, -1.0, out=ez), out=ez)
+    # -|z| as abs then negative: the same bits as copysign(z, -1), NaN signs
+    # included, and faster per element
+    np.exp(np.negative(np.abs(z, out=ez), out=ez), out=ez)
     np.maximum(ez, num, out=num)  # a NaN z keeps ez's NaN, as the division needs
     ez += 1.0
     return np.divide(num, ez, out=num if out is None else out)

@@ -22,7 +22,7 @@ from attrseq.encoder import (
     param_shapes,
     rows_forward,
 )
-from attrseq.kernel import Rng
+from attrseq.kernel import Rng, activation, sigmoid
 
 
 def tiny_meta(u=3, r=4, t_max=5):
@@ -406,7 +406,7 @@ class TestBatchedForward:
         for a in vars(buffers).values():
             a.fill(np.nan)  # stale values must never reach a result
         ids = self.id_block(insts, max(lengths), pad=meta.r - 1)
-        h_last, trace = lstm_batch(params, ids, np.array(lengths), buffers, per_row=True)
+        h_last, trace = lstm_batch(params, ids, np.array(lengths), buffers)
         embeddings, rows = rows_forward(params, cfg, insts)
         assert embeddings.shape == (len(insts), 1, cfg.n)
         for k, inst in enumerate(insts):
@@ -422,6 +422,88 @@ class TestBatchedForward:
             assert np.array_equal(_bits(rows.concat[k, 0]), _bits(fwd.concat))
             for got, want in zip(rows.alphas, fwd.alphas):
                 assert np.array_equal(_bits(got[k, 0]), _bits(want))
+
+
+def _chunk_by_chunk_embed(params, cfg, instances):
+    """The inference path the trace-free blocks replaced: EMBED_CHUNK rows
+    at a time in length order, inputs filled instance by instance, the bias
+    added after the gather, one (EMBED_CHUNK, n_l) product per step and a
+    full per-step trace."""
+    act = activation(cfg.activation)
+    lengths = np.array([inst.true_len for inst in instances])
+    order = np.argsort(lengths, kind="stable")
+    size = 1 if len(instances) == 1 else EMBED_CHUNK
+    n_l, r = params.lstm_u.shape[1], params.lstm_w.shape[1]
+    table = params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1).reshape(4 * r, n_l)
+    out = np.empty((len(instances), cfg.n))
+    for start in range(0, len(instances), size):
+        rows = order[start:start + size]
+        chunk_lengths = np.ones(size, dtype=np.int64)
+        chunk_lengths[:len(rows)] = lengths[rows]
+        T = chunk_lengths.max()
+        attrs, ids = np.zeros((size, instances[0].attributes.size)), np.zeros((T, size), dtype=np.int64)
+        for k, row in enumerate(rows):
+            attrs[k] = instances[row].attributes
+            ids[:lengths[row], k] = instances[row].seq
+        a_m = attrs
+        for w, b in zip(params.fc_w, params.fc_b):
+            a_m = act(a_m @ w.T + b)
+        gates = table[ids[:, None] + r * np.arange(4)[:, None]]  # (T, 4, size, n_l)
+        gates += params.lstm_b.reshape(4, 1, n_l)
+        c, tanh_c, h = (np.empty((T, size, n_l)) for _ in range(3))
+        h_prev, c_prev = np.zeros((size, n_l)), np.zeros((size, n_l))
+        for t in range(T):
+            z = h_prev @ params.lstm_u.T
+            gates[t] += z.reshape(size, 4, n_l).transpose(1, 0, 2)
+            gates[t, :3] = sigmoid(gates[t, :3])
+            gates[t, 3] = np.tanh(gates[t, 3])
+            np.multiply(gates[t, 1], c_prev, out=c[t])
+            c[t] += gates[t, 0] * gates[t, 3]
+            np.tanh(c[t], out=tanh_c[t])
+            np.multiply(gates[t, 2], tanh_c[t], out=h[t])
+            h_prev, c_prev = h[t], c[t]
+        ga, gs = branch_gates(cfg.branch_mode)
+        concat = np.concatenate([ga * a_m, gs * h[chunk_lengths - 1, np.arange(size)]], axis=1)
+        out[rows] = act(concat @ params.w_p.T + params.b_p)[:len(rows)]
+    return out
+
+
+@pytest.mark.parametrize("branch_mode", BRANCH_MODES)
+@pytest.mark.parametrize("activation_name", ["tanh", "relu"])
+@pytest.mark.parametrize("n_l", [1, 20, 31, 50])
+def test_blocks_are_bitwise_the_chunk_by_chunk_path(n_l, activation_name, branch_mode):
+    # compared on this machine only: BLAS kernels differ across CPUs, so no
+    # digest of the result is pinned
+    meta = tiny_meta(u=8, r=30, t_max=15)
+    cfg = ModelConfig(n_l=n_l, activation=activation_name, branch_mode=branch_mode)
+    params = init_params(cfg, meta, Rng(n_l))
+    params.lstm_b[...] = np.random.default_rng(n_l).uniform(-0.5, 0.5, params.lstm_b.shape)
+    pool = [random_instance(meta, seed=1000 * n_l + k) for k in range(300)]
+    tied = [random_instance(meta, seed=k, length=7) for k in range(130)]  # one length throughout
+    for insts in [pool[:n] for n in (1, 2, 31, 32, 33, 127, 128, 129, 300)] + [tied]:
+        got = embed_instances(params, cfg, insts)
+        want = _chunk_by_chunk_embed(params, cfg, insts)
+        assert np.array_equal(_bits(got), _bits(want)), len(insts)
+    assert len({inst.true_len for inst in pool}) == meta.t_max  # every length, each many times
+
+
+def test_embed_memory_is_one_block_plus_the_output():
+    cfg = ModelConfig()
+    meta = tiny_meta(u=8, r=30, t_max=15)
+    params = init_params(cfg, meta, Rng(2))
+    pool = [random_instance(meta, seed=k) for k in range(4096)]
+    peaks = []
+    for n in (128, 4096):
+        embed_instances(params, cfg, pool[:n])  # warm: numpy's own first-use caches
+        tracemalloc.start()
+        try:
+            embed_instances(params, cfg, pool[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the output grows with the call; every other array is one block's, or
+    # an index of a few bytes per instance
+    assert peaks[1] - peaks[0] <= 4096 * cfg.n * 8 + 128 * 1024, peaks
 
 
 def test_branch_gates_table():
