@@ -14,17 +14,22 @@ one-hot row, so its input projection plus bias is one row per gate of a
 gate table (`_gate_table`), gathered by id, and one recurrent product per
 step adds the rest.
 
-The gate equations of one step are stated once (`_lstm_cell`) and serve
-two passes. The traced pass (`lstm_batch`) keeps a gate-major trace for
-backpropagation, and its products are per row: training runs a pair's two
-sides as two lockstep rows (`rows_forward`), each bitwise a one-instance
-pass (`omega_forward`). The trace-free pass (`embed_instances`: evaluation,
-the `embed` command, the validation loss) runs blocks of EMBED_BLOCK chunks
-of EMBED_CHUNK rows with one stacked product per step (one matrix product
-per chunk), keeps no per-step values, and holds only one block's arrays
-and the embeddings.
+The LSTM has one step loop (`_lstm`), run over a block of k chunks of
+`size` rows with one stacked recurrent product per step, and the depth of
+its buffers decides whether it keeps a trace. Training runs a pair's two
+sides as two lockstep rows (`rows_forward`: two chunks of one row), each
+product per row, so each row is bitwise a one-instance pass
+(`omega_forward`, a one-row `rows_forward`); its buffers are as deep as the
+longest sequence, and every step keeps its slot for backpropagation. Every
+trace, one row or two, has one layout: (T, 4, R, n_l) gate-major gates and
+(T, R, n_l) states. Inference (`embed_instances`: evaluation, the `embed`
+command, the validation loss) runs blocks of EMBED_BLOCK chunks of
+EMBED_CHUNK rows (one matrix product per chunk) on buffers of depth 1,
+which every step overwrites, so it holds only one block's arrays and the
+embeddings.
 """
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -37,16 +42,17 @@ from .kernel import (ACTIVATIONS, Rng, activation, glorot_bound, orthogonal_init
 
 BRANCH_MODES = ("both", "attributes_only", "sequence_only")
 GATES = "ifoc"  # LSTM input, forget, output gates and cell candidate
-# Rows per chunk of the trace-free pass; every chunk runs the same product
+# Rows per chunk of an inference block; every chunk runs the same product
 # shapes. The per-step products are matrix-matrix from a few rows on. On a
 # 2-vCPU Xeon with one BLAS thread, chunks of 48 or 64 (each then with its
 # own per-step trace) evaluated no faster and took 0.8 or 1.4 MiB more.
 EMBED_CHUNK = 32
-# Chunks per block of the trace-free pass: a step runs its block's chunks as
+# Chunks per inference block: a step runs its block's chunks as
 # one stacked product and one set of elementwise calls. With one BLAS thread
 # on a 2-vCPU Xeon, 480 instances embedded faster in blocks of 4 than in
 # blocks of 1, 2 or 8 chunks or all 15 at once.
 EMBED_BLOCK = 4
+_GATE_AXIS = np.arange(4).reshape(4, 1, 1)  # the gate axis of a step's table rows, (4, k, size)
 # The most values one parameter store holds, 128 MiB of float64. Training
 # keeps at least five stores of one layout, so a layout beyond this (an item
 # alphabet of millions sizes the LSTM kernels) is refused before allocation.
@@ -160,23 +166,25 @@ class ModelParams(Mapping):
 
 @dataclass
 class LstmTrace:
-    """Per-step values, (T, .) for one instance or (T, N, .) for a batch."""
+    """The per-step values of N rows, time-major. A row's steps past its
+    length are padding: computed, never read."""
 
-    x: np.ndarray  # item ids read at each step, int64 (T,) or (T, N)
-    gates: np.ndarray  # i, f, o (sigmoid), g (tanh): (T, 4*n_l), or gate-major (T, 4, N, n_l)
-    c: np.ndarray  # cell states, (T, n_l) or (T, N, n_l)
+    x: np.ndarray  # item ids read at each step, int64 (T, N)
+    gates: np.ndarray  # i, f, o (sigmoid), g (tanh), gate-major (T, 4, N, n_l)
+    c: np.ndarray  # cell states, (T, N, n_l)
     tanh_c: np.ndarray
-    h: np.ndarray  # hidden states, (T, n_l) or (T, N, n_l)
-    lengths: np.ndarray  # true length of each instance, (N,); steps past it are padding
+    h: np.ndarray  # hidden states, (T, N, n_l)
+    lengths: np.ndarray  # true length of each row, (N,)
 
 
 @dataclass
 class ForwardTrace:
-    """One instance's pass, or R lockstep rows' with every array (R, 1, .)."""
+    """The pass of R instances as R rows, every array (R, 1, .); one
+    instance's pass is a one-row trace."""
     alphas: list  # fully connected activations [input, a_1, .., a_m]
     lstm: LstmTrace
-    concat: np.ndarray  # gated (a_m ++ h_last), length n_m + n_l
-    embedding: np.ndarray  # (n,)
+    concat: np.ndarray  # gated (a_m ++ h_last), (R, 1, n_m + n_l)
+    embedding: np.ndarray  # (R, 1, n)
 
 
 def init_params(cfg: ModelConfig, meta: DatasetMeta, rng: Rng) -> ModelParams:
@@ -196,9 +204,9 @@ def init_params(cfg: ModelConfig, meta: DatasetMeta, rng: Rng) -> ModelParams:
 
 
 def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
-    """Run the attribute branch over one vector (u,), a batch (N, u) or
-    rows (R, 1, u), each row its own product; returns (final activation,
-    all activations)."""
+    """Run the attribute branch over one vector (u,), a batch (N, u) or a
+    block of k chunks (k, size, u), one product per chunk; returns (final
+    activation, all activations)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2, 3) or v.shape[-1] != params.fc_w[0].shape[1]:
         raise ValueError(
@@ -213,19 +221,16 @@ def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
 
 
 class LstmBuffers:
-    """Every array `lstm_batch` writes, for batches of N sequences of at
-    most T steps: the trace arrays gates (T, 4, N, n_l), c, tanh_c and h
-    (T, N, n_l), and the per-step buffers z (N, 4*n_l) and ig (N, n_l).
-
-    A caller that runs many batches of one size passes the same buffers to
-    every call; each call overwrites the trace of the one before.
+    """Every array the LSTM pass writes for N rows: gates (depth, 4, N, n_l),
+    c, tanh_c and h (depth, N, n_l), z (N, 4*n_l) and ig (N, n_l). At depth
+    T (the longest length) or more every step keeps its own slot, and the
+    first T slots are the trace; at depth 1 every step overwrites the one
+    slot. Each call overwrites the values of the one before.
     """
 
-    def __init__(self, T: int, N: int, n_l: int):
-        self.gates = np.empty((T, 4, N, n_l))
-        self.c = np.empty((T, N, n_l))
-        self.tanh_c = np.empty((T, N, n_l))
-        self.h = np.empty((T, N, n_l))
+    def __init__(self, depth: int, N: int, n_l: int):
+        self.gates = np.empty((depth, 4, N, n_l))
+        self.c, self.tanh_c, self.h = (np.empty((depth, N, n_l)) for _ in range(3))
         self.z = np.empty((N, 4 * n_l))
         self.ig = np.empty((N, n_l))
 
@@ -244,7 +249,7 @@ def _lstm_cell(sig, i, f, o, g, c_prev, c, tanh_c, h, ig):
     projection, bias and recurrent product summed) that become the gates in
     place: i, f, o = sigmoid (`sig` views the three), g = tanh, then
     c = f * c_prev + i * g and h = o * tanh(c), written into c, tanh_c and
-    h. c may be c_prev itself; ig is scratch, and may be tanh_c."""
+    h. c may be c_prev itself; ig is scratch."""
     sigmoid(sig, out=sig)
     np.tanh(g, out=g)
     np.multiply(f, c_prev, out=c)
@@ -253,150 +258,137 @@ def _lstm_cell(sig, i, f, o, g, c_prev, c, tanh_c, h, ig):
     np.multiply(o, tanh_c, out=h)
 
 
-def lstm_batch(params: ModelParams, ids: np.ndarray, lengths: np.ndarray, buffers=None):
-    """The traced LSTM pass: N sequences at once, time-major, each row with
-    its own products.
+def _lstm(params, table, rows, lengths, buffers):
+    """The LSTM pass over a block of k chunks of `size` rows from zero
+    states; returns h at each row's last step, (k, size, n_l).
 
-    ids is a (T, N) block of item ids in [0, r) with T the longest length
-    (`encode` checks the range); slots of sequence k at and past lengths[k]
-    are padding and may hold any valid id. Every sequence runs all T steps,
-    so there are no per-step masks: the states past a sequence's length are
-    computed but never used, and each sequence's state is picked at its own
-    length after the loop. Returns (h at each length (N, n_l), trace with
-    gate-major gates). States start at zero. The trace is written into the
-    first T steps of `buffers` (an `LstmBuffers`) when given, else into new
-    arrays. Each step's recurrent product is N stacked row products, each
-    numpy's N=1 matrix-vector call, so every row is bitwise its own N=1 run.
+    `rows` (T, 4, k, size) are the `table` rows (`_block_inputs`) each row
+    reads at each step, and `lengths` the lengths of the first rows; the
+    rows past them are padding. Every row runs all T steps, unmasked. A
+    step makes one stacked (k, size, n_l) @ lstm_u.T product (numpy's N=1
+    call per row at size 1, so a row is bitwise a one-row pass; one matrix
+    product per chunk at size 32); the rest is elementwise on gate-major
+    gates (4, k * size, n_l). The depth of `buffers` (k * size rows) decides
+    the rest. At depth T the projections are gathered once, every step
+    keeps its slot (the trace) and each row's last h is read from it. At
+    depth 1 a step gathers its own projections and overwrites the slot, and
+    the rows, sorted by length, that end at it are copied as one slice (at
+    T = 1 every row ends at the one step, so a trace of depth 1 needs no
+    order).
     """
-    T, N = ids.shape
-    n_l = params.lstm_b.shape[0] // 4
-    if buffers is None:
-        buffers = LstmBuffers(T, N, n_l)
-    elif buffers.gates.shape[0] < T or buffers.gates.shape[1:] != (4, N, n_l):
-        raise ValueError(
-            f"buffers of gate shape {buffers.gates.shape} cannot hold {T} steps "
-            f"of {N} sequences of width {n_l}"
-        )
-    gates, c, tanh_c, h = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
-    # input-side projections of every step, gathered gate-major into the gate
-    # buffer ("clip" writes into out, where "raise" would buffer a copy of it)
-    r = params.lstm_w.shape[1]
-    np.take(_gate_table(params), (ids[:, None] + r * np.arange(4)[:, None]).reshape(-1), axis=0,
-            out=gates.reshape(-1, n_l), mode="clip")
-    u_t = params.lstm_u.T
-    # per-step buffers, reused by every step
-    z, ig = buffers.z, buffers.ig
-    z_gm = z.reshape(N, 4, n_l).transpose(1, 0, 2)  # z's gate blocks, as the trace holds them
-    z_rows, h_rows = z[:, None], h[:, :, None]  # (N, 1, .): one product per row
-    h_prev, c_prev = np.zeros((N, 1, n_l)), np.zeros((N, n_l))
-    sig, gi, gf, go, gg = gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
-    for gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t, h_next in zip(
-            gates, sig, gi, gf, go, gg, c, tanh_c, h, h_rows):
-        np.matmul(h_prev, u_t, out=z_rows)
-        gates_t += z_gm
-        _lstm_cell(sig_t, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t, h_t, ig)
-        h_prev, c_prev = h_next, c_t
-    h_last = h[np.asarray(lengths) - 1, np.arange(N)]
-    return h_last, LstmTrace(ids, gates, c, tanh_c, h, lengths)
-
-
-def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
-    """Run the sequence branch over the first true_len item ids of seq.
-
-    `lstm_batch` at N=1. Returns (h at true_len, trace). States start at zero.
-    """
-    if true_len < 1:
-        raise ValueError(f"true_len must be >= 1, got {true_len}")
-    if true_len > len(seq):
-        raise ValueError(f"true_len {true_len} exceeds the {len(seq)} item ids given")
-    T = int(true_len)
-    h_last, trace = lstm_batch(params, seq[:T, None], np.array([T]))
-    return h_last[0], LstmTrace(trace.x[:, 0], *(a.reshape(T, -1) for a in (
-        trace.gates, trace.c, trace.tanh_c, trace.h)), trace.lengths)
-
-
-def _fuse(params: ModelParams, cfg: ModelConfig, a_m, h_last):
-    """Fusion layer over one instance, a batch or rows; returns
-    (concat, embedding). A disabled branch (branch_mode) is
-    zeroed in the fusion input, so the embedding shape never changes."""
-    ga, gs = branch_gates(cfg.branch_mode)
-    concat = np.concatenate([ga * a_m, gs * h_last], axis=-1)
-    return concat, activation(cfg.activation)(concat @ params.w_p.T + params.b_p)
-
-
-def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):
-    """Full encoder pass over one instance; returns (embedding, trace)."""
-    a_m, alphas = fc_forward(params, inst.attributes, cfg.activation)
-    h_last, lstm = lstm_forward(params, inst.seq, inst.true_len)
-    concat, embedding = _fuse(params, cfg, a_m, h_last)
-    return embedding, ForwardTrace(alphas, lstm, concat, embedding)
-
-
-def rows_forward(params: ModelParams, cfg: ModelConfig, instances, buffers=None):
-    """Full encoder pass over R instances as R lockstep rows, each product
-    per row, so row k is bitwise `omega_forward` of instance k. Returns
-    (embeddings (R, 1, n), trace); the LSTM trace goes into `buffers`."""
-    lengths = np.array([inst.true_len for inst in instances], dtype=np.int64)
-    ids = np.zeros((lengths.max(), len(instances)), dtype=np.int64)
-    for k, inst in enumerate(instances):
-        ids[:inst.true_len, k] = inst.seq[:inst.true_len]
-    attrs = np.array([inst.attributes for inst in instances])[:, None]
-    a_m, alphas = fc_forward(params, attrs, cfg.activation)
-    h_last, lstm = lstm_batch(params, ids, lengths, buffers)
-    concat, embedding = _fuse(params, cfg, a_m, h_last[:, None])
-    return embedding, ForwardTrace(alphas, lstm, concat, embedding)
-
-
-def _block_inputs(instances, lengths, size, r):
-    """Attributes (k, size, u) and gate-table rows (T, k*4*size) of the
-    instances of one block, taken in order as k chunks of `size` rows, with
-    `lengths` (ascending) their lengths. Padding rows and slots hold zero
-    attributes and item 0."""
-    n, T = len(instances), lengths[-1]
-    k = -(-n // size)
-    attrs = np.zeros((k * size, instances[0].attributes.shape[0]))
-    attrs[:n] = np.array([inst.attributes for inst in instances])  # one shape, or ValueError
-    ids = np.zeros((k * size, T), dtype=np.int64)
-    ids[:n][np.arange(T) < lengths[:, None]] = np.concatenate([inst.seq for inst in instances])
-    # gate g of row j at step t reads table row g * r + id, held gate-major per chunk
-    rows = ids.T.reshape(T, k, 1, size) + r * np.arange(4)[:, None]
-    return attrs.reshape(k, size, -1), rows.reshape(T, -1)
-
-
-def _lstm_last_states(params, table, rows, lengths, work):
-    """h at its own last step of each row of a block, trace-free: a step
-    computes the block's (k, size, 4*n_l) recurrent products as one stacked
-    product, gathers its input projections (bias included) from `table` by
-    `rows` (see `_block_inputs`), and updates h and c in place. `work` holds
-    the arrays of the largest block (h_last, h, c, ig, z, gates), of which
-    the first k chunks are used. Rows are sorted by length, so the rows
-    ending at a step are one contiguous range; padding rows are never read.
-    Returns h_last (k, size, n_l)."""
-    k = rows.shape[1] // (4 * work[0].shape[1])
-    h_last, h, c, ig, z, gates = (a[:k] for a in work)
-    h.fill(0.0)
-    c.fill(0.0)
-    n_l = h.shape[-1]
+    T, _, k, size = rows.shape
+    N, n_l = k * size, table.shape[1]
+    depth = min(len(buffers.gates), T)
+    gates, c, tanh_c, h = (a[:depth] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
+    flat_gates = gates.reshape(-1, n_l)
     # the operand stays the transposed view, so numpy runs each chunk as the
     # GEMM of a lone 2-D chunk product; a C-contiguous copy of lstm_u.T sums
     # in another order (with 32 rows it changed bits at odd n_l from 17, 31
     # among them, under the SkylakeX kernel, and with one row under
     # SkylakeX, Haswell and Nehalem)
     u_t = params.lstm_u.T
-    z_gm = z.reshape(k, -1, 4, n_l).transpose(0, 2, 1, 3)  # z's gate blocks, as gates holds them
-    sig, gi, gf, go, gg = gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
-    flat_gates, h_flat, last_flat = gates.reshape(-1, n_l), h.reshape(-1, n_l), h_last.reshape(-1, n_l)
-    ends = np.searchsorted(lengths, np.arange(1, lengths[-1] + 1), side="right").tolist()
+    z, ig = buffers.z.reshape(k, size, 4 * n_l), buffers.ig
+    z_gm = buffers.z.reshape(N, 4, n_l).transpose(1, 0, 2)  # z's gate blocks, as the gates hold them
+    # each step's views, split before the loop (made per step they cost
+    # more), its table rows and the rows ending at it ("clip" writes into
+    # out, where "raise" would buffer a copy of it)
+    views = (gates, gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3], c, tanh_c, h,
+             h.reshape(depth, k, size, n_l))
+    if depth > 1:
+        np.take(table, rows.reshape(-1), axis=0, out=flat_gates, mode="clip")
+        steps = zip(*views, itertools.repeat(None), itertools.repeat(0))
+    else:
+        ends = np.searchsorted(lengths, np.arange(1, T + 1), side="right").tolist()
+        steps = zip(*(itertools.repeat(v[0]) for v in views), rows.reshape(T, -1), ends)
+        h_last = np.zeros((N, n_l))
+    h_prev, c_prev = np.zeros((k, size, n_l)), np.zeros((N, n_l))
     done = 0
-    for rows_t, end in zip(rows, ends):
-        np.matmul(h, u_t, out=z)
-        np.take(table, rows_t, axis=0, out=flat_gates, mode="clip")
-        gates += z_gm
-        _lstm_cell(sig, gi, gf, go, gg, c, c, ig, h, ig)  # tanh(c) goes into the scratch
+    for gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t, h_next, rows_t, end in steps:
+        np.matmul(h_prev, u_t, out=z)
+        if rows_t is not None:
+            np.take(table, rows_t, axis=0, out=flat_gates, mode="clip")
+        gates_t += z_gm
+        _lstm_cell(sig_t, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t, h_t, ig)
+        h_prev, c_prev = h_next, c_t
         if end > done:
-            last_flat[done:end] = h_flat[done:end]
+            h_last[done:end] = h_t[done:end]
             done = end
-    return h_last
+    if depth > 1:
+        h_last = h[lengths - 1, np.arange(N)]
+    return h_last.reshape(k, size, n_l)
+
+
+def _block_inputs(instances, lengths, size, r):
+    """Attributes (k, size, u) and gate-table rows (T, 4, k, size) of the
+    instances of one block, taken in order as k chunks of `size` rows, with
+    `lengths` their lengths: gate g of a row reads table row g * r + id at
+    each step, so gate 0's rows are the item ids. Padding rows and slots
+    hold zero attributes and item 0."""
+    n, T = len(instances), max(lengths.tolist())
+    k = -(-n // size)
+    attrs = np.zeros((k * size, instances[0].attributes.shape[0]))
+    attrs[:n] = [inst.attributes for inst in instances]  # one shape, or ValueError
+    ids = np.zeros((k * size, T), dtype=np.int64)
+    ids[:n][np.arange(T) < lengths[:, None]] = np.concatenate([inst.seq for inst in instances])
+    return attrs.reshape(k, size, -1), ids.T.reshape(T, 1, k, size) + r * _GATE_AXIS
+
+
+def _traced_lstm(params, rows, lengths, buffers):
+    """`_lstm` over R one-row chunks, `rows` (T, 4, R, 1), keeping the trace
+    in `buffers` or in new arrays; returns (h_last (R, 1, n_l), trace)."""
+    T, _, R, _ = rows.shape
+    n_l = params.lstm_u.shape[1]
+    if buffers is None:
+        buffers = LstmBuffers(T, R, n_l)
+    elif len(buffers.gates) < T or buffers.gates.shape[1:] != (4, R, n_l):
+        raise ValueError(
+            f"buffers of gate shape {buffers.gates.shape} cannot hold {T} steps "
+            f"of {R} sequences of width {n_l}"
+        )
+    h_last = _lstm(params, _gate_table(params), rows, lengths, buffers)
+    trace = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
+    return h_last, LstmTrace(rows[:, 0, :, 0], *trace, lengths)
+
+
+def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
+    """Run the sequence branch over the first true_len item ids of seq, as
+    one traced row. Returns (h at true_len (n_l,), one-row trace)."""
+    if true_len < 1:
+        raise ValueError(f"true_len must be >= 1, got {true_len}")
+    if true_len > len(seq):
+        raise ValueError(f"true_len {true_len} exceeds the {len(seq)} item ids given")
+    T = int(true_len)
+    rows = np.reshape(seq[:T], (T, 1, 1, 1)) + params.lstm_w.shape[1] * _GATE_AXIS
+    h_last, trace = _traced_lstm(params, rows, np.array([T]), None)
+    return h_last[0, 0], trace
+
+
+def _fuse(params: ModelParams, cfg: ModelConfig, a_m, h_last):
+    """Fusion layer over a block; returns (concat, embedding). A disabled
+    branch (branch_mode) is zeroed in the fusion input, so the embedding
+    shape never changes."""
+    ga, gs = branch_gates(cfg.branch_mode)
+    concat = np.concatenate([ga * a_m, gs * h_last], axis=-1)
+    return concat, activation(cfg.activation)(concat @ params.w_p.T + params.b_p)
+
+
+def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):
+    """Full encoder pass over one instance, its one-row `rows_forward`;
+    returns (embedding (n,), one-row trace)."""
+    embedding, trace = rows_forward(params, cfg, (inst,))
+    return embedding[0, 0], trace
+
+
+def rows_forward(params: ModelParams, cfg: ModelConfig, instances, buffers=None):
+    """Full encoder pass over R instances as R lockstep rows, each product
+    per row, so row k is bitwise the one-row pass of instance k. Returns
+    (embeddings (R, 1, n), trace); the LSTM trace goes into `buffers`."""
+    lengths = np.array([inst.true_len for inst in instances], dtype=np.int64)
+    attrs, rows = _block_inputs(instances, lengths, 1, params.lstm_w.shape[1])
+    a_m, alphas = fc_forward(params, attrs, cfg.activation)
+    h_last, lstm = _traced_lstm(params, rows, lengths, buffers)
+    concat, embedding = _fuse(params, cfg, a_m, h_last)
+    return embedding, ForwardTrace(alphas, lstm, concat, embedding)
 
 
 def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndarray:
@@ -405,14 +397,15 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
     The instances go through in a stable order by length, in chunks of
     EMBED_CHUNK rows, EMBED_BLOCK chunks to a block. A block runs as many
     LSTM steps as its longest member, each step one stacked product with a
-    matrix product per chunk, and keeps no per-step values: besides the
-    embeddings, only one block's arrays are alive at any time (about
-    1.1 MiB at the default widths). They are allocated once per call and
-    reused by every block, since fresh arrays can come from the C allocator
+    matrix product per chunk, on buffers of depth 1, so it keeps no
+    per-step values: besides the embeddings, only one block's arrays are
+    alive at any time (about 1.2 MiB at the default widths). The buffers
+    are allocated once per call and reused by every block (a shorter last
+    block has its own), since fresh arrays can come from the C allocator
     as new pages to fault in. Every chunk has exactly EMBED_CHUNK rows, a
     short last one padded with empty rows, so every chunk runs the same
     product shapes and a row's bits depend only on its instance, never on
-    its position or its neighbours. A one-instance call runs at N=1,
+    its position or its neighbours. A one-instance call runs one row,
     bitwise `omega_forward`; a batched row can differ from that in the last
     bits, because a matrix product sums in another order than a
     matrix-vector product.
@@ -426,15 +419,14 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
         raise ValueError(f"true_len must be >= 1, got {lengths.min()}")
     order = np.argsort(lengths, kind="stable")
     size = 1 if n_inst == 1 else EMBED_CHUNK
-    chunks = min(EMBED_BLOCK, -(-n_inst // size))
     n_l, r = params.lstm_u.shape[1], params.lstm_w.shape[1]
-    table = _gate_table(params)
-    work = (*(np.zeros((chunks, size, n_l)) for _ in range(4)),
-            np.empty((chunks, size, 4 * n_l)), np.empty((chunks, 4, size, n_l)))
-    for start in range(0, n_inst, chunks * size):
-        rows = order[start:start + chunks * size]
+    table, buffers = _gate_table(params), None
+    for start in range(0, n_inst, EMBED_BLOCK * size):
+        rows = order[start:start + EMBED_BLOCK * size]
         attrs, table_rows = _block_inputs([instances[k] for k in rows], lengths[rows], size, r)
+        if buffers is None or len(buffers.ig) != len(attrs) * size:
+            buffers = LstmBuffers(1, len(attrs) * size, n_l)
         a_m = fc_forward(params, attrs, cfg.activation)[0]
-        h_last = _lstm_last_states(params, table, table_rows, lengths[rows], work)
+        h_last = _lstm(params, table, table_rows, lengths[rows], buffers)
         out[rows] = _fuse(params, cfg, a_m, h_last)[1].reshape(-1, cfg.n)[:len(rows)]
     return out

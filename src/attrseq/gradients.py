@@ -3,8 +3,11 @@
 The analytic path is reverse-mode: the pair loss is differentiated through
 the fusion layer, the fully connected stack, and the LSTM (backward through
 time), with the two siamese sides sharing weights so their contributions sum.
-The two sides run as two lockstep rows of one BPTT loop, every product per
-row, so each side's gradient is bitwise a one-instance pass.
+Training's two sides run as the two rows of one trace through one BPTT
+loop, every product per row; `backward_pair` runs the same loop once per
+side on the two one-row traces of `omega_forward`. Every trace has the
+encoder's one layout, and a tensor's contributions are added side by side
+either way, so both give the same bits.
 `finite_diff_grads` is the independent oracle: central differences around
 every scalar parameter, recomputing the whole forward pass each time. The two
 must agree to high relative precision wherever the loss is differentiable.
@@ -16,13 +19,12 @@ from .data import AttributedSequence, DatasetMeta, encode
 from .kernel import ACTIVATIONS, Rng, activation_grad_from_output
 from .encoder import (
     BRANCH_MODES,
-    ForwardTrace,
-    LstmTrace,
     ModelConfig,
     ModelParams,
     branch_gates,
     init_params,
     omega_forward,
+    rows_forward,
 )
 
 DISTANCE_KINDS = ("euclidean", "manhattan")
@@ -84,7 +86,8 @@ def distance_grad(kind: str, mode: str, p_i: np.ndarray, p_j: np.ndarray, d: flo
 
 
 def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact", out=None):
-    """Loss and gradients of one siamese pair w.r.t. every parameter tensor.
+    """Loss and gradients of one siamese pair w.r.t. every parameter tensor,
+    from the one-row traces of its two sides (`omega_forward`).
 
     Both sides share weights, so their gradient contributions accumulate into
     one gradient container with the layout of params: `out` when given (it
@@ -96,7 +99,7 @@ def backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode="exact"
     grads = ModelParams(params.shapes) if out is None else out
     if grads.shapes != params.shapes:
         raise ValueError(f"gradient store layout {out.shapes} does not match params {params.shapes}")
-    loss, _ = backward_rows(params, cfg, _as_rows(trace_i, trace_j), ell, margin, kind, mode, grads)
+    loss, _ = _backward(params, cfg, (trace_i, trace_j), ell, margin, kind, mode, grads)
     return loss, grads
 
 
@@ -104,14 +107,24 @@ def backward_rows(params, cfg, rows, ell, margin, kind, mode, grads):
     """Loss and distance of the pair whose two sides are the rows of
     `rows` (a `rows_forward` trace), and its gradients written into the
     store `grads`, zeroed first. Returns (loss, distance)."""
-    p_i, p_j = rows.embedding[:, 0]
+    return _backward(params, cfg, (rows,), ell, margin, kind, mode, grads)
+
+
+def _backward(params, cfg, traces, ell, margin, kind, mode, grads):
+    """`backward_rows` of the pair whose two sides are the rows of
+    `traces`, in order: one two-row trace or two one-row traces. A tensor's
+    contributions are added side by side either way, so both give the same
+    bits."""
+    p_i, p_j = [p for trace in traces for p in trace.embedding[:, 0]]
     d = distance(kind, p_i, p_j)
     loss = contrastive_loss(d, ell, margin)
     scale = dloss_ddistance(d, ell, margin)
     direction = distance_grad(kind, mode, p_i, p_j, d)
     grads.flat.fill(0.0)
     if scale != 0.0:
-        _encoder_grads(params, cfg, rows, np.multiply.outer([scale, -scale], direction), grads)
+        dp = np.multiply.outer([scale, -scale], direction).reshape(len(traces), -1, len(direction))
+        for trace, dp_rows in zip(traces, dp):
+            _encoder_grads(params, cfg, trace, dp_rows, grads)
     return loss, d
 
 
@@ -121,28 +134,11 @@ def _check_trace(params, trace):
             f"trace has {len(trace.alphas) - 1} fully connected activations, "
             f"params have {len(params.fc_w)} layers"
         )
-    if trace.embedding.shape != params.b_p.shape:
+    if trace.embedding.shape != (1, 1, *params.b_p.shape):
         raise ValueError(
-            f"trace embedding shape {trace.embedding.shape} does not match "
+            f"trace embedding shape {trace.embedding.shape} is not one row of "
             f"fusion bias shape {params.b_p.shape}"
         )
-
-
-def _as_rows(*traces):
-    """One-instance traces as the lockstep rows of `rows_forward`; a shorter
-    sequence's steps are zero-padded to the longest."""
-    lengths = np.array([trace.lstm.x.shape[0] for trace in traces])
-    T, R, n_l = lengths.max(), len(traces), traces[0].lstm.h.shape[-1]
-    lstm = LstmTrace(np.zeros((T, R), dtype=np.int64), np.zeros((T, 4, R, n_l)),
-                     *(np.zeros((T, R, n_l)) for _ in range(3)), lengths)
-    for k, (trace, L) in enumerate(zip(traces, lengths)):
-        lstm.gates[:L, :, k] = trace.lstm.gates.reshape(L, 4, n_l)
-        for name in ("x", "c", "tanh_c", "h"):
-            getattr(lstm, name)[:L, k] = getattr(trace.lstm, name)
-    # alphas, concat and embedding, each stacked (R, 1, .) over the traces
-    stacked = [np.stack(arrays)[:, None] for arrays in zip(
-        *([*trace.alphas, trace.concat, trace.embedding] for trace in traces))]
-    return ForwardTrace(stacked[:-2], lstm, *stacked[-2:])
 
 
 def _encoder_grads(params, cfg, rows, dp, grads):
@@ -297,7 +293,8 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
     finite-difference oracle.
 
     Each trial draws a tiny random configuration, randomizes every tensor,
-    and compares the two gradient routes. The trials cycle through both
+    and compares the two gradient routes; the analytic one is `train`'s,
+    `rows_forward` and `backward_rows`. The trials cycle through both
     distance kinds, both similarity labels, both activations and every
     branch mode, so every gradient route that ships is checked. Pairs are
     redrawn when the loss sits too close to a hinge kink or an
@@ -351,9 +348,9 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
             d = distance(kind, p_i, p_j)
             if _kink_safe(kind, ell, p_i, p_j, d, margin, step):
                 break
-        _, trace_i = omega_forward(params, cfg, inst_i)
-        _, trace_j = omega_forward(params, cfg, inst_j)
-        loss, analytic = backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, mode)
+        _, rows = rows_forward(params, cfg, (inst_i, inst_j))
+        analytic = ModelParams(params.shapes)
+        loss, _ = backward_rows(params, cfg, rows, ell, margin, kind, mode, analytic)
         all_finite = all_finite and bool(np.isfinite(analytic.flat).all())
         numeric = finite_diff_grads(params, cfg, inst_i, inst_j, ell, margin, kind, step)
         err = grad_discrepancy(analytic, numeric, resolvable_gradient(loss, step, tolerance))

@@ -119,7 +119,7 @@ def test_criterion_3_loss_algebra():
     inst_i, inst_j = mk(1), mk(2)
     _, trace_i = omega_forward(params, cfg, inst_i)
     _, trace_j = omega_forward(params, cfg, inst_j)
-    d = distance("euclidean", trace_i.embedding, trace_j.embedding)
+    d = distance("euclidean", trace_i.embedding[0, 0], trace_j.embedding[0, 0])
     assert d > 0
     loss, grads = backward_pair(params, cfg, trace_i, trace_j, 1, d * 0.9, "euclidean")
     assert loss == 0.0

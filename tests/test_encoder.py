@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from attrseq.data import AttributedSequence, DatasetMeta, encode
+from attrseq import encoder
 from attrseq.encoder import (
     BRANCH_MODES,
     EMBED_CHUNK,
@@ -16,7 +17,6 @@ from attrseq.encoder import (
     embed_instances,
     fc_forward,
     init_params,
-    lstm_batch,
     lstm_forward,
     omega_forward,
     param_shapes,
@@ -128,6 +128,14 @@ class TestFcForward:
         with pytest.raises(ValueError, match="attribute vector"):
             fc_forward(params, np.zeros(5))
 
+    def test_ranks_one_to_three_only(self):
+        params = random_params(tiny_cfg(), tiny_meta(u=3))
+        for rank in (1, 2, 3):
+            assert fc_forward(params, np.zeros((1,) * (rank - 1) + (3,)))[0].shape[:-1] == (1,) * (rank - 1)
+        for v in (np.zeros((1, 1, 1, 3)), np.float64(0.5)):
+            with pytest.raises(ValueError, match="attribute vector"):
+                fc_forward(params, v)
+
 
 class TestLstmForward:
     def test_zero_params_give_zero_state(self):
@@ -136,7 +144,7 @@ class TestLstmForward:
         inst = random_instance(meta, seed=2)
         h, trace = lstm_forward(params, inst.seq, inst.true_len)
         assert not h.any()
-        assert np.all(trace.gates[:, :3 * cfg.n_l] == 0.5)  # i, f, o = sigma(0)
+        assert np.all(trace.gates[:, :3] == 0.5)  # i, f, o = sigma(0)
 
     def test_single_step_scalar_hand_computation(self):
         # independent recomputation of one LSTM step with scalar parameters
@@ -354,74 +362,88 @@ class TestBatchedForward:
         assert np.array_equal(embed_instances(params, cfg, [inst])[0],
                               omega_forward(params, cfg, inst)[0])
 
-    def test_lstm_batch_states_per_length(self):
+    def test_traced_rows_states_per_length(self):
         cfg, meta, params = self.setup_model()
         insts = [random_instance(meta, seed=k, length=1 + k % meta.t_max) for k in range(9)]
-        lengths = np.array([inst.true_len for inst in insts])
-        ids = self.id_block(insts, meta.t_max)
-        h_last, trace = lstm_batch(params, ids, lengths)
+        _, rows = rows_forward(params, cfg, insts)
+        trace = rows.lstm
         assert trace.h.shape == (meta.t_max, len(insts), cfg.n_l)
-        assert trace.x is ids
+        assert trace.gates.shape == (meta.t_max, 4, len(insts), cfg.n_l)  # gate-major
+        assert np.array_equal(trace.x, self.id_block(insts, meta.t_max))
         for k, inst in enumerate(insts):
             h, single = lstm_forward(params, inst.seq, inst.true_len)
-            np.testing.assert_allclose(h_last[k], h, rtol=0, atol=1e-12)
-            gates_k = trace.gates[:inst.true_len, :, k]  # gate-major: (T, 4, n_l)
-            np.testing.assert_allclose(gates_k.reshape(inst.true_len, -1), single.gates,
-                                       rtol=0, atol=1e-12)
+            assert np.array_equal(_bits(rows.concat[k, 0, cfg.n_m:]), _bits(h))
+            assert np.array_equal(_bits(trace.gates[:inst.true_len, :, k]), _bits(single.gates[:, :, 0]))
         # whatever the padding slots hold is never read
-        h_other, _ = lstm_batch(params, self.id_block(insts, meta.t_max, pad=meta.r - 1), lengths)
-        assert np.array_equal(h_other, h_last)
+        table = encoder._gate_table(params)
+        ids = self.id_block(insts, meta.t_max, pad=meta.r - 1)
+        other = ids[:, None, :, None] + meta.r * np.arange(4).reshape(4, 1, 1)
+        h_other = encoder._lstm(params, table, other, rows.lstm.lengths,
+                                LstmBuffers(meta.t_max, len(insts), cfg.n_l))
+        assert np.array_equal(_bits(h_other[:, 0]), _bits(rows.concat[:, 0, cfg.n_m:]))
+
+    def test_one_instance_trace_is_one_row(self):
+        cfg, meta, params = self.setup_model()
+        inst = random_instance(meta, seed=5, length=4)
+        emb, trace = omega_forward(params, cfg, inst)
+        assert emb.shape == (cfg.n,) and np.shares_memory(emb, trace.embedding)
+        assert trace.embedding.shape == (1, 1, cfg.n) and trace.concat.shape == (1, 1, cfg.n_m + cfg.n_l)
+        assert [a.shape for a in trace.alphas] == [(1, 1, meta.u)] + [(1, 1, cfg.n_m)] * cfg.m
+        lt = trace.lstm
+        assert lt.x.shape == (4, 1) and lt.gates.shape == (4, 4, 1, cfg.n_l)
+        assert lt.c.shape == lt.tanh_c.shape == lt.h.shape == (4, 1, cfg.n_l)
+        assert lt.lengths.tolist() == [4]
+        _, single = lstm_forward(params, inst.seq, inst.true_len)
+        for name in ("x", "gates", "c", "tanh_c", "h", "lengths"):
+            assert getattr(single, name).shape == getattr(lt, name).shape, name
 
     def test_reused_buffers_are_bitwise_fresh_arrays(self):
         cfg, meta, params = self.setup_model()
         buffers = LstmBuffers(meta.t_max, 3, cfg.n_l)
         for a in vars(buffers).values():
             a.fill(np.nan)  # stale values must never reach a result
-        for T, seed in ((meta.t_max, 0), (2, 1), (meta.t_max, 2)):
+        for T, seed in ((meta.t_max, 0), (2, 1), (meta.t_max, 2), (1, 3)):
             insts = [random_instance(meta, seed=seed + 10 * k, length=1 + k % T) for k in range(3)]
-            lengths = np.array([inst.true_len for inst in insts])
-            ids = self.id_block(insts, T)
-            h_ref, ref = lstm_batch(params, ids, lengths)
-            h_last, trace = lstm_batch(params, ids, lengths, buffers)
-            assert np.array_equal(h_last, h_ref)
+            emb_ref, ref = rows_forward(params, cfg, insts)
+            emb, rows = rows_forward(params, cfg, insts, buffers)
+            assert np.array_equal(_bits(emb), _bits(emb_ref))
             for name in ("gates", "c", "tanh_c", "h"):
-                assert getattr(trace, name).shape == getattr(ref, name).shape
-                assert np.array_equal(getattr(trace, name), getattr(ref, name))
-                assert np.shares_memory(getattr(trace, name), getattr(buffers, name))
+                got, want = getattr(rows.lstm, name), getattr(ref.lstm, name)
+                assert got.shape == want.shape and len(got) == min(T, 3)
+                assert np.array_equal(_bits(got), _bits(want))
+                assert np.shares_memory(got, getattr(buffers, name))
 
     def test_rejects_buffers_that_do_not_fit(self):
         cfg, meta, params = self.setup_model()
-        ids, lengths = np.zeros((3, 2), dtype=np.int64), np.array([3, 1])
-        for buffers in (LstmBuffers(2, 2, cfg.n_l), LstmBuffers(3, 4, cfg.n_l),
-                        LstmBuffers(3, 2, cfg.n_l + 1)):
+        insts = [random_instance(meta, seed=1, length=3), random_instance(meta, seed=2, length=1)]
+        for buffers in (LstmBuffers(2, 2, cfg.n_l), LstmBuffers(1, 2, cfg.n_l),
+                        LstmBuffers(3, 4, cfg.n_l), LstmBuffers(3, 2, cfg.n_l + 1)):
             with pytest.raises(ValueError, match="cannot hold"):
-                lstm_batch(params, ids, lengths, buffers)
+                rows_forward(params, cfg, insts, buffers)
 
-    @pytest.mark.parametrize("lengths", [(1, 7), (7, 1), (7, 7), (1, 7, 4), (7, 7, 1)],
-                             ids=["1-T", "T-1", "T-T", "1-T-4", "T-T-1"])
+    @pytest.mark.parametrize("lengths", [(1, 7), (7, 1), (7, 7), (1, 7, 4), (7, 7, 1), (1, 1)],
+                             ids=["1-T", "T-1", "T-T", "1-T-4", "T-T-1", "1-1"])
     def test_lockstep_rows_are_bitwise_single_runs(self, lengths):
         cfg, meta, params = self.setup_model(t_max=7)
         insts = [random_instance(meta, seed=40 + k, length=n) for k, n in enumerate(lengths)]
-        buffers = LstmBuffers(meta.t_max, len(insts), cfg.n_l)
+        buffers = LstmBuffers(max(lengths), len(insts), cfg.n_l)  # depth 1 for the 1-1 rows
         for a in vars(buffers).values():
             a.fill(np.nan)  # stale values must never reach a result
-        ids = self.id_block(insts, max(lengths), pad=meta.r - 1)
-        h_last, trace = lstm_batch(params, ids, np.array(lengths), buffers)
-        embeddings, rows = rows_forward(params, cfg, insts)
+        embeddings, rows = rows_forward(params, cfg, insts, buffers)
         assert embeddings.shape == (len(insts), 1, cfg.n)
         for k, inst in enumerate(insts):
             T = inst.true_len
             h, single = lstm_forward(params, inst.seq, T)
-            assert np.array_equal(_bits(h_last[k]), _bits(h))
-            assert np.array_equal(_bits(trace.gates[:T, :, k].reshape(T, -1)), _bits(single.gates))
+            assert np.array_equal(_bits(rows.concat[k, 0, cfg.n_m:]), _bits(h))
+            assert np.array_equal(_bits(rows.lstm.gates[:T, :, k]), _bits(single.gates[:, :, 0]))
             for name in ("c", "tanh_c", "h"):
-                assert np.array_equal(_bits(getattr(trace, name)[:T, k]),
-                                      _bits(getattr(single, name))), name
+                assert np.array_equal(_bits(getattr(rows.lstm, name)[:T, k]),
+                                      _bits(getattr(single, name)[:, 0])), name
             emb, fwd = omega_forward(params, cfg, inst)
             assert np.array_equal(_bits(embeddings[k, 0]), _bits(emb))
-            assert np.array_equal(_bits(rows.concat[k, 0]), _bits(fwd.concat))
+            assert np.array_equal(_bits(rows.concat[k]), _bits(fwd.concat[0]))
             for got, want in zip(rows.alphas, fwd.alphas):
-                assert np.array_equal(_bits(got[k, 0]), _bits(want))
+                assert np.array_equal(_bits(got[k]), _bits(want[0]))
 
 
 def _chunk_by_chunk_embed(params, cfg, instances):
@@ -480,7 +502,8 @@ def test_blocks_are_bitwise_the_chunk_by_chunk_path(n_l, activation_name, branch
     params.lstm_b[...] = np.random.default_rng(n_l).uniform(-0.5, 0.5, params.lstm_b.shape)
     pool = [random_instance(meta, seed=1000 * n_l + k) for k in range(300)]
     tied = [random_instance(meta, seed=k, length=7) for k in range(130)]  # one length throughout
-    for insts in [pool[:n] for n in (1, 2, 31, 32, 33, 127, 128, 129, 300)] + [tied]:
+    ones = [random_instance(meta, seed=k, length=1) for k in range(33)]  # one step: depth 1 is a trace
+    for insts in [pool[:n] for n in (1, 2, 31, 32, 33, 127, 128, 129, 300)] + [tied, ones, ones[:1]]:
         got = embed_instances(params, cfg, insts)
         want = _chunk_by_chunk_embed(params, cfg, insts)
         assert np.array_equal(_bits(got), _bits(want)), len(insts)

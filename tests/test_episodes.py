@@ -92,6 +92,12 @@ class TestBuildEpisode:
         with pytest.raises(ValueError, match="only 3 instances remain"):
             build_episode(pool, 3, 4, Rng(0))
 
+    def test_exactly_enough_instances_are_all_drawn_as_queries(self):
+        pool, _ = make_pool(classes=3, per_class=2)
+        # 3 chosen classes leave exactly 3 non-support instances
+        ep = build_episode(pool, 3, 3, Rng(0))
+        assert sorted(ep.query_idx) == sorted(set(range(len(pool))) - set(ep.support_idx))
+
     def test_protocol_scale_episode(self):
         # one-shot side of the smallest tabled layout: 4 ways, 2000 queries
         pool, _ = make_pool(classes=4, per_class=510, seed=1)
@@ -199,6 +205,20 @@ class TestEvaluate:
         assert all(0.0 <= a <= 1.0 for a in report.per_run)
         assert report.g == 4 and report.n_queries == 20 and report.n_runs == 6
         assert report.distance == "manhattan"
+
+    def test_quartiles_are_the_25th_and_75th_percentiles(self):
+        pool, meta = make_pool(per_class=12)
+        cfg = tiny_cfg()
+        params = init_params(cfg, meta, Rng(2))
+        report = evaluate(params, cfg, "manhattan", pool, g=4, n_queries=20, n_runs=6, seed=3)
+        runs = sorted(report.per_run)
+        # six runs: the 25th percentile is a quarter of the way from the
+        # second to the third accuracy, the 75th three quarters of the way
+        # from the fourth to the fifth; the neighbouring ranks differ here
+        assert runs[1] != runs[2] and runs[3] != runs[4]
+        assert report.p25 == runs[1] + 0.25 * (runs[2] - runs[1]) != np.percentile(runs, 26)
+        assert report.p75 == runs[3] + 0.75 * (runs[4] - runs[3]) != np.percentile(runs, 74)
+        assert report.median == (runs[2] + runs[3]) / 2
 
     def test_deterministic_given_seed(self):
         pool, meta = make_pool(per_class=10)

@@ -31,7 +31,7 @@ from attrseq.gradients import (
 from attrseq.kernel import Rng, activation, activation_grad_from_output
 from attrseq.training import TrainConfig, train
 
-from test_encoder import random_instance, random_params, tiny_cfg, tiny_meta
+from test_encoder import _bits, random_instance, random_params, tiny_cfg, tiny_meta
 
 
 class TestDistance:
@@ -150,7 +150,7 @@ class TestBackwardPair:
         for seed in range(10):
             kind = ("euclidean", "manhattan")[seed % 2]
             params, _, _, trace_i, trace_j = _pair(cfg, meta, seed)
-            d = distance(kind, trace_i.embedding, trace_j.embedding)
+            d = distance(kind, trace_i.embedding[0, 0], trace_j.embedding[0, 0])
             loss, grads = backward_pair(params, cfg, trace_i, trace_j, 1, d * 0.5, kind)
             assert loss == 0.0
             for name, g in grads.items():
@@ -196,7 +196,7 @@ class TestBackwardPair:
     def test_fills_a_given_store(self, hinge):
         cfg, meta = tiny_cfg(), tiny_meta()
         params, _, _, trace_i, trace_j = _pair(cfg, meta, 8)
-        d = distance("euclidean", trace_i.embedding, trace_j.embedding)
+        d = distance("euclidean", trace_i.embedding[0, 0], trace_j.embedding[0, 0])
         margin = d + 1.0 if hinge == "active" else d / 2
         loss, fresh = backward_pair(params, cfg, trace_i, trace_j, 1, margin, "euclidean")
         store = ModelParams(params.shapes)
@@ -333,7 +333,7 @@ class TestFiniteDifferenceOracle:
             kind = ("euclidean", "manhattan")[seed % 2]
             ell = (seed // 2) % 2
             params, inst_i, inst_j, trace_i, trace_j = _pair(cfg, meta, 40 + seed)
-            d = distance(kind, trace_i.embedding, trace_j.embedding)
+            d = distance(kind, trace_i.embedding[0, 0], trace_j.embedding[0, 0])
             margin = d + 0.4  # keep hinge active and away from the kink
             _, analytic = backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind)
             numeric = finite_diff_grads(params, cfg, inst_i, inst_j, ell, margin, kind)
@@ -394,11 +394,11 @@ def test_gradcheck_suite_cycles_every_route():
 @pytest.mark.parametrize("tensor", ["u_f", "w_p"])
 def test_gradcheck_suite_catches_scaled_gradient(monkeypatch, tensor):
     def scaled_backward(*args):
-        loss, grads = backward_pair(*args)
-        grads[tensor] *= 1.0 + 1e-3
-        return loss, grads
+        loss, d = backward_rows(*args)
+        args[-1][tensor] *= 1.0 + 1e-3  # the store
+        return loss, d
 
-    monkeypatch.setattr(gradients, "backward_pair", scaled_backward)
+    monkeypatch.setattr(gradients, "backward_rows", scaled_backward)
     suite = gradcheck_suite(trials=10, seed=ROUNDOFF_SEED)
     assert not suite["passed"]
     assert suite["worst"]["tensor"] == tensor
@@ -413,7 +413,7 @@ def test_zero_grads_mirror_params():
     # a clipped dissimilar pair leaves its gradient container at zero
     cfg, meta = tiny_cfg(), tiny_meta()
     params, _, _, trace_i, trace_j = _pair(cfg, meta, 12)
-    d = distance("euclidean", trace_i.embedding, trace_j.embedding)
+    d = distance("euclidean", trace_i.embedding[0, 0], trace_j.embedding[0, 0])
     _, grads = backward_pair(params, cfg, trace_i, trace_j, 1, d / 2, "euclidean")
     ref = params.tensors()
     assert grads.shapes == params.shapes
@@ -664,7 +664,41 @@ def test_training_epoch_is_bitwise_the_allocating_step(activation_name, mode, ki
         assert not np.array_equal(got.flat, params.flat)
 
 
-@pytest.mark.parametrize("lengths", [(1, 6), (6, 1), (6, 6), (3, 5)], ids=["1-T", "T-1", "T-T", "3-5"])
+@pytest.mark.parametrize("mode", BRANCH_MODES)
+@pytest.mark.parametrize("activation_name", ["tanh", "relu"])
+def test_traced_rows_are_bitwise_the_allocating_forward(activation_name, mode):
+    """Every traced forward (train's two rows in its buffers, rows in fresh
+    buffers, one instance) holds the allocating pass's values bit for bit;
+    two one-step rows run on buffers of depth 1."""
+    meta = tiny_meta(u=3, r=5, t_max=6)
+    cfg = tiny_cfg(m=2, n_m=5, n_l=6, n=4, activation=activation_name, branch_mode=mode)
+    params = random_params(cfg, meta, seed=90 + BRANCH_MODES.index(mode), scale=0.5)
+    buffers = LstmBuffers(meta.t_max, 2, cfg.n_l)
+    for a in vars(buffers).values():
+        a.fill(np.nan)  # stale values must never reach a result
+    for k, lengths in enumerate([(1, 6), (6, 1), (6, 6), (3, 5), (1, 1)]):
+        insts = [random_instance(meta, seed=300 + 10 * k + j, length=n) for j, n in enumerate(lengths)]
+        runs = [rows_forward(params, cfg, insts, buffers), rows_forward(params, cfg, insts)]
+        runs += [(emb[None, None], trace) for emb, trace in
+                 (omega_forward(params, cfg, inst) for inst in insts)]
+        sides = [(rows, j) for _, rows in runs[:2] for j in range(2)] + [(rows, 0) for _, rows in runs[2:]]
+        for (rows, j), inst in zip(sides, [*insts, *insts, *insts]):
+            embedding, alphas, lstm, concat = _allocating_forward(params, cfg, inst)
+            T = inst.true_len
+            assert rows.lstm.lengths[j] == T and np.array_equal(rows.lstm.x[:T, j], inst.seq)
+            assert np.array_equal(_bits(rows.embedding[j, 0]), _bits(embedding))
+            assert np.array_equal(_bits(rows.concat[j, 0]), _bits(concat))
+            for got, want in zip(rows.alphas, alphas):
+                assert np.array_equal(_bits(got[j, 0]), _bits(want))
+            assert np.array_equal(_bits(rows.lstm.gates[:T, :, j].reshape(T, -1)), _bits(lstm["gates"]))
+            for name in ("c", "tanh_c", "h"):
+                assert np.array_equal(_bits(getattr(rows.lstm, name)[:T, j]), _bits(lstm[name])), name
+        for emb, _ in runs:
+            assert emb.shape[1:] == (1, cfg.n)
+
+
+@pytest.mark.parametrize("lengths", [(1, 6), (6, 1), (6, 6), (3, 5), (1, 1)],
+                         ids=["1-T", "T-1", "T-T", "3-5", "1-1"])
 @pytest.mark.parametrize("mode", BRANCH_MODES)
 def test_lockstep_backward_is_bitwise_backward_pair(mode, lengths):
     """train's row backward, backward_pair on two one-instance traces and
@@ -678,9 +712,11 @@ def test_lockstep_backward_is_bitwise_backward_pair(mode, lengths):
         params = random_params(cfg, meta, seed=seed, scale=0.5)
         inst_i = random_instance(meta, seed=seed + 100, length=lengths[0])
         inst_j = random_instance(meta, seed=seed + 200, length=lengths[1])
+        if np.array_equal(inst_j.seq, inst_i.seq):  # sequence_only would embed them alike
+            inst_j = random_instance(meta, seed=seed + 201, length=lengths[1])
         _, trace_i = omega_forward(params, cfg, inst_i)
         _, trace_j = omega_forward(params, cfg, inst_j)
-        d = distance(kind, trace_i.embedding, trace_j.embedding)
+        d = distance(kind, trace_i.embedding[0, 0], trace_j.embedding[0, 0])
         for ell in (0, 1):
             margin = d + 1.0  # keep the hinge active
             loss, want = backward_pair(params, cfg, trace_i, trace_j, ell, margin, kind, grad_mode)

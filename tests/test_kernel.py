@@ -139,6 +139,12 @@ def test_rng_rejects_out_of_range_seed():
         Rng(-1)
 
 
+def test_rng_seed_range_ends_at_the_largest_64_bit_unsigned_integer():
+    assert Rng(2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValueError, match="64-bit"):
+        Rng(2**64)
+
+
 def test_orthogonal_init_is_orthogonal_and_deterministic():
     q1 = orthogonal_init(Rng(5), 12)
     q2 = orthogonal_init(Rng(5), 12)
