@@ -22,11 +22,13 @@ product per row, so each row is bitwise a one-instance pass
 (`omega_forward`, a one-row `rows_forward`); its buffers are as deep as the
 longest sequence, and every step keeps its slot for backpropagation. Every
 trace, one row or two, has one layout: (T, 4, R, n_l) gate-major gates and
-(T, R, n_l) states. Inference (`embed_instances`: evaluation, the `embed`
-command, the validation loss) runs blocks of EMBED_BLOCK chunks of
-EMBED_CHUNK rows (one matrix product per chunk) on buffers of depth 1,
-which every step overwrites, so it holds only one block's arrays and the
-embeddings.
+(T, R, n_l) states, and it carries its buffers (`LstmBuffers`), which also
+keep each step's views and the backward pass's arrays: `train` reuses one
+set for every pair, and a one-call pass builds only what it uses.
+Inference (`embed_instances`: evaluation, the `embed` command, the
+validation loss) runs blocks of EMBED_BLOCK chunks of EMBED_CHUNK rows (one
+matrix product per chunk) on buffers of depth 1, which every step
+overwrites, so it holds only one block's arrays and the embeddings.
 """
 
 import itertools
@@ -175,6 +177,7 @@ class LstmTrace:
     tanh_c: np.ndarray
     h: np.ndarray  # hidden states, (T, N, n_l)
     lengths: np.ndarray  # true length of each row, (N,)
+    buffers: "LstmBuffers"  # the workspace the arrays above view, which the backward reuses
 
 
 @dataclass
@@ -216,17 +219,26 @@ def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
     act = activation(act_name)
     alphas = [v]
     for w, b in zip(params.fc_w, params.fc_b):
-        alphas.append(act(alphas[-1] @ w.T + b))
+        a = alphas[-1] @ w.T
+        a += b
+        alphas.append(act(a, out=a))
     return alphas[-1], alphas
 
 
 class LstmBuffers:
-    """Every array the LSTM pass writes for N rows: gates (depth, 4, N, n_l),
-    c, tanh_c and h (depth, N, n_l), z (N, 4*n_l) and ig (N, n_l). At depth
-    T (the longest length) or more every step keeps its own slot, and the
-    first T slots are the trace; at depth 1 every step overwrites the one
-    slot. Each call overwrites the values of the one before.
+    """The workspace of a pass over N rows: the LSTM's gates (depth, 4, N,
+    n_l), c, tanh_c and h (depth, N, n_l), z (N, 4*n_l) and ig (N, n_l).
+    At depth T (the longest length) or more every step keeps its own slot,
+    and the first T slots are the trace; at depth 1 every step overwrites
+    the one slot. Each call overwrites the values of the one before.
+
+    Each step's views into these arrays (`_lstm`) and the backward pass's
+    arrays (`gradients._Workspace`) are built at their first use and kept,
+    so a training run, which keeps one buffers object for all its pairs,
+    builds them once, and a one-call buffers object only what it uses.
     """
+
+    steps = backward = None
 
     def __init__(self, depth: int, N: int, n_l: int):
         self.gates = np.empty((depth, 4, N, n_l))
@@ -240,8 +252,10 @@ def _gate_table(params: ModelParams) -> np.ndarray:
     gate k's kernel column for item id plus gate k's bias. A step's input is
     its item's one-hot row, so its projection is this table's row."""
     n_l, r = params.lstm_u.shape[1], params.lstm_w.shape[1]
-    return (params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1)
-            + params.lstm_b.reshape(4, 1, n_l)).reshape(4 * r, n_l)
+    table = np.empty((4 * r, n_l))
+    np.add(params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1), params.lstm_b.reshape(4, 1, n_l),
+           out=table.reshape(4, r, n_l))
+    return table
 
 
 def _lstm_cell(sig, i, f, o, g, c_prev, c, tanh_c, h, ig):
@@ -279,42 +293,45 @@ def _lstm(params, table, rows, lengths, buffers):
     T, _, k, size = rows.shape
     N, n_l = k * size, table.shape[1]
     depth = min(len(buffers.gates), T)
-    gates, c, tanh_c, h = (a[:depth] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
-    flat_gates = gates.reshape(-1, n_l)
+    if buffers.steps is None or buffers.steps[:2] != (k, size):
+        # z as the product's output and as the gates hold it, and per slot
+        # the gates, their sigmoid block, i, f, o, g, c, tanh_c, h and h as
+        # the next product's input: built once, they cost a pass's use
+        g, h, z = buffers.gates, buffers.h, buffers.z
+        buffers.steps = (k, size, z.reshape(k, size, 4 * n_l), z.reshape(N, 4, n_l).transpose(1, 0, 2),
+                         list(zip(g, g[:, :3], *g.transpose(1, 0, 2, 3), buffers.c, buffers.tanh_c, h,
+                                  h.reshape(len(h), k, size, n_l))))
+    _, _, z, z_gm, views = buffers.steps
+    flat_gates = buffers.gates[:depth].reshape(-1, n_l)
     # the operand stays the transposed view, so numpy runs each chunk as the
     # GEMM of a lone 2-D chunk product; a C-contiguous copy of lstm_u.T sums
     # in another order (with 32 rows it changed bits at odd n_l from 17, 31
     # among them, under the SkylakeX kernel, and with one row under
     # SkylakeX, Haswell and Nehalem)
     u_t = params.lstm_u.T
-    z, ig = buffers.z.reshape(k, size, 4 * n_l), buffers.ig
-    z_gm = buffers.z.reshape(N, 4, n_l).transpose(1, 0, 2)  # z's gate blocks, as the gates hold them
-    # each step's views, split before the loop (made per step they cost
-    # more), its table rows and the rows ending at it ("clip" writes into
-    # out, where "raise" would buffer a copy of it)
-    views = (gates, gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3], c, tanh_c, h,
-             h.reshape(depth, k, size, n_l))
+    # each step's views, its table rows and the rows ending at it ("clip"
+    # writes into out, where "raise" would buffer a copy of it)
     if depth > 1:
         np.take(table, rows.reshape(-1), axis=0, out=flat_gates, mode="clip")
-        steps = zip(*views, itertools.repeat(None), itertools.repeat(0))
+        steps = zip(views[:T], itertools.repeat(None), itertools.repeat(0))
     else:
         ends = np.searchsorted(lengths, np.arange(1, T + 1), side="right").tolist()
-        steps = zip(*(itertools.repeat(v[0]) for v in views), rows.reshape(T, -1), ends)
+        steps = zip(itertools.repeat(views[0]), rows.reshape(T, -1), ends)
         h_last = np.zeros((N, n_l))
     h_prev, c_prev = np.zeros((k, size, n_l)), np.zeros((N, n_l))
     done = 0
-    for gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t, h_next, rows_t, end in steps:
+    for (gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t, h_next), rows_t, end in steps:
         np.matmul(h_prev, u_t, out=z)
         if rows_t is not None:
             np.take(table, rows_t, axis=0, out=flat_gates, mode="clip")
         gates_t += z_gm
-        _lstm_cell(sig_t, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t, h_t, ig)
+        _lstm_cell(sig_t, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t, h_t, buffers.ig)
         h_prev, c_prev = h_next, c_t
         if end > done:
             h_last[done:end] = h_t[done:end]
             done = end
     if depth > 1:
-        h_last = h[lengths - 1, np.arange(N)]
+        h_last = buffers.h[lengths - 1, np.arange(N)]
     return h_last.reshape(k, size, n_l)
 
 
@@ -347,7 +364,7 @@ def _traced_lstm(params, rows, lengths, buffers):
         )
     h_last = _lstm(params, _gate_table(params), rows, lengths, buffers)
     trace = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
-    return h_last, LstmTrace(rows[:, 0, :, 0], *trace, lengths)
+    return h_last, LstmTrace(rows[:, 0, :, 0], *trace, lengths, buffers)
 
 
 def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
@@ -364,12 +381,17 @@ def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
 
 
 def _fuse(params: ModelParams, cfg: ModelConfig, a_m, h_last):
-    """Fusion layer over a block; returns (concat, embedding). A disabled
-    branch (branch_mode) is zeroed in the fusion input, so the embedding
-    shape never changes."""
+    """Fusion layer over a block; returns (concat, embedding), each written
+    in place once allocated. A disabled branch (branch_mode) is zeroed in
+    the fusion input, so the embedding shape never changes."""
     ga, gs = branch_gates(cfg.branch_mode)
-    concat = np.concatenate([ga * a_m, gs * h_last], axis=-1)
-    return concat, activation(cfg.activation)(concat @ params.w_p.T + params.b_p)
+    n_m = a_m.shape[-1]
+    concat = np.empty((*a_m.shape[:-1], n_m + h_last.shape[-1]))
+    np.multiply(ga, a_m, out=concat[..., :n_m])
+    np.multiply(gs, h_last, out=concat[..., n_m:])
+    embedding = np.matmul(concat, params.w_p.T)
+    embedding += params.b_p
+    return concat, activation(cfg.activation)(embedding, out=embedding)
 
 
 def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):

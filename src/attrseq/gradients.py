@@ -7,7 +7,9 @@ Training's two sides run as the two rows of one trace through one BPTT
 loop, every product per row; `backward_pair` runs the same loop once per
 side on the two one-row traces of `omega_forward`. Every trace has the
 encoder's one layout, and a tensor's contributions are added side by side
-either way, so both give the same bits.
+either way, so both give the same bits. Every array the backward writes
+lives in a workspace (`_Workspace`) kept on the trace's buffers, so a
+training run, which reuses one set of buffers, allocates none per pair.
 `finite_diff_grads` is the independent oracle: central differences around
 every scalar parameter, recomputing the whole forward pass each time. The two
 must agree to high relative precision wherever the loss is differentiable.
@@ -141,88 +143,127 @@ def _check_trace(params, trace):
         )
 
 
+class _Workspace:
+    """The arrays the backward through R rows of LSTM buffers of depth D
+    writes, for one parameter layout, and each BPTT step's views into them
+    and into the trace; kept on the buffers (`buffers.backward`)."""
+
+    def __init__(self, params, buffers):
+        self.shapes = params.shapes
+        D, _, R, n_l = buffers.gates.shape
+        n_m = params.fc_w[-1].shape[0]
+        weights = [params.w_p, *reversed(params.fc_w)]
+        outers = np.empty(R * max(w.size for w in weights))  # each layer uses its front
+        self.layers = []  # each with its rows' views, for the row-by-row sums
+        for w in weights:
+            delta, outer = np.empty((R, len(w), 1)), outers[:R * w.size].reshape(R, *w.shape)
+            self.layers.append((delta, list(delta[:, :, 0]), outer, list(outer),
+                                np.empty((R, w.shape[1], 1))))
+        self.d_fc = self.layers[0][4][:, :n_m]  # the fusion input's attribute part
+        self.dh_in = np.empty((R, n_l))  # and its sequence part, d(loss)/d(last h)
+        self.state = np.empty((3, R, n_l))  # dh, dc and c_prev at t=0, zeroed by each backward
+        self.dh, self.dc, self.c_0 = self.state
+        self.scratch = np.empty((5, R, n_l))  # [dh*o, dc*g, dc*c_prev, dh*tanh(c), dc*i]
+        self.dtanh_c = np.empty((D, R, n_l))
+        self.gate_factors = np.empty((D, 4, R, n_l))
+        # d(loss)/d(gate pre-activations), a (D, 4*n_l) block per row
+        self.da = np.empty((R, D, 4 * n_l))
+        self.h_prev = np.empty((R, D, n_l))
+        self.one_hot = np.empty((D, params.lstm_w.shape[1]))
+        self.items = np.arange(params.lstm_w.shape[1])
+        g = buffers.gates
+        da_gm = self.da.reshape(R, D, 4, n_l).transpose(1, 2, 0, 3)
+        c_prev = [self.c_0, *buffers.c[:-1]]  # cell states one step back
+        self.steps = list(zip(*g.transpose(1, 0, 2, 3), g[:, :3], c_prev, buffers.tanh_c,
+                              self.dtanh_c, self.gate_factors, da_gm,
+                              self.da.transpose(1, 0, 2)[..., None]))
+
+
 def _encoder_grads(params, cfg, rows, dp, grads):
     """Backpropagate each row's d(loss)/d(embedding), dp (R, n), through the
-    rows' encoder pass. Every product is the row's own, on (R, d, 1) columns,
-    and a tensor's contributions are added in row order, so each row's
-    gradient is bitwise a one-instance pass."""
+    rows' encoder pass, in the workspace kept on the trace's buffers. Every
+    product is the row's own, on (R, d, 1) columns, and a tensor's
+    contributions are added in row order, so each row's gradient is bitwise
+    a one-instance pass."""
     ga, gs = branch_gates(cfg.branch_mode)
-    n_m = rows.alphas[-1].shape[-1]
+    lt = rows.lstm
+    if lt.buffers.backward is None or lt.buffers.backward.shapes != params.shapes:
+        lt.buffers.backward = _Workspace(params, lt.buffers)
+    ws = lt.buffers.backward
 
     # the fusion layer, then the fully connected stack top down; each layer's
-    # outer products are one broadcast multiply, bitwise np.outer, into the
-    # front of one buffer that every layer reuses
+    # outer products are one broadcast multiply, bitwise np.outer
     layers = [(params.w_p, grads.w_p, grads.b_p, rows.concat, rows.embedding)]
     layers += [(params.fc_w[k], grads.fc_w[k], grads.fc_b[k], rows.alphas[k], rows.alphas[k + 1])
                for k in range(len(params.fc_w) - 1, -1, -1)]
-    R = len(dp)
-    outer = np.empty(R * max(w.size for w, *_ in layers))
     d_out = dp[:, :, None]
-    for k, (w, grad_w, grad_b, a_in, a_out) in enumerate(layers):
-        delta = d_out * activation_grad_from_output(cfg.activation, a_out.transpose(0, 2, 1))
-        delta_a = np.multiply(delta, a_in, out=outer[:R * w.size].reshape(R, *w.shape))
-        for delta_w, delta_b in zip(delta_a, delta[:, :, 0]):  # row by row
+    for k, ((w, grad_w, grad_b, a_in, a_out), (delta, delta_rows, outer, outer_rows, d_in)) in (
+            enumerate(zip(layers, ws.layers))):
+        activation_grad_from_output(cfg.activation, a_out.transpose(0, 2, 1), out=delta)
+        np.multiply(d_out, delta, out=delta)
+        np.multiply(delta, a_in, out=outer)
+        for delta_w, delta_b in zip(outer_rows, delta_rows):  # row by row
             grad_w += delta_w
             grad_b += delta_b
         if k + 1 < len(layers):  # no gradient for the attribute input
-            d_out = w.T @ delta
+            d_out = np.matmul(w.T, delta, out=d_in)
         if k == 0:  # the fusion input splits into the two branches
-            d_out, dh = ga * d_out[:, :n_m], gs * d_out[:, n_m:, 0]
+            np.multiply(gs, d_out[:, ws.d_fc.shape[1]:, 0], out=ws.dh_in)
+            d_out = np.multiply(ga, ws.d_fc, out=ws.d_fc)
 
     # LSTM, backward through time (a disabled sequence branch leaves zeros)
     if gs == 0.0:
         return
-    lt = rows.lstm
-    T, R, n_l = lt.c.shape
-    c_prev = np.zeros_like(lt.c)  # cell states shifted one step, zero at t=0
-    c_prev[1:] = lt.c[:-1]
-    sig, (i, f, o, g) = lt.gates[:, :3], lt.gates.transpose(1, 0, 2, 3)  # sig: i, f, o
+    T = len(lt.c)
     # the step-independent factors, for all steps at once
-    dtanh_c = 1.0 - lt.tanh_c ** 2
-    dsig = 1.0 - sig
-    dg = 1.0 - g ** 2
-    # d(loss)/d(gate pre-activations), a (T, 4*n_l) block per row; da_gm views it gate-major
-    da = np.empty((R, T, 4 * n_l))
-    da_gm = da.reshape(R, T, 4, n_l).transpose(1, 2, 0, 3)
-    da_col = da.transpose(1, 0, 2)[..., None]
+    gate_factors = ws.gate_factors[:T]
+    dtanh_c = np.square(lt.tanh_c, out=ws.dtanh_c[:T])
+    np.subtract(1.0, dtanh_c, out=dtanh_c)
+    np.subtract(1.0, lt.gates[:, :3], out=gate_factors[:, :3])
+    np.square(lt.gates[:, 3], out=gate_factors[:, 3])
+    np.subtract(1.0, gate_factors[:, 3], out=gate_factors[:, 3])
     u_t = params.lstm_u.T
-    dh_vec, dc_vec = np.zeros((R, n_l)), np.zeros((R, n_l))
-    tmp, buf = np.empty((R, n_l)), np.empty((4, R, n_l))
-    dh_col = dh_vec[:, :, None]
-    buf_sig, buf_i, buf_f, buf_o, buf_g = buf[:3], *buf
+    dh, dc, scratch = ws.dh, ws.dc, ws.scratch
+    ws.state.fill(0.0)
+    dh_col = dh[:, :, None]
+    dhc, prods, prods_sig = scratch[0], scratch[1:], scratch[1:4]
+    prods_i, prods_f, prods_o, prods_g = prods
     lengths = lt.lengths.tolist()
     # a row joins at its own last step; before, its dh and dc are zero, so
     # its padded steps add nothing. Every product is formed in the order of
     # dc += dh*o*(1-tanh(c)^2), da[:3n_l] = [dc*g, dc*c_prev, dh*tanh(c)] *
-    # sig * (1-sig), da[3n_l:] = dc*i*(1-g^2), dh = U^T da, dc *= f
-    for t, sig_t, i_t, f_t, o_t, g_t, cp_t, tc_t, dtc_t, dsig_t, dg_t, da_t, da_col_t in zip(
-            range(T - 1, -1, -1), *(a[::-1] for a in (
-                sig, i, f, o, g, c_prev, lt.tanh_c, dtanh_c, dsig, dg, da_gm, da_col))):
-        for r in [r for r, length in enumerate(lengths) if length == t + 1]:
-            dh_vec[r] = dh[r]
-            dc_vec[r] = 0.0
-        np.multiply(dh_vec, o_t, out=tmp)
-        tmp *= dtc_t
-        dc_vec += tmp
-        np.multiply(dc_vec, g_t, out=buf_i)
-        np.multiply(dc_vec, cp_t, out=buf_f)
-        np.multiply(dh_vec, tc_t, out=buf_o)
-        buf_sig *= sig_t
-        np.multiply(buf_sig, dsig_t, out=da_t[:3])
-        np.multiply(dc_vec, i_t, out=buf_g)
-        np.multiply(buf_g, dg_t, out=da_t[3])
-        np.matmul(u_t, da_col_t, out=dh_col)
-        dc_vec *= f_t
+    # sig * (1-sig), da[3n_l:] = dc*i*(1-g^2), dh = U^T da, dc *= f; one
+    # call multiplies the four gates' blocks by their factors, and the last
+    # step skips dh and dc, which nothing reads
+    for t, (i_t, f_t, o_t, g_t, sig_t, cp_t, tc_t, dtc_t, gate_f, da_t, da_col) in zip(
+            range(T - 1, -1, -1), reversed(ws.steps[:T])):
+        if t + 1 in lengths:
+            for r, length in enumerate(lengths):
+                if length == t + 1:
+                    dh[r] = ws.dh_in[r]
+                    dc[r] = 0.0
+        np.multiply(dh, o_t, out=dhc)
+        dhc *= dtc_t
+        dc += dhc
+        np.multiply(dc, g_t, out=prods_i)
+        np.multiply(dc, cp_t, out=prods_f)
+        np.multiply(dh, tc_t, out=prods_o)
+        np.multiply(dc, i_t, out=prods_g)
+        prods_sig *= sig_t
+        np.multiply(prods, gate_f, out=da_t)
+        if t:
+            np.matmul(u_t, da_col, out=dh_col)
+            dc *= f_t
+    h_prev = ws.h_prev[:, :T]  # states shifted one step, zero at t=0
+    h_prev[:, 0] = 0.0
+    np.copyto(h_prev[:, 1:], lt.h[:-1].transpose(1, 0, 2))
     for r, length in enumerate(lengths):
-        da_r = da[r, :length]
+        da_r = ws.da[r, :length]
         # the sequence's one-hot rows, for a dense product: at small
         # alphabets it is faster than a scatter-add of da's rows by item id
-        x = np.zeros((length, params.lstm_w.shape[1]))
-        x[np.arange(length), lt.x[:length, r]] = 1.0
-        h_prev = np.zeros((length, n_l))  # states shifted one step, zero at t=0
-        h_prev[1:] = lt.h[:length - 1, r]
+        x = np.equal(lt.x[:length, r, None], ws.items, out=ws.one_hot[:length])
         grads.lstm_w += da_r.T @ x
-        grads.lstm_u += da_r.T @ h_prev
+        grads.lstm_u += da_r.T @ h_prev[r, :length]
         grads.lstm_b += da_r.sum(axis=0)
 
 

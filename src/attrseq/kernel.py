@@ -40,25 +40,26 @@ def sigmoid(z, out=None):
     With ez = exp(-|z|) it is 1 / (1 + ez) for z >= 0 and ez / (1 + ez)
     below: the numerator is max(ez, copysign(1, z)), since 0 <= ez <= 1
     (and ez = 1 at z = ±0), so both branches come from one division, bit
-    for bit.
+    for bit. |z| goes into the one scratch array first, so the numerator
+    can then be written into ``out`` even where ``out`` is ``z``.
     """
     z = np.asarray(z, dtype=np.float64)
-    num, ez = np.empty_like(z), np.empty_like(z)
+    ez = np.abs(z, out=np.empty_like(z))
     # the numerator's sign stays a copysign: np.greater_equal into float64,
     # bitwise the same, took 0.6 us more per call at a training step's 300
     # values (its cast has a fixed cost) and saved only 2 us at an inference
     # block's 19,200 (2-vCPU Xeon)
-    np.copysign(1.0, z, out=num)
+    num = np.copysign(1.0, z, out=np.empty_like(z) if out is None else out)
     # -|z| as abs then negative: the same bits as copysign(z, -1), NaN signs
     # included, and faster per element
-    np.exp(np.negative(np.abs(z, out=ez), out=ez), out=ez)
+    np.exp(np.negative(ez, out=ez), out=ez)
     np.maximum(ez, num, out=num)  # a NaN z keeps ez's NaN, as the division needs
     ez += 1.0
-    return np.divide(num, ez, out=num if out is None else out)
+    return np.divide(num, ez, out=num)
 
 
-def relu(z):
-    return np.maximum(z, 0.0)
+def relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 ACTIVATIONS = {"tanh": np.tanh, "relu": relu}  # the one list of activation names
@@ -71,12 +72,13 @@ def activation(name: str):
         raise ValueError(f"unknown activation {name!r}, expected one of {sorted(ACTIVATIONS)}")
 
 
-def activation_grad_from_output(name: str, out: np.ndarray) -> np.ndarray:
-    """Derivative of the named activation, expressed via its output value."""
+def activation_grad_from_output(name: str, y: np.ndarray, out=None) -> np.ndarray:
+    """Derivative of the named activation, expressed via its output value y;
+    written into ``out`` when given."""
     if name == "tanh":
-        return 1.0 - out * out
+        return np.subtract(1.0, np.multiply(y, y, out=out), out=out)
     if name == "relu":
-        return (out > 0).astype(np.float64)
+        return np.greater(y, 0.0, out=np.empty(np.shape(y)) if out is None else out)
     raise ValueError(f"unknown activation {name!r}")
 
 

@@ -4,7 +4,8 @@ The loop follows the contrastive objective: for every triplet it runs the
 pair's two sides as two lockstep rows, forward and back, and immediately
 applies theta <- theta - lr * (grad + decay * theta) to the flat parameter
 buffer, where decay is l2 on weight matrices and 0 on bias vectors. The
-gradient store, the update buffer and the rows' buffers live per `train`.
+gradient store, the update buffer and the rows' buffers (the forward and
+backward workspace) live per `train`.
 Early stopping watches the mean validation loss per epoch, and the
 parameters returned are those of the best validation epoch.
 """
@@ -26,7 +27,8 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite; names the epoch and triplet."""
+    """Raised when an embedding, the loss or the parameters go non-finite;
+    names the epoch, and the triplet where a pair saw it."""
 
 
 class CheckpointError(ValueError):
@@ -146,6 +148,10 @@ def train(params: ModelParams, cfg: ModelConfig, triplets, train_cfg: TrainConfi
                 params.flat -= step
             epoch_losses[pos] = loss
         train_loss = float(epoch_losses.mean())
+        # the epoch's last update can leave the parameters non-finite, which
+        # no pair of this epoch sees; one check per epoch, before validation
+        if not np.isfinite(params.flat).all():
+            raise TrainingDiverged(f"non-finite parameters after the last update of epoch {epoch}")
         if n_val:
             val_loss = validation_loss(params, cfg, [triplets[i] for i in val_idx],
                                        train_cfg.margin, train_cfg.distance)

@@ -293,6 +293,20 @@ class TestTrainFailure:
         assert "epoch 1" in err and "triplet" in err
 
 
+    def test_divergence_first_seen_by_the_validation_pass_exits_3(self, tmp_path, capsys):
+        import warnings
+
+        data = gen_dataset(tmp_path, classes=4, per_class=20, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = run("train", "--data", data, "--triplets", 2, "--epochs", 2, "--lr", 1e300,
+                     "--seed", 1, "--checkpoint", tmp_path / "c.json",
+                     "--metrics", tmp_path / "m.csv", "--manifest", tmp_path / "man.json")
+        assert rc == 3
+        assert capsys.readouterr().err.strip() == (
+            "attrseq: error: non-finite parameters after the last update of epoch 2")
+        assert not (tmp_path / "c.json").exists()
+
     def test_parameter_store_above_the_bound_exits_1(self, tmp_path, capsys, monkeypatch):
         # 8 records of one item each: t_max*r = 4,000,001 passes the one-hot
         # limit, but the default model's LSTM kernels would hold 800 million

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attrseq.data import AttributedSequence, DatasetMeta, Triplet, encode
-from attrseq import gradients
+from attrseq import encoder, gradients, training
 from attrseq.encoder import (
     BRANCH_MODES,
     LstmBuffers,
@@ -755,3 +755,134 @@ def test_lockstep_clipped_pair_leaves_every_bit_of_the_store_zero(kind):
             loss, _ = backward_rows(params, cfg, rows, ell, margin, kind, "exact", store)
             assert loss == 0.0
             assert not store.flat.view(np.uint64).any(), (seed, ell)
+
+
+def _float_arrays(obj):
+    """Every float array in obj, looking into lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype == np.float64 else []
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _float_arrays(item)]
+    return []
+
+
+def _fill_nan(buffers):
+    """NaN into every float array of the buffers, their kept step views and
+    their backward workspace, once built: a value left by an earlier call,
+    a zero slot included, must never reach a result."""
+    parts = [*vars(buffers).values()]
+    if buffers.backward is not None:
+        parts += vars(buffers.backward).values()
+    for a in _float_arrays(parts):
+        a.fill(np.nan)
+
+
+class _NanBuffers(LstmBuffers):
+    def __init__(self, *args):
+        super().__init__(*args)
+        _fill_nan(self)
+
+
+# one-step and full-length rows on either side, equal lengths, and a full
+# pair, a shorter one and a full one in a row
+WORKSPACE_LENGTHS = [(1, 6), (6, 1), (6, 6), (3, 5), (1, 1), (6, 4), (2, 3), (6, 6)]
+
+
+@pytest.mark.parametrize("mode", BRANCH_MODES)
+@pytest.mark.parametrize("activation_name", ["tanh", "relu"])
+def test_lockstep_workspace_is_bitwise_fresh_buffers_and_the_allocating_pass(
+        activation_name, mode, monkeypatch):
+    """One buffers object, NaN in every array it and its backward workspace
+    hold before each pair, gives the traces and gradient stores of fresh
+    buffers and of the allocating pass bit for bit, and `train` on it the
+    parameters of fresh buffers per pair and of the allocating step."""
+    meta = tiny_meta(u=3, r=5, t_max=6)
+    cfg = tiny_cfg(m=2, n_m=5, n_l=6, n=4, activation=activation_name, branch_mode=mode)
+    buffers = LstmBuffers(meta.t_max, 2, cfg.n_l)
+    for k, (kind, grad_mode) in enumerate([(kind, grad_mode) for kind in DISTANCE_KINDS
+                                           for grad_mode in gradients.GRAD_MODES]):
+        seed = 400 + 40 * k + 7 * BRANCH_MODES.index(mode)
+        params = random_params(cfg, meta, seed=seed, scale=0.5)
+        for p, lengths in enumerate(WORKSPACE_LENGTHS):
+            insts = [random_instance(meta, seed=seed + 10 * p + j, length=n) for j, n in enumerate(lengths)]
+            _fill_nan(buffers)
+            emb, rows = rows_forward(params, cfg, insts, buffers)
+            assert rows.lstm.buffers is buffers
+            fresh_emb, fresh = rows_forward(params, cfg, insts)
+            assert fresh.lstm.buffers is not buffers
+            assert np.array_equal(_bits(emb), _bits(fresh_emb))
+            for j, inst in enumerate(insts):
+                embedding, alphas, lstm, concat = _allocating_forward(params, cfg, inst)
+                T = inst.true_len
+                assert np.array_equal(_bits(rows.embedding[j, 0]), _bits(embedding))
+                assert np.array_equal(_bits(rows.concat[j, 0]), _bits(concat))
+                for got, want in zip(rows.alphas, alphas):
+                    assert np.array_equal(_bits(got[j, 0]), _bits(want))
+                assert np.array_equal(_bits(rows.lstm.gates[:T, :, j].reshape(T, -1)), _bits(lstm["gates"]))
+                for name in ("c", "tanh_c", "h"):
+                    assert np.array_equal(_bits(getattr(rows.lstm, name)[:T, j]), _bits(lstm[name])), name
+            d = distance(kind, emb[0, 0], emb[1, 0])
+            ell = p % 2
+            margin = d + 1.0  # keep the hinge active
+            store, fresh_store = ModelParams(params.shapes), ModelParams(params.shapes)
+            store.flat[...] = fresh_store.flat[...] = np.nan  # zeroed by the backward
+            got = backward_rows(params, cfg, rows, ell, margin, kind, grad_mode, store)
+            assert got == backward_rows(params, cfg, fresh, ell, margin, kind, grad_mode, fresh_store)
+            fwd_i, fwd_j = (_allocating_forward(params, cfg, inst) for inst in insts)
+            scale = dloss_ddistance(d, ell, margin)
+            direction = distance_grad(kind, grad_mode, fwd_i[0], fwd_j[0], d)
+            want = ModelParams(params.shapes)
+            _allocating_backward(params, cfg, fwd_i, scale * direction, want)
+            _allocating_backward(params, cfg, fwd_j, -scale * direction, want)
+            assert want.flat.any() and buffers.backward is not None
+            assert np.array_equal(store.flat.view(np.uint64), want.flat.view(np.uint64)), lengths
+            assert np.array_equal(fresh_store.flat.view(np.uint64), want.flat.view(np.uint64)), lengths
+
+        # train's own buffers, NaN at the start, against fresh buffers per pair
+        triplets = [Triplet(random_instance(meta, seed=seed + 500 + 2 * q, length=a),
+                            random_instance(meta, seed=seed + 501 + 2 * q, length=b), q % 2)
+                    for q, (a, b) in enumerate(WORKSPACE_LENGTHS * 3)]
+        tc = TrainConfig(lr=0.05, max_epochs=1, margin=2.0, val_fraction=0.05, distance=kind,
+                         grad_mode=grad_mode, seed=seed)
+        want, losses, active, _ = _allocating_train_epoch(params, cfg, triplets, tc)
+        assert active >= 10
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "LstmBuffers", _NanBuffers)
+            got, report = train(params, cfg, triplets, tc)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "rows_forward",
+                          lambda params, cfg, instances, buffers: rows_forward(params, cfg, instances))
+            fresh, _ = train(params, cfg, triplets, tc)
+        assert np.array_equal(got.flat.view(np.uint64), want.flat.view(np.uint64)), (kind, grad_mode)
+        assert np.array_equal(fresh.flat.view(np.uint64), want.flat.view(np.uint64)), (kind, grad_mode)
+        assert report.train_losses == [float(losses.mean())]
+
+
+def test_lockstep_workspace_follows_the_call_shapes():
+    """A buffers object met with another parameter layout, or split into
+    other chunks, rebuilds what it kept: results stay those of fresh
+    buffers."""
+    buffers = LstmBuffers(6, 2, 6)
+    for k, (m, n_m, r) in enumerate([(2, 5, 5), (1, 3, 7), (2, 5, 5)]):
+        meta = tiny_meta(u=3, r=r, t_max=6)
+        cfg = tiny_cfg(m=m, n_m=n_m, n_l=6, n=4)
+        params = random_params(cfg, meta, seed=30 + k, scale=0.5)
+        insts = [random_instance(meta, seed=130 + 2 * k + j, length=6 - 3 * j) for j in range(2)]
+        stores = []
+        for bufs in (buffers, None):
+            emb, rows = rows_forward(params, cfg, insts, bufs)
+            store = ModelParams(params.shapes)
+            d = distance("euclidean", emb[0, 0], emb[1, 0])
+            backward_rows(params, cfg, rows, 1, d + 1.0, "euclidean", "exact", store)
+            stores.append(store.flat.view(np.uint64))
+        assert stores[0].any() and np.array_equal(*stores)
+    # the same two rows as one chunk of two, each step one 2-row product
+    table = encoder._gate_table(params)
+    ids = np.zeros((2, 6), dtype=np.int64)
+    for j, inst in enumerate(insts):
+        ids[j, :inst.true_len] = inst.seq
+    rows = ids.T.reshape(6, 1, 1, 2) + meta.r * np.arange(4).reshape(4, 1, 1)
+    lengths = np.array([inst.true_len for inst in insts])
+    got = encoder._lstm(params, table, rows, lengths, buffers)
+    want = encoder._lstm(params, table, rows, lengths, LstmBuffers(6, 2, 6))
+    assert got.shape == (1, 2, 6) and np.array_equal(_bits(got), _bits(want))

@@ -84,6 +84,61 @@ def test_sigmoid_is_bitwise_the_where_formula():
         assert _bits(sigmoid(x)) == _bits(_where_sigmoid(x)), x
 
 
+def _allocating_sigmoid(z, out=None):
+    """`sigmoid` as it was with two temporaries: the numerator and exp(-|z|)
+    each in a fresh array, the numerator written before |z| is taken."""
+    z = np.asarray(z, dtype=np.float64)
+    num, ez = np.empty_like(z), np.empty_like(z)
+    np.copysign(1.0, z, out=num)
+    np.exp(np.negative(np.abs(z, out=ez), out=ez), out=ez)
+    np.maximum(ez, num, out=num)
+    ez += 1.0
+    return np.divide(num, ez, out=num if out is None else out)
+
+
+def test_sigmoid_one_temporary_is_bitwise_the_allocating_form():
+    tiny = np.finfo(np.float64).tiny
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000ABC,
+                     0xFFF80000DEADBEEF, 0x7FF0000000000001, 0xFFF4000000000000],
+                    dtype=np.uint64).view(np.float64)  # quiet and signalling, either sign, payloads
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+                               tiny, -tiny, 709.0, -709.0, 709.78, -709.78, 745.2, -745.2], nans])
+    gen = np.random.default_rng(11)
+    z = np.concatenate([special, gen.normal(0.0, 6.0, 250), gen.uniform(-720.0, 720.0, 250)])
+    z = gen.permutation(z).reshape(2, 3, -1)
+    want = _allocating_sigmoid(z)
+    assert np.array_equal(_bits(sigmoid(z)), _bits(want))  # out=None
+    out = np.full_like(z, 7.0)
+    assert sigmoid(z, out=out) is out and np.array_equal(_bits(out), _bits(want))
+    in_place = z.copy()
+    assert sigmoid(in_place, out=in_place) is in_place  # out is z
+    assert np.array_equal(_bits(in_place), _bits(want))
+    block = z.copy()  # a strided gate block as z and as out, as the LSTM calls it
+    assert np.array_equal(_bits(sigmoid(block[:, :2], out=block[:, :2])), _bits(want[:, :2]))
+    assert np.array_equal(_bits(block[:, 2]), _bits(z[:, 2]))
+    for x in special:  # scalars: a Python float, a numpy scalar and a 0-d array
+        for form in (float(x), np.float64(x), np.array(x)):
+            assert _bits(sigmoid(form)) == _bits(_allocating_sigmoid(form)), x
+        zero_d = np.array(x)
+        assert _bits(sigmoid(zero_d, out=zero_d)) == _bits(_allocating_sigmoid(x)), x
+
+
+def test_activation_grads_written_into_out_are_bitwise_the_allocating_form():
+    gen = np.random.default_rng(5)
+    x = np.concatenate([[0.0, -0.0, np.nan, -np.inf, np.inf, 5e-324], gen.normal(0.0, 2.0, 200)])
+    for name in ("tanh", "relu"):
+        y = activation(name)(x)
+        dest = np.full_like(y, np.nan)
+        assert activation_grad_from_output(name, y, out=dest) is dest
+        assert np.array_equal(_bits(dest), _bits(activation_grad_from_output(name, y)))
+        in_place = x.copy()
+        assert activation(name)(in_place, out=in_place) is in_place
+        assert np.array_equal(_bits(in_place), _bits(y))
+    assert np.array_equal(_bits(activation_grad_from_output("relu", relu(x))), _bits((relu(x) > 0) * 1.0))
+    t = tanh(x)
+    assert np.array_equal(_bits(activation_grad_from_output("tanh", t)), _bits(1.0 - t * t))
+
+
 def test_activation_lookup():
     assert activation("tanh") is tanh
     assert activation("relu") is relu

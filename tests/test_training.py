@@ -199,6 +199,21 @@ def test_non_finite_loss_from_finite_embeddings_aborts_with_location():
             train(params, cfg, [Triplet(a, b, 0)], TrainConfig(lr=0.0, seed=0))
 
 
+def test_divergence_after_an_epochs_last_update_names_the_epoch():
+    # lr = 1e300: every pair's forward and loss stay finite, and the last
+    # update of epoch 2 leaves the parameters non-finite. The held-out pair
+    # would meet them first (a NaN distance), and with one triplet there is
+    # no held-out pair, so nothing but the epoch's check would see them
+    triplets, meta = small_triplets(n=2, seed=0)
+    cfg = tiny_cfg()
+    params = random_params(cfg, meta, seed=5)
+    for n in (2, 1):
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged,
+                               match=r"^non-finite parameters after the last update of epoch 2$"):
+                train(params, cfg, triplets[:n], TrainConfig(lr=1e300, max_epochs=3, seed=0))
+
+
 def test_train_rejects_empty_triplets():
     cfg, meta = tiny_cfg(), tiny_meta()
     params = random_params(cfg, meta)
