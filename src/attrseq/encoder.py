@@ -23,8 +23,10 @@ product per row, so each row is bitwise a one-instance pass
 longest sequence, and every step keeps its slot for backpropagation. Every
 trace, one row or two, has one layout: (T, 4, R, n_l) gate-major gates and
 (T, R, n_l) states, and it carries its buffers (`LstmBuffers`), which also
-keep each step's views and the backward pass's arrays: `train` reuses one
-set for every pair, and a one-call pass builds only what it uses.
+keep each step's views and the arrays of the backward through time:
+`train` reuses one set for every pair, and a one-call pass builds only
+what it uses. The fully connected stack and the fusion layer are plain
+numpy expressions.
 Inference (`embed_instances`: evaluation, the `embed` command, the
 validation loss) runs blocks of EMBED_BLOCK chunks of EMBED_CHUNK rows (one
 matrix product per chunk) on buffers of depth 1, which every step
@@ -107,6 +109,12 @@ def param_shapes(cfg: ModelConfig, meta: DatasetMeta) -> dict:
     return shapes
 
 
+def _check_cells(cells: int):
+    if cells > MAX_PARAM_CELLS:
+        raise ValueError(f"the parameters need {cells} values, above the limit of "
+                         f"{MAX_PARAM_CELLS} per store")
+
+
 class ModelParams(Mapping):
     """Every trainable tensor as a named view of one flat float64 buffer.
 
@@ -123,9 +131,7 @@ class ModelParams(Mapping):
     def __init__(self, shapes: dict):
         self.shapes = dict(shapes)
         cells = sum(math.prod(shape) for shape in self.shapes.values())
-        if cells > MAX_PARAM_CELLS:
-            raise ValueError(f"the parameters need {cells} values, above the limit of "
-                             f"{MAX_PARAM_CELLS} per store")
+        _check_cells(cells)
         self.flat = np.zeros(cells)
         self._views, starts, offset = {}, {}, 0
         for name, shape in self.shapes.items():
@@ -192,7 +198,11 @@ class ForwardTrace:
 
 def init_params(cfg: ModelConfig, meta: DatasetMeta, rng: Rng) -> ModelParams:
     """Fresh parameters: uniform fan-scaled kernels, orthogonal recurrent
-    matrices, zero biases. Each tensor draws from its own labeled stream."""
+    matrices, zero biases. Each tensor draws from its own labeled stream.
+    A layout above the bound is refused before `param_shapes` loops over
+    the depth."""
+    _check_cells(cfg.n_m * (meta.u + 1) + (cfg.m - 1) * cfg.n_m * (cfg.n_m + 1)
+                 + 4 * cfg.n_l * (meta.r + cfg.n_l + 1) + cfg.n * (cfg.n_m + cfg.n_l + 1))
     params = ModelParams(param_shapes(cfg, meta))
     for k, w in enumerate(params.fc_w):
         n_out, d_in = w.shape
@@ -219,9 +229,7 @@ def fc_forward(params: ModelParams, v: np.ndarray, act_name: str = "tanh"):
     act = activation(act_name)
     alphas = [v]
     for w, b in zip(params.fc_w, params.fc_b):
-        a = alphas[-1] @ w.T
-        a += b
-        alphas.append(act(a, out=a))
+        alphas.append(act(alphas[-1] @ w.T + b))
     return alphas[-1], alphas
 
 
@@ -232,10 +240,11 @@ class LstmBuffers:
     and the first T slots are the trace; at depth 1 every step overwrites
     the one slot. Each call overwrites the values of the one before.
 
-    Each step's views into these arrays (`_lstm`) and the backward pass's
-    arrays (`gradients._Workspace`) are built at their first use and kept,
-    so a training run, which keeps one buffers object for all its pairs,
-    builds them once, and a one-call buffers object only what it uses.
+    Each step's views into these arrays (`_lstm`) and the arrays of the
+    backward through time (`gradients._Workspace`, which depends on these
+    buffers alone) are built at their first use and kept, so a training
+    run, which keeps one buffers object for all its pairs, builds them
+    once, and a one-call buffers object only what it uses.
     """
 
     steps = backward = None
@@ -381,17 +390,12 @@ def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
 
 
 def _fuse(params: ModelParams, cfg: ModelConfig, a_m, h_last):
-    """Fusion layer over a block; returns (concat, embedding), each written
-    in place once allocated. A disabled branch (branch_mode) is zeroed in
-    the fusion input, so the embedding shape never changes."""
+    """Fusion layer over a block; returns (concat, embedding). A disabled
+    branch (branch_mode) is zeroed in the fusion input, so the embedding
+    shape never changes."""
     ga, gs = branch_gates(cfg.branch_mode)
-    n_m = a_m.shape[-1]
-    concat = np.empty((*a_m.shape[:-1], n_m + h_last.shape[-1]))
-    np.multiply(ga, a_m, out=concat[..., :n_m])
-    np.multiply(gs, h_last, out=concat[..., n_m:])
-    embedding = np.matmul(concat, params.w_p.T)
-    embedding += params.b_p
-    return concat, activation(cfg.activation)(embedding, out=embedding)
+    concat = np.concatenate([ga * a_m, gs * h_last], axis=-1)
+    return concat, activation(cfg.activation)(concat @ params.w_p.T + params.b_p)
 
 
 def omega_forward(params: ModelParams, cfg: ModelConfig, inst: EncodedInstance):

@@ -7,9 +7,10 @@ Training's two sides run as the two rows of one trace through one BPTT
 loop, every product per row; `backward_pair` runs the same loop once per
 side on the two one-row traces of `omega_forward`. Every trace has the
 encoder's one layout, and a tensor's contributions are added side by side
-either way, so both give the same bits. Every array the backward writes
-lives in a workspace (`_Workspace`) kept on the trace's buffers, so a
-training run, which reuses one set of buffers, allocates none per pair.
+either way, so both give the same bits. The backward through time writes
+into a workspace (`_Workspace`) kept on the trace's LSTM buffers, so a
+training run, which reuses one set of buffers, builds it once; the fusion
+and fully connected layers are plain numpy expressions.
 `finite_diff_grads` is the independent oracle: central differences around
 every scalar parameter, recomputing the whole forward pass each time. The two
 must agree to high relative precision wherever the loss is differentiable.
@@ -144,23 +145,12 @@ def _check_trace(params, trace):
 
 
 class _Workspace:
-    """The arrays the backward through R rows of LSTM buffers of depth D
-    writes, for one parameter layout, and each BPTT step's views into them
-    and into the trace; kept on the buffers (`buffers.backward`)."""
+    """The arrays the backward through time over R rows of LSTM buffers of
+    depth D writes, and each step's views into them and into the buffers;
+    kept on the buffers (`buffers.backward`)."""
 
-    def __init__(self, params, buffers):
-        self.shapes = params.shapes
+    def __init__(self, buffers):
         D, _, R, n_l = buffers.gates.shape
-        n_m = params.fc_w[-1].shape[0]
-        weights = [params.w_p, *reversed(params.fc_w)]
-        outers = np.empty(R * max(w.size for w in weights))  # each layer uses its front
-        self.layers = []  # each with its rows' views, for the row-by-row sums
-        for w in weights:
-            delta, outer = np.empty((R, len(w), 1)), outers[:R * w.size].reshape(R, *w.shape)
-            self.layers.append((delta, list(delta[:, :, 0]), outer, list(outer),
-                                np.empty((R, w.shape[1], 1))))
-        self.d_fc = self.layers[0][4][:, :n_m]  # the fusion input's attribute part
-        self.dh_in = np.empty((R, n_l))  # and its sequence part, d(loss)/d(last h)
         self.state = np.empty((3, R, n_l))  # dh, dc and c_prev at t=0, zeroed by each backward
         self.dh, self.dc, self.c_0 = self.state
         self.scratch = np.empty((5, R, n_l))  # [dh*o, dc*g, dc*c_prev, dh*tanh(c), dc*i]
@@ -169,8 +159,6 @@ class _Workspace:
         # d(loss)/d(gate pre-activations), a (D, 4*n_l) block per row
         self.da = np.empty((R, D, 4 * n_l))
         self.h_prev = np.empty((R, D, n_l))
-        self.one_hot = np.empty((D, params.lstm_w.shape[1]))
-        self.items = np.arange(params.lstm_w.shape[1])
         g = buffers.gates
         da_gm = self.da.reshape(R, D, 4, n_l).transpose(1, 2, 0, 3)
         c_prev = [self.c_0, *buffers.c[:-1]]  # cell states one step back
@@ -181,15 +169,15 @@ class _Workspace:
 
 def _encoder_grads(params, cfg, rows, dp, grads):
     """Backpropagate each row's d(loss)/d(embedding), dp (R, n), through the
-    rows' encoder pass, in the workspace kept on the trace's buffers. Every
-    product is the row's own, on (R, d, 1) columns, and a tensor's
-    contributions are added in row order, so each row's gradient is bitwise
-    a one-instance pass."""
+    rows' encoder pass; the LSTM part runs in the workspace kept on the
+    trace's buffers. Every product is the row's own, on (R, d, 1) columns,
+    and a tensor's contributions are added in row order, so each row's
+    gradient is bitwise a one-instance pass."""
     ga, gs = branch_gates(cfg.branch_mode)
-    lt = rows.lstm
-    if lt.buffers.backward is None or lt.buffers.backward.shapes != params.shapes:
-        lt.buffers.backward = _Workspace(params, lt.buffers)
-    ws = lt.buffers.backward
+    n_m, lt = rows.alphas[-1].shape[-1], rows.lstm
+    if lt.buffers.backward is None:
+        lt.buffers.backward = _Workspace(lt.buffers)
+    ws, T = lt.buffers.backward, len(lt.c)
 
     # the fusion layer, then the fully connected stack top down; each layer's
     # outer products are one broadcast multiply, bitwise np.outer
@@ -197,24 +185,19 @@ def _encoder_grads(params, cfg, rows, dp, grads):
     layers += [(params.fc_w[k], grads.fc_w[k], grads.fc_b[k], rows.alphas[k], rows.alphas[k + 1])
                for k in range(len(params.fc_w) - 1, -1, -1)]
     d_out = dp[:, :, None]
-    for k, ((w, grad_w, grad_b, a_in, a_out), (delta, delta_rows, outer, outer_rows, d_in)) in (
-            enumerate(zip(layers, ws.layers))):
-        activation_grad_from_output(cfg.activation, a_out.transpose(0, 2, 1), out=delta)
-        np.multiply(d_out, delta, out=delta)
-        np.multiply(delta, a_in, out=outer)
-        for delta_w, delta_b in zip(outer_rows, delta_rows):  # row by row
+    for k, (w, grad_w, grad_b, a_in, a_out) in enumerate(layers):
+        delta = d_out * activation_grad_from_output(cfg.activation, a_out.transpose(0, 2, 1))
+        for delta_w, delta_b in zip(delta * a_in, delta[:, :, 0]):  # row by row
             grad_w += delta_w
             grad_b += delta_b
         if k + 1 < len(layers):  # no gradient for the attribute input
-            d_out = np.matmul(w.T, delta, out=d_in)
+            d_out = w.T @ delta
         if k == 0:  # the fusion input splits into the two branches
-            np.multiply(gs, d_out[:, ws.d_fc.shape[1]:, 0], out=ws.dh_in)
-            d_out = np.multiply(ga, ws.d_fc, out=ws.d_fc)
+            d_out, dh_in = ga * d_out[:, :n_m], gs * d_out[:, n_m:, 0]
 
     # LSTM, backward through time (a disabled sequence branch leaves zeros)
     if gs == 0.0:
         return
-    T = len(lt.c)
     # the step-independent factors, for all steps at once
     gate_factors = ws.gate_factors[:T]
     dtanh_c = np.square(lt.tanh_c, out=ws.dtanh_c[:T])
@@ -240,7 +223,7 @@ def _encoder_grads(params, cfg, rows, dp, grads):
         if t + 1 in lengths:
             for r, length in enumerate(lengths):
                 if length == t + 1:
-                    dh[r] = ws.dh_in[r]
+                    dh[r] = dh_in[r]
                     dc[r] = 0.0
         np.multiply(dh, o_t, out=dhc)
         dhc *= dtc_t
@@ -257,11 +240,12 @@ def _encoder_grads(params, cfg, rows, dp, grads):
     h_prev = ws.h_prev[:, :T]  # states shifted one step, zero at t=0
     h_prev[:, 0] = 0.0
     np.copyto(h_prev[:, 1:], lt.h[:-1].transpose(1, 0, 2))
+    items = np.arange(params.lstm_w.shape[1])
     for r, length in enumerate(lengths):
         da_r = ws.da[r, :length]
         # the sequence's one-hot rows, for a dense product: at small
         # alphabets it is faster than a scatter-add of da's rows by item id
-        x = np.equal(lt.x[:length, r, None], ws.items, out=ws.one_hot[:length])
+        x = np.equal(lt.x[:length, r, None], items).astype(np.float64)
         grads.lstm_w += da_r.T @ x
         grads.lstm_u += da_r.T @ h_prev[r, :length]
         grads.lstm_b += da_r.sum(axis=0)
@@ -380,16 +364,14 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
         params.flat[...] = gen.uniform(-0.9, 0.9, size=params.flat.size)
         margin = float(gen.uniform(0.5, 1.5))
 
-        inst_i = inst_j = None
-        for _ in range(10):
+        for _ in range(10):  # one pass per draw serves the kink check and the gradient
             inst_i = _random_instance(gen, meta)
             inst_j = _random_instance(gen, meta)
-            p_i, _ = omega_forward(params, cfg, inst_i)
-            p_j, _ = omega_forward(params, cfg, inst_j)
+            embeddings, rows = rows_forward(params, cfg, (inst_i, inst_j))
+            p_i, p_j = embeddings[:, 0]
             d = distance(kind, p_i, p_j)
             if _kink_safe(kind, ell, p_i, p_j, d, margin, step):
                 break
-        _, rows = rows_forward(params, cfg, (inst_i, inst_j))
         analytic = ModelParams(params.shapes)
         loss, _ = backward_rows(params, cfg, rows, ell, margin, kind, mode, analytic)
         all_finite = all_finite and bool(np.isfinite(analytic.flat).all())

@@ -58,8 +58,8 @@ def sigmoid(z, out=None):
     return np.divide(num, ez, out=num)
 
 
-def relu(z, out=None):
-    return np.maximum(z, 0.0, out=out)
+def relu(z):
+    return np.maximum(z, 0.0)
 
 
 ACTIVATIONS = {"tanh": np.tanh, "relu": relu}  # the one list of activation names
@@ -72,13 +72,12 @@ def activation(name: str):
         raise ValueError(f"unknown activation {name!r}, expected one of {sorted(ACTIVATIONS)}")
 
 
-def activation_grad_from_output(name: str, y: np.ndarray, out=None) -> np.ndarray:
-    """Derivative of the named activation, expressed via its output value y;
-    written into ``out`` when given."""
+def activation_grad_from_output(name: str, y: np.ndarray) -> np.ndarray:
+    """Derivative of the named activation, expressed via its output value y."""
     if name == "tanh":
-        return np.subtract(1.0, np.multiply(y, y, out=out), out=out)
+        return 1.0 - y * y
     if name == "relu":
-        return np.greater(y, 0.0, out=np.empty(np.shape(y)) if out is None else out)
+        return (y > 0.0).astype(np.float64)
     raise ValueError(f"unknown activation {name!r}")
 
 

@@ -356,12 +356,14 @@ class TestBatchedForward:
         cfg, meta, params = self.setup_model()
         assert embed_instances(params, cfg, []).shape == (0, cfg.n)
 
+    @pytest.mark.bitwise
     def test_single_instance_batch_is_bitwise_omega_forward(self):
         cfg, meta, params = self.setup_model()
         inst = random_instance(meta, seed=4)
         assert np.array_equal(embed_instances(params, cfg, [inst])[0],
                               omega_forward(params, cfg, inst)[0])
 
+    @pytest.mark.bitwise
     def test_traced_rows_states_per_length(self):
         cfg, meta, params = self.setup_model()
         insts = [random_instance(meta, seed=k, length=1 + k % meta.t_max) for k in range(9)]
@@ -397,6 +399,7 @@ class TestBatchedForward:
         for name in ("x", "gates", "c", "tanh_c", "h", "lengths"):
             assert getattr(single, name).shape == getattr(lt, name).shape, name
 
+    @pytest.mark.bitwise
     def test_reused_buffers_are_bitwise_fresh_arrays(self):
         cfg, meta, params = self.setup_model()
         buffers = LstmBuffers(meta.t_max, 3, cfg.n_l)
@@ -421,6 +424,7 @@ class TestBatchedForward:
             with pytest.raises(ValueError, match="cannot hold"):
                 rows_forward(params, cfg, insts, buffers)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("lengths", [(1, 7), (7, 1), (7, 7), (1, 7, 4), (7, 7, 1), (1, 1)],
                              ids=["1-T", "T-1", "T-T", "1-T-4", "T-T-1", "1-1"])
     def test_lockstep_rows_are_bitwise_single_runs(self, lengths):
@@ -490,6 +494,7 @@ def _chunk_by_chunk_embed(params, cfg, instances):
     return out
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("branch_mode", BRANCH_MODES)
 @pytest.mark.parametrize("activation_name", ["tanh", "relu"])
 @pytest.mark.parametrize("n_l", [1, 20, 31, 50])
@@ -608,6 +613,16 @@ class TestParamStore:
                                                         MAX_PARAM_CELLS + 1)):
                 with pytest.raises(ValueError, match=f"need {cells} values, above the limit"):
                     ModelParams(shapes)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_oversized_depth_is_refused_before_the_layout_is_built(self):
+        # at m = 10**6 the refusal used to come after a 2-million-entry layout
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need 2550013700 values, above the limit"):
+                init_params(ModelConfig(m=10**6), tiny_meta(u=3, r=4), Rng(0))
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()

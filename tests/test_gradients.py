@@ -53,6 +53,7 @@ class TestDistance:
             with pytest.raises(ValueError, match="mismatch"):
                 distance("manhattan", p, q)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("kind", DISTANCE_KINDS)
     def test_rows_and_blocks_are_bitwise_the_pair_calls(self, kind):
         # A (Q, G) block and an (N,) row of distances hold, bit for bit, the
@@ -635,6 +636,7 @@ def _allocating_train_epoch(params, cfg, triplets, tc):
     return params, losses, active, trained
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("ell", [0, 1])
 @pytest.mark.parametrize("kind", DISTANCE_KINDS)
 @pytest.mark.parametrize("mode", BRANCH_MODES)
@@ -664,6 +666,7 @@ def test_training_epoch_is_bitwise_the_allocating_step(activation_name, mode, ki
         assert not np.array_equal(got.flat, params.flat)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("mode", BRANCH_MODES)
 @pytest.mark.parametrize("activation_name", ["tanh", "relu"])
 def test_traced_rows_are_bitwise_the_allocating_forward(activation_name, mode):
@@ -697,6 +700,7 @@ def test_traced_rows_are_bitwise_the_allocating_forward(activation_name, mode):
             assert emb.shape[1:] == (1, cfg.n)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("lengths", [(1, 6), (6, 1), (6, 6), (3, 5), (1, 1)],
                          ids=["1-T", "T-1", "T-T", "3-5", "1-1"])
 @pytest.mark.parametrize("mode", BRANCH_MODES)
@@ -736,6 +740,7 @@ def test_lockstep_backward_is_bitwise_backward_pair(mode, lengths):
             assert np.array_equal(sides.flat.view(np.uint64), want.flat.view(np.uint64))
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("kind", DISTANCE_KINDS)
 def test_lockstep_clipped_pair_leaves_every_bit_of_the_store_zero(kind):
     cfg, meta = tiny_cfg(), tiny_meta()
@@ -788,6 +793,7 @@ class _NanBuffers(LstmBuffers):
 WORKSPACE_LENGTHS = [(1, 6), (6, 1), (6, 6), (3, 5), (1, 1), (6, 4), (2, 3), (6, 6)]
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("mode", BRANCH_MODES)
 @pytest.mark.parametrize("activation_name", ["tanh", "relu"])
 def test_lockstep_workspace_is_bitwise_fresh_buffers_and_the_allocating_pass(
@@ -858,10 +864,11 @@ def test_lockstep_workspace_is_bitwise_fresh_buffers_and_the_allocating_pass(
         assert report.train_losses == [float(losses.mean())]
 
 
+@pytest.mark.bitwise
 def test_lockstep_workspace_follows_the_call_shapes():
-    """A buffers object met with another parameter layout, or split into
-    other chunks, rebuilds what it kept: results stay those of fresh
-    buffers."""
+    """One buffers object serves every parameter layout it meets with the
+    one backward workspace it built, and its forward step views follow the
+    chunk split: results stay those of fresh buffers."""
     buffers = LstmBuffers(6, 2, 6)
     for k, (m, n_m, r) in enumerate([(2, 5, 5), (1, 3, 7), (2, 5, 5)]):
         meta = tiny_meta(u=3, r=r, t_max=6)

@@ -45,6 +45,7 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+@pytest.mark.bitwise
 def test_sigmoid_is_bitwise_the_where_formula():
     gen = np.random.default_rng(7)
     tiny = np.finfo(np.float64).tiny
@@ -96,6 +97,7 @@ def _allocating_sigmoid(z, out=None):
     return np.divide(num, ez, out=num if out is None else out)
 
 
+@pytest.mark.bitwise
 def test_sigmoid_one_temporary_is_bitwise_the_allocating_form():
     tiny = np.finfo(np.float64).tiny
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000ABC,
@@ -123,17 +125,10 @@ def test_sigmoid_one_temporary_is_bitwise_the_allocating_form():
         assert _bits(sigmoid(zero_d, out=zero_d)) == _bits(_allocating_sigmoid(x)), x
 
 
-def test_activation_grads_written_into_out_are_bitwise_the_allocating_form():
+@pytest.mark.bitwise
+def test_activation_grads_are_bitwise_their_formulas():
     gen = np.random.default_rng(5)
     x = np.concatenate([[0.0, -0.0, np.nan, -np.inf, np.inf, 5e-324], gen.normal(0.0, 2.0, 200)])
-    for name in ("tanh", "relu"):
-        y = activation(name)(x)
-        dest = np.full_like(y, np.nan)
-        assert activation_grad_from_output(name, y, out=dest) is dest
-        assert np.array_equal(_bits(dest), _bits(activation_grad_from_output(name, y)))
-        in_place = x.copy()
-        assert activation(name)(in_place, out=in_place) is in_place
-        assert np.array_equal(_bits(in_place), _bits(y))
     assert np.array_equal(_bits(activation_grad_from_output("relu", relu(x))), _bits((relu(x) > 0) * 1.0))
     t = tanh(x)
     assert np.array_equal(_bits(activation_grad_from_output("tanh", t)), _bits(1.0 - t * t))
