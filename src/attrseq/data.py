@@ -35,9 +35,10 @@ from .kernel import Rng
 
 # The largest one-hot block the model builds: t_max * r cells, 32 MiB of
 # float64. The forward pass gathers kernel columns by id; backpropagation
-# builds a (T, r) block per sequence, and r also sizes the LSTM kernels. Far
-# beyond any alphabet this model trains on, and small enough that an absurd
-# item id or dimension is a format error, not an attempt to allocate terabytes.
+# builds a (T, r) block per sequence. Far beyond any alphabet this model
+# trains on, so an absurd item id or sidecar dimension is a format error.
+# It bounds one (T, r) block only: r also sizes the LSTM kernels and t_max
+# the training buffers, which `encoder.MAX_PARAM_CELLS` bounds.
 MAX_ONE_HOT_CELLS = 2**22
 
 # The companion's format version, arrays and dtypes. It stores 8 bytes per

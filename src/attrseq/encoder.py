@@ -57,10 +57,15 @@ EMBED_CHUNK = 32
 # blocks of 1, 2 or 8 chunks or all 15 at once.
 EMBED_BLOCK = 4
 _GATE_AXIS = np.arange(4).reshape(4, 1, 1)  # the gate axis of a step's table rows, (4, k, size)
-# The most values one parameter store holds, 128 MiB of float64. Training
-# keeps at least five stores of one layout, so a layout beyond this (an item
-# alphabet of millions sizes the LSTM kernels) is refused before allocation.
+# The most values one parameter store or one LSTM buffer array holds, 128
+# MiB of float64. Training keeps at least five stores of one layout, so a
+# layout beyond this (an item alphabet of millions sizes the LSTM kernels) or
+# a training sequence too long for its buffers is refused before allocation.
 MAX_PARAM_CELLS = 2**24
+# The deepest attribute stack a model may have. The layout, two tensors per
+# layer, is built before its cells are counted, so this bound keeps a depth
+# from a flag or a file from building millions of entries first.
+MAX_FC_DEPTH = 2**10
 
 
 @dataclass
@@ -77,6 +82,8 @@ class ModelConfig:
             raise ValueError(f"all model dimensions must be integers, got {self}")
         if min(self.m, self.n_m, self.n_l, self.n) < 1:
             raise ValueError(f"all model dimensions must be >= 1, got {self}")
+        if self.m > MAX_FC_DEPTH:
+            raise ValueError(f"fully connected depth m={self.m} is above the limit of {MAX_FC_DEPTH}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.branch_mode not in BRANCH_MODES:
@@ -109,10 +116,10 @@ def param_shapes(cfg: ModelConfig, meta: DatasetMeta) -> dict:
     return shapes
 
 
-def _check_cells(cells: int):
+def _check_cells(cells: int, what: str = "the parameters", per: str = "store"):
     if cells > MAX_PARAM_CELLS:
-        raise ValueError(f"the parameters need {cells} values, above the limit of "
-                         f"{MAX_PARAM_CELLS} per store")
+        raise ValueError(f"{what} need {cells} values, above the limit of "
+                         f"{MAX_PARAM_CELLS} per {per}")
 
 
 class ModelParams(Mapping):
@@ -198,11 +205,7 @@ class ForwardTrace:
 
 def init_params(cfg: ModelConfig, meta: DatasetMeta, rng: Rng) -> ModelParams:
     """Fresh parameters: uniform fan-scaled kernels, orthogonal recurrent
-    matrices, zero biases. Each tensor draws from its own labeled stream.
-    A layout above the bound is refused before `param_shapes` loops over
-    the depth."""
-    _check_cells(cfg.n_m * (meta.u + 1) + (cfg.m - 1) * cfg.n_m * (cfg.n_m + 1)
-                 + 4 * cfg.n_l * (meta.r + cfg.n_l + 1) + cfg.n * (cfg.n_m + cfg.n_l + 1))
+    matrices, zero biases. Each tensor draws from its own labeled stream."""
     params = ModelParams(param_shapes(cfg, meta))
     for k, w in enumerate(params.fc_w):
         n_out, d_in = w.shape
@@ -244,12 +247,15 @@ class LstmBuffers:
     backward through time (`gradients._Workspace`, which depends on these
     buffers alone) are built at their first use and kept, so a training
     run, which keeps one buffers object for all its pairs, builds them
-    once, and a one-call buffers object only what it uses.
+    once, and a one-call buffers object only what it uses. The gates, the
+    largest array here and in the backward's, are refused above
+    MAX_PARAM_CELLS before anything is allocated.
     """
 
     steps = backward = None
 
     def __init__(self, depth: int, N: int, n_l: int):
+        _check_cells(depth * 4 * N * n_l, f"the LSTM buffers for {depth} steps of {N} rows", "array")
         self.gates = np.empty((depth, 4, N, n_l))
         self.c, self.tanh_c, self.h = (np.empty((depth, N, n_l)) for _ in range(3))
         self.z = np.empty((N, 4 * n_l))

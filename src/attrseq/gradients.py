@@ -25,8 +25,8 @@ from .encoder import (
     ModelConfig,
     ModelParams,
     branch_gates,
-    init_params,
     omega_forward,
+    param_shapes,
     rows_forward,
 )
 
@@ -360,7 +360,7 @@ def gradcheck_suite(trials=20, seed=0, mode="exact", step=1e-5, tolerance=1e-4):
         )
         kind = DISTANCE_KINDS[k % 2]
         ell = (k // 2) % 2
-        params = init_params(cfg, meta, trial_rng.child("params"))
+        params = ModelParams(param_shapes(cfg, meta))
         params.flat[...] = gen.uniform(-0.9, 0.9, size=params.flat.size)
         margin = float(gen.uniform(0.5, 1.5))
 

@@ -12,11 +12,22 @@ import pytest
 from attrseq import cli, encoder
 from attrseq.cli import main
 from attrseq.data import _broken_rule, companion_path, read_records, sidecar_path, write_jsonl
+from attrseq.encoder import MAX_FC_DEPTH
 from attrseq.training import TrainConfig, load_checkpoint
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_under_kernel(coretype, cwd, *argv):
+    """`attrseq argv` in a new process, since a process picks its OpenBLAS
+    kernel when it loads numpy, under `coretype` with one BLAS thread."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "attrseq.cli", *map(str, argv)],
+                   cwd=cwd, env=env, check=True, capture_output=True)
 
 
 def gen_dataset(tmp_path, classes=6, per_class=8, seed=7, **extra):
@@ -143,6 +154,48 @@ class TestTrain:
                    "--checkpoint", out, "--metrics", out, "--manifest", out) == 1
         assert capsys.readouterr() == ("", f"attrseq: error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["flag", "config"])
+    def test_depth_bound_at_every_entry(self, tmp_path, capsys, entry):
+        # the deepest stack trains, saves and embeds; one layer more is
+        # refused by the flag or a config file before --data is read (exit 1)
+        # and by a checkpoint header (exit 5)
+        def depth(m):
+            if entry == "flag":
+                return ["--fc-depth", m]
+            (tmp_path / "train.json").write_text(json.dumps({"fc_depth": m}))
+            return ["--config", tmp_path / "train.json"]
+
+        data, ckpt, out = gen_dataset(tmp_path), tmp_path / "c.json", tmp_path / "out"
+        assert run("train", "--data", data, "--triplets", 12, "--seed", 3, "--fc-width", 1,
+                   "--lstm-width", 4, "--embed-dim", 4, "--epochs", 1, "--checkpoint", ckpt,
+                   "--metrics", out, "--manifest", out, *depth(MAX_FC_DEPTH)) == 0
+        assert len(load_checkpoint(ckpt)[0].fc_w) == MAX_FC_DEPTH
+        assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", out) == 0
+        capsys.readouterr()
+        refused = f"fully connected depth m={MAX_FC_DEPTH + 1} is above the limit of {MAX_FC_DEPTH}"
+        assert run("train", "--data", tmp_path / "missing.jsonl", "--seed", 1,
+                   *depth(MAX_FC_DEPTH + 1), "--checkpoint", tmp_path / "refused.json") == 1
+        assert capsys.readouterr() == ("", f"attrseq: error: {refused}\n")
+        assert not (tmp_path / "refused.json").exists()
+        envelope = json.loads(ckpt.read_text())
+        envelope["config"]["m"] = MAX_FC_DEPTH + 1
+        ckpt.write_text(json.dumps(envelope))
+        assert run("embed", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "e.csv") == 5
+        assert capsys.readouterr() == ("", f"attrseq: error: corrupt checkpoint {ckpt}: {refused}\n")
+
+    def test_training_buffers_above_the_cell_bound_exit_1(self, tmp_path, capsys, monkeypatch):
+        # sequences of up to 15 steps: the buffers of two rows of width 4
+        # need 32 values a step, above the store's 196 from 7 steps on
+        data = gen_dataset(tmp_path, t_max=15)
+        monkeypatch.setattr(encoder, "MAX_PARAM_CELLS", 196)
+        assert run("train", "--data", data, "--triplets", 12, "--seed", 3, "--fc-depth", 1,
+                   "--fc-width", 4, "--lstm-width", 4, "--embed-dim", 4,
+                   "--checkpoint", tmp_path / "c.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("attrseq: error: the LSTM buffers for ") and len(err.splitlines()) == 1
+        assert "steps of 2 rows need" in err and "above the limit of 196 per array" in err
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("edit", ["nan-attr", "bool-label", "label-above-int64",
                                       "bad-sidecar"])
@@ -653,14 +706,21 @@ class TestEmbed:
         assert "expected [10000000, 4]" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("companion", [True, False], ids=["companion", "parsed"])
-    def test_demo_run_embeddings_reproduce(self, tmp_path, companion):
+    @pytest.mark.parametrize("companion, coretype", [(True, None), (False, None), (True, "Haswell"),
+                                                     (True, "Nehalem")],
+                             ids=["companion", "parsed", "haswell", "nehalem"])
+    def test_demo_run_embeddings_reproduce(self, tmp_path, companion, coretype):
+        # under another OpenBLAS kernel the embeddings drift only in the last bits
         demo = Path(__file__).resolve().parents[1] / "demo_run"
         for name in ("data.jsonl",) + (("data.records.npz",) if companion else ()):
             (tmp_path / name).write_bytes((demo / name).read_bytes())
         out = tmp_path / "emb.csv"
-        assert run("embed", "--checkpoint", demo / "model.json", "--data", tmp_path / "data.jsonl",
-                   "--out", out) == 0
+        argv = ("embed", "--checkpoint", demo / "model.json", "--data", tmp_path / "data.jsonl",
+                "--out", out)
+        if coretype is None:
+            assert run(*argv) == 0
+        else:
+            run_under_kernel(coretype, tmp_path, *argv)
         got, want = out.read_text().splitlines(), (demo / "embeddings.csv").read_text().splitlines()
         assert got[0] == want[0] and len(got) == len(want) == 601
         assert [row.split(",")[0] for row in got] == [row.split(",")[0] for row in want]
@@ -686,13 +746,14 @@ def demo_command(name, index=0):
     return steps[index]
 
 
-@pytest.mark.parametrize("companion, coretype", [(True, None), (False, None), (True, "Haswell")],
-                         ids=["companion", "parsed", "haswell"])
+@pytest.mark.parametrize("companion, coretype", [(True, None), (False, None), (True, "Haswell"),
+                                                 (True, "Nehalem")],
+                         ids=["companion", "parsed", "haswell", "nehalem"])
 def test_demo_run_train_step_reproduces(tmp_path, monkeypatch, companion, coretype):
     # the committed demo_run/ artifacts are what the demo's train step
     # writes, whether the dataset is read through its companion or parsed;
-    # under a second OpenBLAS kernel, which a process picks when it loads
-    # numpy, the parameters and losses drift only in the last bits
+    # under another OpenBLAS kernel the parameters and losses drift only in
+    # the last bits
     demo = Path(__file__).resolve().parents[1] / "demo_run"
     for name in ("data.jsonl", "data.meta.json") + (("data.records.npz",) if companion else ()):
         (tmp_path / name).write_bytes((demo / name).read_bytes())
@@ -700,11 +761,7 @@ def test_demo_run_train_step_reproduces(tmp_path, monkeypatch, companion, corety
     if coretype is None:
         assert main(demo_command("train")) == 0
     else:
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "attrseq.cli", *demo_command("train")],
-                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        run_under_kernel(coretype, tmp_path, *demo_command("train"))
     got, want = load_checkpoint(tmp_path / "model.json"), load_checkpoint(demo / "model.json")
     assert got[0].shapes == want[0].shapes and got[1:] == want[1:]
     assert np.allclose(got[0].flat, want[0].flat, rtol=0, atol=1e-12)

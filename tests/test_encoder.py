@@ -9,6 +9,7 @@ from attrseq import encoder
 from attrseq.encoder import (
     BRANCH_MODES,
     EMBED_CHUNK,
+    MAX_FC_DEPTH,
     MAX_PARAM_CELLS,
     LstmBuffers,
     ModelConfig,
@@ -416,6 +417,22 @@ class TestBatchedForward:
                 assert np.array_equal(_bits(got), _bits(want))
                 assert np.shares_memory(got, getattr(buffers, name))
 
+    def test_buffers_above_the_cell_bound_are_refused_before_allocation(self, monkeypatch):
+        # a one-item alphabet admits t_max = 4,000,000 under the one-hot
+        # bound; two rows of width 50 would then need 21 GiB of buffers
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="LSTM buffers for 4000000 steps of 2 rows need "
+                                                 "1600000000 values, above the limit"):
+                LstmBuffers(4_000_000, 2, 50)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(encoder, "MAX_PARAM_CELLS", 4 * 2 * 50 * 10)  # the gates of 10 steps
+        assert LstmBuffers(10, 2, 50).gates.shape == (10, 4, 2, 50)
+        with pytest.raises(ValueError, match="LSTM buffers for 11 steps"):
+            LstmBuffers(11, 2, 50)
+
     def test_rejects_buffers_that_do_not_fit(self):
         cfg, meta, params = self.setup_model()
         insts = [random_instance(meta, seed=1, length=3), random_instance(meta, seed=2, length=1)]
@@ -551,6 +568,9 @@ def test_model_config_validation():
         with pytest.raises(ValueError, match="must be integers"):
             ModelConfig(n_l=bad)
     assert ModelConfig(m=np.int64(2)).m == 2
+    with pytest.raises(ValueError, match=f"depth m={MAX_FC_DEPTH + 1} is above the limit of {MAX_FC_DEPTH}"):
+        ModelConfig(m=MAX_FC_DEPTH + 1)
+    assert len(init_params(ModelConfig(m=MAX_FC_DEPTH, n_m=1), tiny_meta(), Rng(0)).fc_w) == MAX_FC_DEPTH
 
 
 class TestParamStore:
@@ -618,10 +638,11 @@ class TestParamStore:
             tracemalloc.stop()
 
     def test_oversized_depth_is_refused_before_the_layout_is_built(self):
-        # at m = 10**6 the refusal used to come after a 2-million-entry layout
+        # a layout of m = 10**6 would hold 2 million entries before its cells
+        # were counted; the depth bound refuses the config itself
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="need 2550013700 values, above the limit"):
+            with pytest.raises(ValueError, match="depth m=1000000 is above the limit"):
                 init_params(ModelConfig(m=10**6), tiny_meta(u=3, r=4), Rng(0))
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:

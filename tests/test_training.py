@@ -15,7 +15,7 @@ from attrseq.data import (
     sample_triplets,
     split_by_class,
 )
-from attrseq.encoder import ModelConfig, init_params, omega_forward, param_shapes
+from attrseq.encoder import MAX_FC_DEPTH, ModelConfig, init_params, omega_forward, param_shapes
 from attrseq.gradients import distance, pair_loss
 from attrseq.kernel import Rng
 from attrseq.training import (
@@ -341,13 +341,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize("block, key, value, match", [
         ("meta", "class_ids", ["a"], "class_ids must be integers"),
         ("meta", "class_ids", [1, 2**63, 2**63 + 2], "class_ids must be integers"),
-        ("config", "m", 10**5, "two tensors per layer, m=100000"),
+        ("config", "m", 10**5, "depth m=100000 is above the limit"),
+        ("config", "m", MAX_FC_DEPTH, "missing tensor fc2_w"),
         (None, "tensors", 5, "'tensors' must be an object"),
     ], ids=["string-class-id", "class-id-above-int64", "m-beyond-stored-tensors",
-            "tensors-not-object"])
+            "m-within-bound-beyond-stored-tensors", "tensors-not-object"])
     def test_malformed_envelope_is_corrupt(self, tmp_path, block, key, value, match):
-        # m sizes the layout's loop, so a file with fewer tensors than m is
-        # refused before the layout is built
+        # m sizes the layout's loop, so a depth above the bound is refused
+        # with the header; within it, the first layer the file lacks is named
         import json
 
         cfg, meta = tiny_cfg(), tiny_meta()
