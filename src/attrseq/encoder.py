@@ -11,8 +11,8 @@ All parameters live in one contiguous float64 buffer (`ModelParams.flat`);
 every named tensor is a view of it, laid out by `param_shapes`. The LSTM
 runs its four gates as one stacked block: a step's input is its item's
 one-hot row, so its input projection plus bias is one row per gate of a
-gate table (`_gate_table`), gathered by id, and one recurrent product per
-step adds the rest.
+gate table (`_gate_table`), gathered by item id, and one recurrent product
+per step adds the rest.
 
 The LSTM has one step loop (`_lstm`), run over a block of k chunks of
 `size` rows with one stacked recurrent product per step, and the depth of
@@ -30,10 +30,12 @@ numpy expressions.
 Inference (`embed_instances`: evaluation, the `embed` command, the
 validation loss) runs blocks of EMBED_BLOCK chunks of EMBED_CHUNK rows (one
 matrix product per chunk) on buffers of depth 1, which every step
-overwrites, so it holds only one block's arrays and the embeddings.
+overwrites, so it holds only one block's arrays and the embeddings. It
+computes only what it reads: a chunk whose rows have all ended makes no
+further step, and the first step, from zero states, makes no recurrent
+product.
 """
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -56,7 +58,6 @@ EMBED_CHUNK = 32
 # on a 2-vCPU Xeon, 480 instances embedded faster in blocks of 4 than in
 # blocks of 1, 2 or 8 chunks or all 15 at once.
 EMBED_BLOCK = 4
-_GATE_AXIS = np.arange(4).reshape(4, 1, 1)  # the gate axis of a step's table rows, (4, k, size)
 # The most values one parameter store or one LSTM buffer array holds, 128
 # MiB of float64. Training keeps at least five stores of one layout, so a
 # layout beyond this (an item alphabet of millions sizes the LSTM kernels) or
@@ -263,13 +264,12 @@ class LstmBuffers:
 
 
 def _gate_table(params: ModelParams) -> np.ndarray:
-    """The input projections with the bias, (4*r, n_l): row k * r + id is
+    """The input projections with the bias, (4, r, n_l): entry [k, id] is
     gate k's kernel column for item id plus gate k's bias. A step's input is
-    its item's one-hot row, so its projection is this table's row."""
+    its item's one-hot row, so its projection is this table's rows for its id."""
     n_l, r = params.lstm_u.shape[1], params.lstm_w.shape[1]
-    table = np.empty((4 * r, n_l))
-    np.add(params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1), params.lstm_b.reshape(4, 1, n_l),
-           out=table.reshape(4, r, n_l))
+    table = np.empty((4, r, n_l))
+    np.add(params.lstm_w.reshape(4, n_l, r).transpose(0, 2, 1), params.lstm_b.reshape(4, 1, n_l), out=table)
     return table
 
 
@@ -287,88 +287,110 @@ def _lstm_cell(sig, i, f, o, g, c_prev, c, tanh_c, h, ig):
     np.multiply(o, tanh_c, out=h)
 
 
-def _lstm(params, table, rows, lengths, buffers):
+def _step_views(buffers, k, size, t, j, h_in, c_in):
+    """The views of a step that writes slot t of `buffers` on chunks j.. of
+    k (the first j retired) and reads the states h_in (k, size, n_l) and
+    c_in (k * size, n_l): the gates (4, rows, n_l), the first values of the
+    slot, so they are contiguous as at j = 0, their sigmoid block, i, f, o,
+    g, the rows of c, tanh_c, h and ig, z as the product's output and as the
+    gates hold it, the rows of h_in and c_in, and the rows' first offset."""
+    N, n_l = k * size, buffers.ig.shape[1]
+    lo = j * size
+    gates = buffers.gates[t].reshape(-1)[:4 * (N - lo) * n_l].reshape(4, N - lo, n_l)
+    z = buffers.z
+    return (gates, gates[:3], *gates, buffers.c[t][lo:], buffers.tanh_c[t][lo:], buffers.h[t][lo:],
+            buffers.ig[lo:], z.reshape(k, size, 4 * n_l)[j:], z.reshape(N, 4, n_l).transpose(1, 0, 2)[:, lo:],
+            h_in[j:], c_in[lo:], lo)
+
+
+def _lstm(params, table, ids, lengths, buffers):
     """The LSTM pass over a block of k chunks of `size` rows from zero
     states; returns h at each row's last step, (k, size, n_l).
 
-    `rows` (T, 4, k, size) are the `table` rows (`_block_inputs`) each row
-    reads at each step, and `lengths` the lengths of the first rows; the
-    rows past them are padding. Every row runs all T steps, unmasked. A
-    step makes one stacked (k, size, n_l) @ lstm_u.T product (numpy's N=1
-    call per row at size 1, so a row is bitwise a one-row pass; one matrix
-    product per chunk at size 32); the rest is elementwise on gate-major
-    gates (4, k * size, n_l). The depth of `buffers` (k * size rows) decides
-    the rest. At depth T the projections are gathered once, every step
-    keeps its slot (the trace) and each row's last h is read from it. At
-    depth 1 a step gathers its own projections and overwrites the slot, and
-    the rows, sorted by length, that end at it are copied as one slice (at
-    T = 1 every row ends at the one step, so a trace of depth 1 needs no
-    order).
+    `ids` (T, k, size) are the item ids each row reads at each step
+    (`_block_inputs`), and `lengths` the lengths of the first rows; the
+    rows past them are padding. A step gathers its gates' input rows from
+    the `table` by id and makes one stacked (k, size, n_l) @ lstm_u.T
+    product (numpy's N=1 call per row at size 1, so a row is bitwise a
+    one-row pass; one matrix product per chunk at size 32); the rest is
+    elementwise on gate-major gates (4, rows, n_l). A step reads the states
+    of the slot before; step 0 reads the last slot, zeroed first. The depth
+    of `buffers` (k * size rows) decides the rest. At depth T the inputs
+    are gathered once, every row runs all T steps, every step keeps its
+    slot (the trace) and each row's last h is read from it. At depth 1
+    every step overwrites the one slot and keeps no trace: the rows, sorted
+    by length, that end at a step are copied as one slice, and from the
+    step after a chunk's last row has ended, that chunk (a prefix of the
+    block) is retired, so a step gathers, multiplies and runs the cell on
+    the live chunks alone, each still its own product. Where no trace is kept
+    (buffers shallower than T), step 0 makes no product: from zero states
+    it adds only signed zeros to the gates, which leave h and c bitwise the
+    same for finite parameters (sigmoid(-0) = sigmoid(+0) and
+    f * 0 + i * tanh(±0) = +0); only g could differ, in a zero's sign, and
+    nothing reads it. At T = 1 every row ends at the one step, so a trace of
+    depth 1 needs no order.
     """
-    T, _, k, size = rows.shape
-    N, n_l = k * size, table.shape[1]
+    T, k, size = ids.shape
+    N, n_l = k * size, table.shape[2]
     depth = min(len(buffers.gates), T)
     if buffers.steps is None or buffers.steps[:2] != (k, size):
-        # z as the product's output and as the gates hold it, and per slot
-        # the gates, their sigmoid block, i, f, o, g, c, tanh_c, h and h as
-        # the next product's input: built once, they cost a pass's use
-        g, h, z = buffers.gates, buffers.h, buffers.z
-        buffers.steps = (k, size, z.reshape(k, size, 4 * n_l), z.reshape(N, 4, n_l).transpose(1, 0, 2),
-                         list(zip(g, g[:, :3], *g.transpose(1, 0, 2, 3), buffers.c, buffers.tanh_c, h,
-                                  h.reshape(len(h), k, size, n_l))))
-    _, _, z, z_gm, views = buffers.steps
-    flat_gates = buffers.gates[:depth].reshape(-1, n_l)
+        # each slot's views, on the states of the slot before, or at depth 1
+        # the one slot's, on its own, for each count of retired chunks:
+        # built once, they cost a pass's use
+        h, c, n_slots = buffers.h.reshape(-1, k, size, n_l), buffers.c, len(buffers.gates)
+        slots = [(t, 0) for t in range(n_slots)] if n_slots > 1 else [(0, j) for j in range(k)]
+        buffers.steps = (k, size, [_step_views(buffers, k, size, t, j, h[t - 1], c[t - 1]) for t, j in slots])
+    views = buffers.steps[2]
+    buffers.h[-1], buffers.c[-1] = 0.0, 0.0  # the zero states step 0 reads (no step reads them after)
     # the operand stays the transposed view, so numpy runs each chunk as the
     # GEMM of a lone 2-D chunk product; a C-contiguous copy of lstm_u.T sums
     # in another order (with 32 rows it changed bits at odd n_l from 17, 31
     # among them, under the SkylakeX kernel, and with one row under
     # SkylakeX, Haswell and Nehalem)
     u_t = params.lstm_u.T
-    # each step's views, its table rows and the rows ending at it ("clip"
-    # writes into out, where "raise" would buffer a copy of it)
+    # "clip" writes into out, where "raise" would buffer a copy of it
+    ids = ids.reshape(T, N)
     if depth > 1:
-        np.take(table, rows.reshape(-1), axis=0, out=flat_gates, mode="clip")
-        steps = zip(views[:T], itertools.repeat(None), itertools.repeat(0))
+        np.take(table, ids, axis=1, out=buffers.gates[:T].transpose(1, 0, 2, 3), mode="clip")
     else:
-        ends = np.searchsorted(lengths, np.arange(1, T + 1), side="right").tolist()
-        steps = zip(itertools.repeat(views[0]), rows.reshape(T, -1), ends)
+        done = np.searchsorted(lengths, np.arange(T + 1), side="right").tolist()  # rows ended before step t
         h_last = np.zeros((N, n_l))
-    h_prev, c_prev = np.zeros((k, size, n_l)), np.zeros((N, n_l))
-    done = 0
-    for (gates_t, sig_t, i_t, f_t, o_t, g_t, c_t, tc_t, h_t, h_next), rows_t, end in steps:
-        np.matmul(h_prev, u_t, out=z)
-        if rows_t is not None:
-            np.take(table, rows_t, axis=0, out=flat_gates, mode="clip")
-        gates_t += z_gm
-        _lstm_cell(sig_t, i_t, f_t, o_t, g_t, c_prev, c_t, tc_t, h_t, buffers.ig)
-        h_prev, c_prev = h_next, c_t
-        if end > done:
-            h_last[done:end] = h_t[done:end]
-            done = end
+    first_product = len(buffers.gates) >= T  # a trace keeps step 0's g, zero signs included
+    for t in range(T):
+        # at depth 1 the views of the live chunks: the rows ended so far
+        # fill whole chunks first, since the rows go by length
+        gates, sig, i, f, o, g, c, tanh_c, h, ig, z, z_gm, h_in, c_in, lo = \
+            views[t] if depth > 1 else views[done[t] // size]
+        if depth == 1:
+            np.take(table, ids[t, lo:], axis=1, out=gates, mode="clip")
+        if t or first_product:
+            np.matmul(h_in, u_t, out=z)
+            gates += z_gm
+        _lstm_cell(sig, i, f, o, g, c_in, c, tanh_c, h, ig)
+        if depth == 1 and done[t + 1] > done[t]:
+            h_last[done[t]:done[t + 1]] = h[done[t] - lo:done[t + 1] - lo]
     if depth > 1:
         h_last = buffers.h[lengths - 1, np.arange(N)]
     return h_last.reshape(k, size, n_l)
 
 
-def _block_inputs(instances, lengths, size, r):
-    """Attributes (k, size, u) and gate-table rows (T, 4, k, size) of the
-    instances of one block, taken in order as k chunks of `size` rows, with
-    `lengths` their lengths: gate g of a row reads table row g * r + id at
-    each step, so gate 0's rows are the item ids. Padding rows and slots
-    hold zero attributes and item 0."""
+def _block_inputs(instances, lengths, size):
+    """Attributes (k, size, u) and item ids (T, k, size) of the instances of
+    one block, taken in order as k chunks of `size` rows, with `lengths`
+    their lengths. Padding rows and slots hold zero attributes and item 0."""
     n, T = len(instances), max(lengths.tolist())
     k = -(-n // size)
     attrs = np.zeros((k * size, instances[0].attributes.shape[0]))
     attrs[:n] = [inst.attributes for inst in instances]  # one shape, or ValueError
-    ids = np.zeros((k * size, T), dtype=np.int64)
-    ids[:n][np.arange(T) < lengths[:, None]] = np.concatenate([inst.seq for inst in instances])
-    return attrs.reshape(k, size, -1), ids.T.reshape(T, 1, k, size) + r * _GATE_AXIS
+    ids = np.zeros((T, k * size), dtype=np.int64)
+    ids.T[:n][np.arange(T) < lengths[:, None]] = np.concatenate([inst.seq for inst in instances])
+    return attrs.reshape(k, size, -1), ids.reshape(T, k, size)
 
 
-def _traced_lstm(params, rows, lengths, buffers):
-    """`_lstm` over R one-row chunks, `rows` (T, 4, R, 1), keeping the trace
-    in `buffers` or in new arrays; returns (h_last (R, 1, n_l), trace)."""
-    T, _, R, _ = rows.shape
+def _traced_lstm(params, ids, lengths, buffers):
+    """`_lstm` over R one-row chunks, `ids` (T, R, 1), keeping the trace in
+    `buffers` or in new arrays; returns (h_last (R, 1, n_l), trace)."""
+    T, R, _ = ids.shape
     n_l = params.lstm_u.shape[1]
     if buffers is None:
         buffers = LstmBuffers(T, R, n_l)
@@ -377,9 +399,9 @@ def _traced_lstm(params, rows, lengths, buffers):
             f"buffers of gate shape {buffers.gates.shape} cannot hold {T} steps "
             f"of {R} sequences of width {n_l}"
         )
-    h_last = _lstm(params, _gate_table(params), rows, lengths, buffers)
+    h_last = _lstm(params, _gate_table(params), ids, lengths, buffers)
     trace = (a[:T] for a in (buffers.gates, buffers.c, buffers.tanh_c, buffers.h))
-    return h_last, LstmTrace(rows[:, 0, :, 0], *trace, lengths, buffers)
+    return h_last, LstmTrace(ids[:, :, 0], *trace, lengths, buffers)
 
 
 def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
@@ -390,8 +412,7 @@ def lstm_forward(params: ModelParams, seq: np.ndarray, true_len: int):
     if true_len > len(seq):
         raise ValueError(f"true_len {true_len} exceeds the {len(seq)} item ids given")
     T = int(true_len)
-    rows = np.reshape(seq[:T], (T, 1, 1, 1)) + params.lstm_w.shape[1] * _GATE_AXIS
-    h_last, trace = _traced_lstm(params, rows, np.array([T]), None)
+    h_last, trace = _traced_lstm(params, np.reshape(seq[:T], (T, 1, 1)), np.array([T]), None)
     return h_last[0, 0], trace
 
 
@@ -416,9 +437,9 @@ def rows_forward(params: ModelParams, cfg: ModelConfig, instances, buffers=None)
     per row, so row k is bitwise the one-row pass of instance k. Returns
     (embeddings (R, 1, n), trace); the LSTM trace goes into `buffers`."""
     lengths = np.array([inst.true_len for inst in instances], dtype=np.int64)
-    attrs, rows = _block_inputs(instances, lengths, 1, params.lstm_w.shape[1])
+    attrs, ids = _block_inputs(instances, lengths, 1)
     a_m, alphas = fc_forward(params, attrs, cfg.activation)
-    h_last, lstm = _traced_lstm(params, rows, lengths, buffers)
+    h_last, lstm = _traced_lstm(params, ids, lengths, buffers)
     concat, embedding = _fuse(params, cfg, a_m, h_last)
     return embedding, ForwardTrace(alphas, lstm, concat, embedding)
 
@@ -429,15 +450,16 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
     The instances go through in a stable order by length, in chunks of
     EMBED_CHUNK rows, EMBED_BLOCK chunks to a block. A block runs as many
     LSTM steps as its longest member, each step one stacked product with a
-    matrix product per chunk, on buffers of depth 1, so it keeps no
-    per-step values: besides the embeddings, only one block's arrays are
-    alive at any time (about 1.2 MiB at the default widths). The buffers
-    are allocated once per call and reused by every block (a shorter last
-    block has its own), since fresh arrays can come from the C allocator
-    as new pages to fault in. Every chunk has exactly EMBED_CHUNK rows, a
-    short last one padded with empty rows, so every chunk runs the same
-    product shapes and a row's bits depend only on its instance, never on
-    its position or its neighbours. A one-instance call runs one row,
+    matrix product per chunk of rows that have not ended, on buffers of
+    depth 1, so it keeps no per-step values: besides the embeddings, only
+    one block's arrays are alive at any time (about 1.0 MiB at the default
+    widths and t_max = 15; the item ids take 8 B per row and step). The
+    buffers are allocated once per call and reused by every block (a
+    shorter last block has its own), since fresh arrays can come from the C
+    allocator as new pages to fault in. Every chunk has exactly EMBED_CHUNK
+    rows, a short last one padded with empty rows, so every chunk runs the
+    same product shapes and a row's bits depend only on its instance, never
+    on its position or its neighbours. A one-instance call runs one row,
     bitwise `omega_forward`; a batched row can differ from that in the last
     bits, because a matrix product sums in another order than a
     matrix-vector product.
@@ -451,14 +473,13 @@ def embed_instances(params: ModelParams, cfg: ModelConfig, instances) -> np.ndar
         raise ValueError(f"true_len must be >= 1, got {lengths.min()}")
     order = np.argsort(lengths, kind="stable")
     size = 1 if n_inst == 1 else EMBED_CHUNK
-    n_l, r = params.lstm_u.shape[1], params.lstm_w.shape[1]
     table, buffers = _gate_table(params), None
     for start in range(0, n_inst, EMBED_BLOCK * size):
         rows = order[start:start + EMBED_BLOCK * size]
-        attrs, table_rows = _block_inputs([instances[k] for k in rows], lengths[rows], size, r)
+        attrs, ids = _block_inputs([instances[k] for k in rows], lengths[rows], size)
         if buffers is None or len(buffers.ig) != len(attrs) * size:
-            buffers = LstmBuffers(1, len(attrs) * size, n_l)
+            buffers = LstmBuffers(1, len(attrs) * size, params.lstm_u.shape[1])
         a_m = fc_forward(params, attrs, cfg.activation)[0]
-        h_last = _lstm(params, table, table_rows, lengths[rows], buffers)
+        h_last = _lstm(params, table, ids, lengths[rows], buffers)
         out[rows] = _fuse(params, cfg, a_m, h_last)[1].reshape(-1, cfg.n)[:len(rows)]
     return out

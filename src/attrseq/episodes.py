@@ -9,7 +9,7 @@ An embedding depends only on its instance, so `evaluate` draws every run's
 episode first and embeds each distinct pool instance the episodes touch
 exactly once, in blocks through the trace-free encoder pass. Instances no
 episode draws are never embedded. Each run is then scored in one vectorized
-pass over its query x support distance block, with values bitwise equal to
+pass over its support x query distance block, with values bitwise equal to
 `gradients.distance` pair by pair; its rows and labels are looked up in two
 index arrays, by pool index.
 """
@@ -82,13 +82,15 @@ def classify(kind, support_embeddings, support_classes, query_embeddings) -> np.
     its nearest support embedding ((G, n), one row per entry of
     `support_classes`); exact distance ties go to the smaller class id.
 
-    The (Q, G) distance block is one `gradients.distance` call, so each
-    value is bitwise that of the query and support pair alone.
+    The distance block is one `gradients.distance` call, support-major
+    (G, Q): its (G, Q, n) difference is G slabs of contiguous query-sized
+    rows, which numpy forms faster than the query-major (Q, G, n) one, and
+    each value is still bitwise that of the query and support pair alone.
     """
     order = np.argsort(support_classes, kind="stable")  # argmin keeps the first of a tie
     classes = np.asarray(support_classes)[order]
     queries, supports = np.asarray(query_embeddings), np.asarray(support_embeddings)[order]
-    return classes[np.argmin(distance(kind, queries[:, None, :], supports[None, :, :]), axis=1)]
+    return classes[np.argmin(distance(kind, queries[None, :, :], supports[:, None, :]), axis=0)]
 
 
 def evaluate(params, cfg, kind, pool, g, n_queries, n_runs, seed) -> EvalReport:

@@ -36,7 +36,7 @@ GRAD_MODES = ("exact", "paper-literal")
 
 def distance(kind: str, p: np.ndarray, q: np.ndarray):
     """Distance over the last axis, broadcasting the others: a float for two
-    vectors, else an array ((Q, G) for (Q, 1, n) against (1, G, n)). Each
+    vectors, else an array ((G, Q) for (1, Q, n) against (G, 1, n)). Each
     euclidean value is one row-by-column matmul, which numpy runs as the BLAS
     dot of the two rows, so no value depends on the rows around it."""
     if p.shape[-1:] != q.shape[-1:]:

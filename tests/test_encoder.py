@@ -8,6 +8,7 @@ from attrseq.data import AttributedSequence, DatasetMeta, encode
 from attrseq import encoder
 from attrseq.encoder import (
     BRANCH_MODES,
+    EMBED_BLOCK,
     EMBED_CHUNK,
     MAX_FC_DEPTH,
     MAX_PARAM_CELLS,
@@ -379,8 +380,7 @@ class TestBatchedForward:
             assert np.array_equal(_bits(trace.gates[:inst.true_len, :, k]), _bits(single.gates[:, :, 0]))
         # whatever the padding slots hold is never read
         table = encoder._gate_table(params)
-        ids = self.id_block(insts, meta.t_max, pad=meta.r - 1)
-        other = ids[:, None, :, None] + meta.r * np.arange(4).reshape(4, 1, 1)
+        other = self.id_block(insts, meta.t_max, pad=meta.r - 1)[:, :, None]
         h_other = encoder._lstm(params, table, other, rows.lstm.lengths,
                                 LstmBuffers(meta.t_max, len(insts), cfg.n_l))
         assert np.array_equal(_bits(h_other[:, 0]), _bits(rows.concat[:, 0, cfg.n_m:]))
@@ -511,6 +511,20 @@ def _chunk_by_chunk_embed(params, cfg, instances):
     return out
 
 
+def _signed_zero_params(params):
+    """A copy of params whose gate table holds -0.0 (lstm_b and lstm_w both
+    -0.0 there) and whose lstm_u has all-negative rows and columns, so that
+    a product from zero states adds -0.0 to some gates."""
+    signed = params.copy()
+    signed.lstm_b[::3] = -0.0
+    signed.lstm_w[::3, ::2] = -0.0
+    signed.lstm_u[::4] = -np.abs(signed.lstm_u[::4])
+    signed.lstm_u[:, ::5] = -np.abs(signed.lstm_u[:, ::5])
+    table = encoder._gate_table(signed)
+    assert np.any((table == 0) & np.signbit(table))
+    return signed
+
+
 @pytest.mark.bitwise
 @pytest.mark.parametrize("branch_mode", BRANCH_MODES)
 @pytest.mark.parametrize("activation_name", ["tanh", "relu"])
@@ -530,6 +544,40 @@ def test_blocks_are_bitwise_the_chunk_by_chunk_path(n_l, activation_name, branch
         want = _chunk_by_chunk_embed(params, cfg, insts)
         assert np.array_equal(_bits(got), _bits(want)), len(insts)
     assert len({inst.true_len for inst in pool}) == meta.t_max  # every length, each many times
+    # at t_max = 60 with every length from 1 to 60 a block's chunks retire
+    # at many steps; at one length none retires; a gate table with -0.0 and
+    # an lstm_u with all-negative rows and columns hold step 0 to the
+    # product from zero states that the reference runs
+    long = tiny_meta(u=8, r=30, t_max=60)
+    params = init_params(cfg, long, Rng(n_l))
+    params.lstm_b[...] = np.random.default_rng(n_l).uniform(-0.5, 0.5, params.lstm_b.shape)
+    every = [random_instance(long, seed=k, length=1 + k % 60) for k in range(300)]
+    single = [random_instance(long, seed=k, length=60) for k in range(129)]
+    for p in (params, _signed_zero_params(params)):
+        for insts in (every, every[:129], every[::7], single):
+            got = embed_instances(p, cfg, insts)
+            assert np.array_equal(_bits(got), _bits(_chunk_by_chunk_embed(p, cfg, insts))), len(insts)
+
+
+def test_streaming_pass_steps_only_live_chunks(monkeypatch):
+    # a block's chunk whose rows have all ended makes no further step, so
+    # the gate pre-activations that sigmoid sees (3 * n_l per row per step)
+    # come to each chunk's longest length, not the block's, times its rows
+    cfg = ModelConfig(n_l=20)
+    meta = tiny_meta(u=8, r=30, t_max=60)
+    params = init_params(cfg, meta, Rng(3))
+    seen = []
+    monkeypatch.setattr(encoder, "sigmoid", lambda z, out=None: seen.append(z.size) or sigmoid(z, out))
+    for pool in ([random_instance(meta, seed=k, length=1 + k % 60) for k in range(300)],
+                 [random_instance(meta, seed=k) for k in range(1)]):
+        seen.clear()
+        embed_instances(params, cfg, pool)
+        lengths = np.sort([inst.true_len for inst in pool])
+        size = EMBED_CHUNK if len(pool) > 1 else 1
+        chunk_max = [int(lengths[s:s + size].max()) for s in range(0, len(pool), size)]
+        assert sum(seen) == 3 * cfg.n_l * size * sum(chunk_max)
+        block_max = [max(chunk_max[b:b + EMBED_BLOCK]) for b in range(0, len(chunk_max), EMBED_BLOCK)]
+        assert len(seen) == sum(block_max)  # one call per step of each block
 
 
 def test_embed_memory_is_one_block_plus_the_output():
@@ -537,18 +585,43 @@ def test_embed_memory_is_one_block_plus_the_output():
     meta = tiny_meta(u=8, r=30, t_max=15)
     params = init_params(cfg, meta, Rng(2))
     pool = [random_instance(meta, seed=k) for k in range(4096)]
-    peaks = []
-    for n in (128, 4096):
+    # one block's arrays at the fusion, its peak, per row: the LSTM buffers
+    # (12 values of width n_l) and h_last, a_m, the two gated halves, their
+    # concatenation, the product, its bias sum and activation, the
+    # attributes and the item ids; the gate table once per call; and an
+    # index of a few words per instance (the lengths, their order and the
+    # lists that build them). 64 KiB covers Python's own objects.
+    rows = EMBED_BLOCK * EMBED_CHUNK
+    widths = 15 * cfg.n_l + 3 * cfg.n_m + 3 * cfg.n + meta.u + meta.t_max
+    block = 8 * rows * widths + 8 * 4 * meta.r * cfg.n_l
+    for n in (1, 128, 129, 4096):
         embed_instances(params, cfg, pool[:n])  # warm: numpy's own first-use caches
         tracemalloc.start()
         try:
             embed_instances(params, cfg, pool[:n])
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # the output grows with the call; every other array is one block's, or
-    # an index of a few bytes per instance
-    assert peaks[1] - peaks[0] <= 4096 * cfg.n * 8 + 128 * 1024, peaks
+        assert peak <= 8 * n * cfg.n + block + 64 * n + 2**16, (n, peak)
+
+
+def test_embed_memory_of_a_long_sequence_is_its_ids():
+    # a block's inputs are item ids, one int64 per row and step: two
+    # instances, one of 20,000 steps, make one chunk of EMBED_CHUNK rows
+    T = 20_000
+    meta = tiny_meta(u=4, r=1, t_max=T)
+    cfg = ModelConfig(m=1, n_m=4, n_l=4, n=4)
+    params = init_params(cfg, meta, Rng(0))
+    insts = [random_instance(meta, seed=0, length=T), random_instance(meta, seed=1, length=3)]
+    embed_instances(params, cfg, insts)
+    tracemalloc.start()
+    try:
+        embed_instances(params, cfg, insts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the ids, and an index of under 64 B per step (when rows end)
+    assert peak <= T * (8 * EMBED_CHUNK + 64) + 2**16, peak
 
 
 def test_branch_gates_table():

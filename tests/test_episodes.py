@@ -150,12 +150,16 @@ class TestClassify:
         assert (classify_pairs("euclidean", support, q_embs)
                 == classify_pairs("euclidean", support[::-1], q_embs))
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
-    def test_matches_scalar_distance_reference(self, kind):
+    def test_matches_scalar_distance_reference(self, kind, monkeypatch):
         # Supports whose offsets from the anchor query are permutations of
         # one another are equally far in exact arithmetic, so the last bit of
         # each distance decides; an exact duplicate gives a true tie, and one
-        # query sits on a support (zero distance).
+        # query sits on a support (zero distance). Every value of the block
+        # classify scores is bitwise gradients.distance of its pair alone.
+        blocks = []
+        monkeypatch.setattr(episodes, "distance", lambda *a: blocks.append(distance(*a)) or blocks[-1])
         gen = np.random.default_rng(3)
         last_bit_decided = 0
         for trial in range(60):
@@ -170,6 +174,9 @@ class TestClassify:
             support = list(zip(supports, classes))
             assert classify_pairs(kind, support, queries) == [
                 nearest_class(kind, support, emb) for emb in queries]
+            by_class = supports[np.argsort(classes, kind="stable")]
+            pairs = [[distance(kind, q, s) for s in by_class] for q in queries]
+            assert np.array_equal(blocks[-1].T.view(np.uint64), np.array(pairs).view(np.uint64))
             last_bit_decided += len({distance(kind, anchor, emb) for emb in supports}) > 1
         assert last_bit_decided > 20
 

@@ -888,8 +888,7 @@ def test_lockstep_workspace_follows_the_call_shapes():
     ids = np.zeros((2, 6), dtype=np.int64)
     for j, inst in enumerate(insts):
         ids[j, :inst.true_len] = inst.seq
-    rows = ids.T.reshape(6, 1, 1, 2) + meta.r * np.arange(4).reshape(4, 1, 1)
     lengths = np.array([inst.true_len for inst in insts])
-    got = encoder._lstm(params, table, rows, lengths, buffers)
-    want = encoder._lstm(params, table, rows, lengths, LstmBuffers(6, 2, 6))
+    got = encoder._lstm(params, table, ids.T.reshape(6, 1, 2), lengths, buffers)
+    want = encoder._lstm(params, table, ids.T.reshape(6, 1, 2), lengths, LstmBuffers(6, 2, 6))
     assert got.shape == (1, 2, 6) and np.array_equal(_bits(got), _bits(want))
